@@ -7,13 +7,12 @@ analyses.
 from .canon import CANON_MAX, OrderTooLarge, canonical_key
 from .checks import (Claim1Report, Lemma1Report, Lemma3Report, claim1_check,
                      lemma1_check, lemma3_check)
-from .cli import ramsey_value
 from .colouring import (Certificate, CertificateError, CertificateReport,
                         EdgeColouring, MonoPath, PigeonholeReport,
                         UnsupportedWitness, WitnessBudgetExhausted,
                         find_mono_p5, lift, max_mono_component_order,
-                        pigeonhole_check, read_certificate, verify_certificate,
-                        witness, write_certificate)
+                        pigeonhole_check, ramsey_value, read_certificate,
+                        verify_certificate, witness, write_certificate)
 from .designs import (Design, DesignParseError, DesignSearchResult,
                       DesignVerdict, InfeasibleParameters, LiftPathError,
                       PairCoverage, ResolutionVerdict, SearchBudget,

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .canon import canonical_key
-from .colouring import pair_count, pair_index
+from .colouring import _forced_order, pair_count, pair_index
 from .graphs import Graph, complete, disjoint_union, ex_p5, extremal_p5, path_graph
 from .pfree import enumerate_p5_free
 
@@ -49,7 +49,7 @@ def lemma1_check(r: int) -> Lemma1Report:
     if r < 1:
         raise ValueError("need at least one colour")
     residue = r % 4
-    n = {0: 3 * r + 1, 1: 3 * r + 2, 2: 3 * r, 3: 3 * r}[residue]
+    n = _forced_order(r)
     bound = _ceil_div(pair_count(n), r)
     turan = ex_p5(n)
     checks: list[tuple[str, bool]] = []

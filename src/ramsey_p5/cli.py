@@ -20,20 +20,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def ramsey_value(r: int) -> int:
-    """The r-colour Ramsey number of the 5-vertex path."""
-    if r < 1:
-        raise ValueError("need at least one colour")
-    if r == 4:
-        return 11
-    m = r % 4
-    if m == 0:
-        return 3 * r + 1
-    if m == 1:
-        return 3 * r + 2
-    return 3 * r
-
-
 def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -54,7 +40,7 @@ def _cmd_turan(args) -> int:
 
 def _cmd_table(args) -> int:
     for r in range(1, args.max_r + 1):
-        print(f"r={r} R={ramsey_value(r)}")
+        print(f"r={r} R={colouring.ramsey_value(r)}")
     return EXIT_OK
 
 

@@ -13,9 +13,8 @@ from .graphs import Graph, connected_components, ex_p5, find_path
 CERT_HEADER = "RAMSEY-P5 v1"
 CLAIM_MONO_P5_FREE = "mono-p5-free"
 
-# Native witness constructions exist for r <= 6; 7..9 are attempted within a
-# search budget; anything larger needs an externally supplied design file.
-WITNESS_NATIVE_MAX = 6
+# Witnesses for r <= 9 are built or searched natively; beyond that the
+# design must be supplied.
 WITNESS_ATTEMPT_MAX = 9
 
 
@@ -154,6 +153,20 @@ def pigeonhole_check(n: int, r: int) -> PigeonholeReport:
     else:
         relation = "inconclusive"
     return PigeonholeReport(n, r, bound, turan, relation)
+
+
+def _forced_order(r: int) -> int:
+    """The order at which Lemma 1's counting forces a monochromatic 5-vertex
+    path in every r-colouring: 3r+1, 3r+2, 3r, 3r for r = 0, 1, 2, 3 mod 4."""
+    return 3 * r + (1, 2, 0, 0)[r % 4]
+
+
+def ramsey_value(r: int) -> int:
+    """The r-colour Ramsey number of the 5-vertex path: the order from
+    Lemma 1, except r = 4, where the value is 11."""
+    if r < 1:
+        raise ValueError("need at least one colour")
+    return 11 if r == 4 else _forced_order(r)
 
 
 # ---------------------------------------------------------------------------

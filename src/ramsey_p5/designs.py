@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from importlib import resources
 from itertools import combinations
 
-from .colouring import EdgeColouring, pair_count, pair_index
+from .colouring import EdgeColouring, pair_count, pair_index, ramsey_value
 from .graphs import Graph
 
 BLOCK_SIZE = 4
@@ -195,19 +194,13 @@ def leave_graph(d: Design) -> Graph:
 
 def g_of_r(r: int) -> int:
     """Order of the complete graph that the design route colours for r
-    colours: 3r, 3r+1 or 3r-1 by residue of r mod 4."""
-    if r < 1:
-        raise ValueError("need at least one colour")
-    m = r % 4
-    if m == 2:
+    colours: one less than the Ramsey number."""
+    value = ramsey_value(r)
+    if r % 4 == 2:
         raise LiftPathError(f"r={r} has no design order; lift the witness for r-1")
     if r == 4:
         raise ValueError("r=4 uses the dedicated 10-point construction")
-    if m == 0:
-        return 3 * r
-    if m == 1:
-        return 3 * r + 1
-    return 3 * r - 1
+    return value - 1
 
 
 def design_to_colouring(d: Design, leave_colour: int | None = None) -> EdgeColouring:
@@ -464,8 +457,10 @@ def search_design(v: int, mode: str, classes: int,
         blocks.extend(cls)
         resolution.append(tuple(range(start, start + len(cls))))
     design = Design(v, tuple(blocks), tuple(resolution))
-    assert verify_design(design, mode).ok
-    assert verify_resolution(design).ok
+    if not verify_design(design, mode).ok:
+        raise AssertionError(f"search_design built an invalid {mode} design")
+    if not verify_resolution(design).ok:
+        raise AssertionError("search_design built an invalid resolution")
     return DesignSearchResult(design, "found", state["nodes"], seconds)
 
 
@@ -487,12 +482,8 @@ def witness_from_search(r: int, budget: SearchBudget | None = None) -> EdgeColou
     from .colouring import WitnessBudgetExhausted, find_mono_p5
 
     v, mode, classes = witness_parameters(r)
-    result = search_design(v, mode, classes,
-                           budget or _DEFAULT_WITNESS_BUDGET)
-    design = result.design
-    if design is None and budget is None and v == 16:
-        # guaranteed route for r=5: fall back to the bundled system
-        design, _ = bundled_design("b4_16")
+    design = search_design(v, mode, classes,
+                           budget or _DEFAULT_WITNESS_BUDGET).design
     if design is None:
         raise WitnessBudgetExhausted(
             f"design search for r={r} (v={v}, {mode}) exhausted its budget; "
@@ -651,9 +642,3 @@ def _parse_block(line: str, lineno: int, v: int) -> Block:
     if tuple(sorted(set(blk))) != blk:
         raise DesignParseError(lineno, f"block {blk} must be strictly ascending")
     return blk  # type: ignore[return-value]
-
-
-def bundled_design(name: str) -> tuple[Design, str]:
-    """Load a design file shipped with the package (e.g. 'b4_16')."""
-    data = resources.files("ramsey_p5.data").joinpath(f"{name}.design").read_bytes()
-    return read_design(data)

@@ -20,12 +20,13 @@ symmetries above. Budget exhaustion is an ordinary outcome, not an error.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import permutations
 
 from .colouring import Certificate, pair_index, verify_certificate
 from .graphs import ex_p5
+from .pfree import _max_conn_edges
 
 MAX_ORDER = 12
 MAX_COLOURS = 4
@@ -89,20 +90,6 @@ class Verdict:
 
 class _BudgetUp(Exception):
     pass
-
-
-def _max_conn_edges(s: int) -> int:
-    """Most edges of a connected graph on s vertices without a 5-vertex path:
-    complete up to K4, then only a triangle with pendants (s edges)."""
-    if s <= 1:
-        return 0
-    if s == 2:
-        return 1
-    if s == 3:
-        return 3
-    if s == 4:
-        return 6
-    return s
 
 
 @lru_cache(maxsize=None)
@@ -264,6 +251,8 @@ class _Engine:
         boundary_max = min(cfg.isomorph_depth, n - 1)
         self.boundaries = {v * (v - 1) // 2: v for v in range(3, boundary_max + 1)}
         self.witness: Certificate | None = None
+        self.stop = self.m  # edge depth at which _dfs calls at_leaf
+        self.at_leaf = self._record_witness
 
     def run(self, prefix: tuple[int, ...] = ()) -> Verdict:
         t0 = time.perf_counter()
@@ -278,9 +267,8 @@ class _Engine:
             pass
         seconds = time.perf_counter() - t0
         stats = SearchStats(self.nodes, self.max_depth, seconds, self.cfg.mode)
-        if outcome == OUTCOME_WITNESS:
-            assert self.witness is not None
-            assert verify_certificate(self.witness).ok
+        if outcome == OUTCOME_WITNESS and not verify_certificate(self.witness).ok:
+            raise AssertionError("search witness fails re-verification")
         return Verdict(outcome, self.witness, stats)
 
     def _apply_prefix(self, prefix: tuple[int, ...]) -> tuple[int, int]:
@@ -308,9 +296,8 @@ class _Engine:
                 raise _BudgetUp
 
     def _dfs(self, d: int, used: int) -> bool:
-        if d == self.m:
-            self._record_witness()
-            return True
+        if d == self.stop:
+            return self.at_leaf()
         if d > self.max_depth:
             self.max_depth = d
         u, w = self.edges[d]
@@ -355,118 +342,55 @@ class _Engine:
                 self.caps[c] = old_cap
         return False
 
-    def _record_witness(self) -> None:
+    def _record_witness(self) -> bool:
         n = self.n
         rowmajor = [0] * self.m
         for d, (u, w) in enumerate(self.edges):
             rowmajor[pair_index(n, u, w)] = self.cols[d]
         self.witness = Certificate(n, self.r, tuple(rowmajor))
+        return True
 
 
-def _collect_prefixes(n: int, r: int, cfg: SearchConfig, depth: int) -> list[tuple[int, ...]]:
+def _collect_prefixes(n: int, r: int, cfg: SearchConfig,
+                      depth: int) -> tuple[list[tuple[int, ...]], Verdict]:
     """All colour prefixes of the given edge depth that survive pruning,
-    deduplicated by the canonical prefix memo."""
+    deduplicated by the canonical prefix memo, with the collection verdict:
+    refuted when the cut tree was covered, budget-exhausted otherwise."""
     engine = _Engine(n, r, cfg)
+    engine.stop = min(depth, engine.m)
     prefixes: list[tuple[int, ...]] = []
-    target = min(depth, engine.m)
 
-    def dfs_cut(d: int, used: int) -> bool:
-        if d == target:
-            prefixes.append(tuple(engine.cols[:d]))
-            return False
-        if d > engine.max_depth:
-            engine.max_depth = d
-        u, w = engine.edges[d]
-        limit = min(used + 1, r) if cfg.colour_symmetry else r
-        boundary_v = engine.boundaries.get(d + 1)
-        for c in range(1, limit + 1):
-            engine._budget()
-            if cfg.turan_bound and engine.counts[c] >= engine.ex:
-                continue
-            adjc = engine.adj[c]
-            adjc[u] |= 1 << w
-            adjc[w] |= 1 << u
-            engine.counts[c] += 1
-            ok = not _edge_makes_p5(adjc, u, w)
-            old_cap = engine.caps[c]
-            if ok and cfg.component_bound:
-                new_cap = _completion_cap(_component_sizes(adjc, engine.n))
-                engine.caps[c] = new_cap
-                engine.total_cap += new_cap - old_cap
-                if engine.total_cap < engine.m:
-                    ok = False
-            if ok and boundary_v is not None:
-                engine.cols[d] = c
-                key = (boundary_v, _coloured_key(engine.cols, d + 1, boundary_v))
-                if key in engine.memo:
-                    ok = False
-                else:
-                    engine.memo.add(key)
-            if ok:
-                engine.cols[d] = c
-                dfs_cut(d + 1, max(used, c))
-            adjc[u] &= ~(1 << w)
-            adjc[w] &= ~(1 << u)
-            engine.counts[c] -= 1
-            if cfg.component_bound:
-                engine.total_cap += old_cap - engine.caps[c]
-                engine.caps[c] = old_cap
+    def keep() -> bool:
+        prefixes.append(tuple(engine.cols[:engine.stop]))
         return False
 
-    dfs_cut(0, 0)
-    return prefixes
+    engine.at_leaf = keep
+    return prefixes, engine.run()
 
 
-def _worker(args: tuple) -> tuple[int, str, int, int, bytes | None]:
-    n, r, cfg_args, prefix, index = args
-    cfg = SearchConfig(**cfg_args)
-    engine = _Engine(n, r, cfg)
-    verdict = engine.run(prefix)
-    cert = None
-    if verdict.certificate is not None:
-        from .colouring import write_certificate
-        cert = write_certificate(verdict.certificate)
-    return (index, verdict.outcome, verdict.stats.nodes,
-            verdict.stats.max_depth, cert)
+def _worker(n: int, r: int, cfg: SearchConfig, prefix: tuple[int, ...]) -> Verdict:
+    return _Engine(n, r, cfg).run(prefix)
 
 
 def _parallel_verify(n: int, r: int, cfg: SearchConfig) -> Verdict:
-    import multiprocessing as mp
-
-    from .colouring import read_certificate
+    """Collect the surviving prefixes at edge depth 6, then search below each
+    one in a worker process; node totals include the collection."""
+    import multiprocessing
 
     t0 = time.perf_counter()
-    prefix_depth = min(6, n * (n - 1) // 2)
-    try:
-        prefixes = _collect_prefixes(n, r, cfg, prefix_depth)
-    except _BudgetUp:
-        seconds = time.perf_counter() - t0
-        return Verdict(OUTCOME_BUDGET, None,
-                       SearchStats(0, 0, seconds, cfg.mode))
-    worker_cfg = {
-        "node_limit": cfg.node_limit,
-        "time_limit": cfg.time_limit,
-        "turan_bound": cfg.turan_bound,
-        "colour_symmetry": cfg.colour_symmetry,
-        "component_bound": cfg.component_bound,
-        "isomorph_depth": cfg.isomorph_depth,
-        "jobs": 1,
-    }
-    jobs = [(n, r, worker_cfg, p, i) for i, p in enumerate(prefixes)]
-    if not jobs:
-        return _Engine(n, r, cfg).run()
-    ctx = mp.get_context("fork")
-    with ctx.Pool(cfg.jobs) as pool:
-        results = pool.map(_worker, jobs)
-    nodes = sum(res[2] for res in results)
-    depth = max(res[3] for res in results)
-    seconds = time.perf_counter() - t0
-    stats = SearchStats(nodes, depth, seconds, cfg.mode)
-    witnesses = [res for res in results if res[1] == OUTCOME_WITNESS]
-    if witnesses:
-        first = min(witnesses, key=lambda res: res[0])
-        return Verdict(OUTCOME_WITNESS, read_certificate(first[4]), stats)
-    if any(res[1] == OUTCOME_BUDGET for res in results):
+    prefixes, collected = _collect_prefixes(n, r, cfg, 6)
+    if collected.outcome == OUTCOME_BUDGET or not prefixes:
+        return collected
+    worker_cfg = replace(cfg, jobs=1)
+    with multiprocessing.Pool(cfg.jobs) as pool:
+        verdicts = pool.starmap(_worker, [(n, r, worker_cfg, p) for p in prefixes])
+    nodes = collected.stats.nodes + sum(v.stats.nodes for v in verdicts)
+    depth = max(v.stats.max_depth for v in [collected, *verdicts])
+    stats = SearchStats(nodes, depth, time.perf_counter() - t0, cfg.mode)
+    for v in verdicts:
+        if v.outcome == OUTCOME_WITNESS:
+            return Verdict(OUTCOME_WITNESS, v.certificate, stats)
+    if any(v.outcome == OUTCOME_BUDGET for v in verdicts):
         return Verdict(OUTCOME_BUDGET, None, stats)
     return Verdict(OUTCOME_REFUTED, None, stats)
 

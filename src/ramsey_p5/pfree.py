@@ -70,6 +70,14 @@ def component_catalogue(s: int, e: int) -> tuple[Graph, ...]:
     return tuple(dedup[k] for k in sorted(dedup))
 
 
+@lru_cache(maxsize=None)
+def _max_conn_edges(s: int) -> int:
+    """Most edges of a connected graph on s vertices with no 5-vertex path:
+    the largest e with a catalogue member, searched from s(s-1)/2 down."""
+    return next(e for e in range(s * (s - 1) // 2, -1, -1)
+                if component_catalogue(s, e))
+
+
 def _component_options(n: int, m: int) -> list[tuple[int, int, Graph]]:
     """Every catalogue entry that could appear in an (n, m) composition,
     in a fixed descending order so multisets are enumerated once."""

@@ -2,7 +2,8 @@
 
 import pytest
 
-from ramsey_p5.cli import main, ramsey_value
+from ramsey_p5 import ramsey_value
+from ramsey_p5.cli import main
 
 
 def run(capsys, *argv):

@@ -5,13 +5,13 @@ import random
 import pytest
 
 from oracles import naive_has_mono_p5, random_mono_free_colouring
-from ramsey_p5.cli import ramsey_value
 from ramsey_p5.colouring import (Certificate, CertificateError, EdgeColouring,
                                  UnsupportedWitness, find_mono_p5, lift,
                                  max_mono_component_order, pair_count,
                                  pair_index, pair_list, pigeonhole_check,
-                                 read_certificate, verify_certificate, witness,
-                                 witness_k10, write_certificate)
+                                 ramsey_value, read_certificate,
+                                 verify_certificate, witness, witness_k10,
+                                 write_certificate)
 from ramsey_p5.graphs import connected_components
 
 
@@ -156,6 +156,25 @@ def test_witness_orders_match_ramsey_table():
         assert c.r == r
         assert c.n == ramsey_value(r) - 1
         assert find_mono_p5(c) is None
+
+
+def test_residue_rule_consumers_follow_ramsey_value():
+    """Lemma 1 counts at the Ramsey order, except r = 4 (13; Lemma 3 brings
+    it down to 11), and the design route colours one vertex fewer, except
+    r = 4 and r = 2 mod 4, which have their own constructions."""
+    from ramsey_p5.checks import lemma1_check
+    from ramsey_p5.designs import LiftPathError, g_of_r
+
+    for r in range(1, 101):
+        assert lemma1_check(r).n == (13 if r == 4 else ramsey_value(r))
+        if r % 4 == 2:
+            with pytest.raises(LiftPathError):
+                g_of_r(r)
+        elif r == 4:
+            with pytest.raises(ValueError):
+                g_of_r(r)
+        else:
+            assert g_of_r(r) == ramsey_value(r) - 1
 
 
 def test_witness_monotone_orders():

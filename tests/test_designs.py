@@ -1,11 +1,17 @@
 """Block designs: verification, leave graphs, colourings, search, file format."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ramsey_p5
 from ramsey_p5.colouring import find_mono_p5, max_mono_component_order
 from ramsey_p5.designs import (Design, DesignParseError, InfeasibleParameters,
                                LiftPathError, MissingResolution, NotAPacking,
-                               SearchBudget, UncolouredPair, bundled_design,
+                               SearchBudget, UncolouredPair,
                                design_to_colouring, g_of_r, leave_graph,
                                pair_coverage, read_design, search_design,
                                verify_design, verify_resolution, witness_parameters,
@@ -305,8 +311,19 @@ def test_design_parse_errors():
         read_design("\n".join(bad).encode())
 
 
-def test_bundled_design_is_valid():
-    d, mode = bundled_design("b4_16")
-    assert mode == "steiner" and d.v == 16
-    assert verify_design(d, "steiner").ok
-    assert verify_resolution(d).ok
+def test_design_self_check_survives_python_O():
+    """Under python -O a found design that fails its check still raises."""
+    script = (
+        "import sys\n"
+        "from types import SimpleNamespace\n"
+        "from ramsey_p5 import designs\n"
+        "designs.verify_design = lambda d, mode: SimpleNamespace(ok=False)\n"
+        "try:\n"
+        "    designs.search_design(16, 'steiner', 5)\n"
+        "except AssertionError:\n"
+        "    sys.exit(0 if sys.flags.optimize else 2)\n"
+        "sys.exit(1)\n")
+    src = str(Path(ramsey_p5.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", script], timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0

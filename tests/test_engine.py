@@ -1,7 +1,13 @@
 """Exhaustive search engine: verdicts, pruning soundness, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ramsey_p5
 from oracles import adj_has_p5, all_pairs
 from ramsey_p5.colouring import verify_certificate
 from ramsey_p5.engine import (OUTCOME_BUDGET, OUTCOME_REFUTED, OUTCOME_WITNESS,
@@ -128,6 +134,36 @@ def test_witness_10_4():
 def test_parallel_budget_exhaustion():
     verdict = ramsey_verify(9, 3, SearchConfig(node_limit=2, jobs=2))
     assert verdict.outcome == OUTCOME_BUDGET
+    assert verdict.stats.nodes == 3  # the collection stopped one node past
+
+
+def test_parallel_node_total_includes_collection():
+    from ramsey_p5.engine import _collect_prefixes, _Engine
+
+    cfg = SearchConfig()
+    prefixes, collected = _collect_prefixes(9, 3, cfg, 6)
+    below = sum(_Engine(9, 3, cfg).run(p).stats.nodes for p in prefixes)
+    par = ramsey_verify(9, 3, SearchConfig(jobs=2))
+    assert par.outcome == OUTCOME_REFUTED
+    assert par.stats.nodes == collected.stats.nodes + below
+
+
+def test_witness_recheck_survives_python_O():
+    """Under python -O a witness that fails its re-check still raises."""
+    script = (
+        "import sys\n"
+        "from types import SimpleNamespace\n"
+        "from ramsey_p5 import engine\n"
+        "engine.verify_certificate = lambda cert: SimpleNamespace(ok=False)\n"
+        "try:\n"
+        "    engine.ramsey_verify(5, 2)\n"
+        "except AssertionError:\n"
+        "    sys.exit(0 if sys.flags.optimize else 2)\n"
+        "sys.exit(1)\n")
+    src = str(Path(ramsey_p5.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", script], timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0
 
 
 def test_connected_edge_cap_small_orders():
@@ -135,7 +171,7 @@ def test_connected_edge_cap_small_orders():
     enumeration: connected path-free graphs have at most s edges (s >= 5),
     and complete graphs below that."""
     from oracles import mask_is_connected, p5_free_masks
-    from ramsey_p5.engine import _max_conn_edges
+    from ramsey_p5.pfree import _max_conn_edges
 
     for s in range(1, 8):
         pairs = all_pairs(s)
@@ -151,7 +187,7 @@ def test_connected_edge_cap_at_search_order():
     """Raw validation at s = 9, the largest component the 3-colour
     refutation can meet."""
     from oracles import mask_is_connected, p5_free_masks
-    from ramsey_p5.engine import _max_conn_edges
+    from ramsey_p5.pfree import _max_conn_edges
 
     pairs = all_pairs(9)
     best = 0
