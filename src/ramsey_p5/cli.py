@@ -45,11 +45,9 @@ def _cmd_table(args) -> int:
 
 
 def _budget_from(args) -> designs.SearchBudget | None:
-    if getattr(args, "nodes", None) is not None:
-        return designs.SearchBudget(nodes=args.nodes)
-    if getattr(args, "budget", None) is not None:
-        return designs.SearchBudget(seconds=args.budget)
-    return None
+    if args.nodes is None and args.budget is None:
+        return None
+    return designs.SearchBudget(nodes=args.nodes, seconds=args.budget)
 
 
 def _cmd_witness(args) -> int:
@@ -135,12 +133,7 @@ def _cmd_design_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    jobs = args.jobs
-    env = os.environ.get("RAMSEY_P5_JOBS")
-    if env:
-        jobs = int(env)
-    cfg = engine.SearchConfig(node_limit=args.nodes, time_limit=args.budget,
-                              jobs=jobs)
+    cfg = engine.SearchConfig(node_limit=args.nodes, time_limit=args.budget)
     try:
         verdict = engine.ramsey_verify(args.n, args.r, cfg)
     except engine.ParameterError as exc:
@@ -233,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--nodes", type=int)
     p.add_argument("--budget", type=float, help="seconds")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("claims", help="run the finite case-analysis checks")

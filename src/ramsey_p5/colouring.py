@@ -297,12 +297,13 @@ def read_certificate(data: bytes) -> Certificate:
         raise CertificateError(1, f"expected header {CERT_HEADER!r}")
     if len(lines) < 3:
         raise CertificateError(len(lines), "truncated certificate")
-    head = lines[1]
-    if not head.startswith("n=") or " r=" not in head:
+    head = lines[1].split(" ")
+    if len(head) != 2 or not head[0].startswith("n=") or not head[1].startswith("r="):
         raise CertificateError(2, "expected 'n=<n> r=<r>'")
-    n_part, r_part = head.split(" r=")
-    n = _strict_int(n_part[2:], 2, "order")
-    r = _strict_int(r_part, 2, "colour count")
+    n = _strict_int(head[0][2:], 2, "order")
+    r = _strict_int(head[1][2:], 2, "colour count")
+    if r < 1:
+        raise CertificateError(2, "need at least one colour")
     if lines[2] != f"claim={CLAIM_MONO_P5_FREE}":
         raise CertificateError(3, f"expected 'claim={CLAIM_MONO_P5_FREE}'")
     pairs = pair_list(n)

@@ -20,7 +20,7 @@ symmetries above. Budget exhaustion is an ordinary outcome, not an error.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
@@ -48,25 +48,20 @@ class SearchConfig:
     colour_symmetry: bool = True
     component_bound: bool = True
     isomorph_depth: int = 6  # canonical-prefix rejection up to this many vertices
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.node_limit is not None and self.node_limit <= 0:
             raise ValueError("node limit must be positive")
         if self.time_limit is not None and self.time_limit <= 0:
             raise ValueError("time limit must be positive")
-        if self.jobs < 1:
-            raise ValueError("jobs must be positive")
 
     @property
     def mode(self) -> str:
         if self.node_limit is not None:
-            kind = "node-limit"
-        elif self.time_limit is not None:
-            kind = "time-limit"
-        else:
-            kind = "unbounded"
-        return f"{kind} jobs={self.jobs}"
+            return "node-limit"
+        if self.time_limit is not None:
+            return "time-limit"
+        return "unbounded"
 
 
 @dataclass(frozen=True)
@@ -251,17 +246,14 @@ class _Engine:
         boundary_max = min(cfg.isomorph_depth, n - 1)
         self.boundaries = {v * (v - 1) // 2: v for v in range(3, boundary_max + 1)}
         self.witness: Certificate | None = None
-        self.stop = self.m  # edge depth at which _dfs calls at_leaf
-        self.at_leaf = self._record_witness
 
-    def run(self, prefix: tuple[int, ...] = ()) -> Verdict:
+    def run(self) -> Verdict:
         t0 = time.perf_counter()
         if self.cfg.time_limit is not None:
             self.deadline = t0 + self.cfg.time_limit
         outcome = OUTCOME_BUDGET
         try:
-            start, used = self._apply_prefix(prefix)
-            found = self._dfs(start, used)
+            found = self._dfs(0, 0)
             outcome = OUTCOME_WITNESS if found else OUTCOME_REFUTED
         except _BudgetUp:
             pass
@@ -270,22 +262,6 @@ class _Engine:
         if outcome == OUTCOME_WITNESS and not verify_certificate(self.witness).ok:
             raise AssertionError("search witness fails re-verification")
         return Verdict(outcome, self.witness, stats)
-
-    def _apply_prefix(self, prefix: tuple[int, ...]) -> tuple[int, int]:
-        used = 0
-        for d, c in enumerate(prefix):
-            u, w = self.edges[d]
-            adjc = self.adj[c]
-            adjc[u] |= 1 << w
-            adjc[w] |= 1 << u
-            self.counts[c] += 1
-            self.cols[d] = c
-            if _edge_makes_p5(adjc, u, w):
-                raise ValueError(f"prefix creates a monochromatic path at edge {d}")
-            self.caps[c] = _completion_cap(_component_sizes(adjc, self.n))
-            used = max(used, c)
-        self.total_cap = sum(self.caps[1:])
-        return len(prefix), used
 
     def _budget(self) -> None:
         self.nodes += 1
@@ -296,8 +272,8 @@ class _Engine:
                 raise _BudgetUp
 
     def _dfs(self, d: int, used: int) -> bool:
-        if d == self.stop:
-            return self.at_leaf()
+        if d == self.m:
+            return self._record_witness()
         if d > self.max_depth:
             self.max_depth = d
         u, w = self.edges[d]
@@ -351,50 +327,6 @@ class _Engine:
         return True
 
 
-def _collect_prefixes(n: int, r: int, cfg: SearchConfig,
-                      depth: int) -> tuple[list[tuple[int, ...]], Verdict]:
-    """All colour prefixes of the given edge depth that survive pruning,
-    deduplicated by the canonical prefix memo, with the collection verdict:
-    refuted when the cut tree was covered, budget-exhausted otherwise."""
-    engine = _Engine(n, r, cfg)
-    engine.stop = min(depth, engine.m)
-    prefixes: list[tuple[int, ...]] = []
-
-    def keep() -> bool:
-        prefixes.append(tuple(engine.cols[:engine.stop]))
-        return False
-
-    engine.at_leaf = keep
-    return prefixes, engine.run()
-
-
-def _worker(n: int, r: int, cfg: SearchConfig, prefix: tuple[int, ...]) -> Verdict:
-    return _Engine(n, r, cfg).run(prefix)
-
-
-def _parallel_verify(n: int, r: int, cfg: SearchConfig) -> Verdict:
-    """Collect the surviving prefixes at edge depth 6, then search below each
-    one in a worker process; node totals include the collection."""
-    import multiprocessing
-
-    t0 = time.perf_counter()
-    prefixes, collected = _collect_prefixes(n, r, cfg, 6)
-    if collected.outcome == OUTCOME_BUDGET or not prefixes:
-        return collected
-    worker_cfg = replace(cfg, jobs=1)
-    with multiprocessing.Pool(cfg.jobs) as pool:
-        verdicts = pool.starmap(_worker, [(n, r, worker_cfg, p) for p in prefixes])
-    nodes = collected.stats.nodes + sum(v.stats.nodes for v in verdicts)
-    depth = max(v.stats.max_depth for v in [collected, *verdicts])
-    stats = SearchStats(nodes, depth, time.perf_counter() - t0, cfg.mode)
-    for v in verdicts:
-        if v.outcome == OUTCOME_WITNESS:
-            return Verdict(OUTCOME_WITNESS, v.certificate, stats)
-    if any(v.outcome == OUTCOME_BUDGET for v in verdicts):
-        return Verdict(OUTCOME_BUDGET, None, stats)
-    return Verdict(OUTCOME_REFUTED, None, stats)
-
-
 def ramsey_verify(n: int, r: int, cfg: SearchConfig | None = None) -> Verdict:
     """Decide whether every r-colouring of K_n has a monochromatic 5-vertex
     path (refuted) or produce a verified counterexample colouring (witness).
@@ -404,6 +336,4 @@ def ramsey_verify(n: int, r: int, cfg: SearchConfig | None = None) -> Verdict:
         raise ParameterError(f"order must be in 0..{MAX_ORDER}, got {n}")
     if not 1 <= r <= MAX_COLOURS:
         raise ParameterError(f"colour count must be in 1..{MAX_COLOURS}, got {r}")
-    if cfg.jobs > 1:
-        return _parallel_verify(n, r, cfg)
     return _Engine(n, r, cfg).run()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ramsey_p5 import ramsey_value
+from ramsey_p5 import designs, ramsey_value
 from ramsey_p5.cli import main
 
 
@@ -86,6 +86,9 @@ def test_bad_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["search", "--n", "6", "--r", "2", "--jobs", "2"])
+    assert err.value.code == 2
 
 
 def test_design_search_and_verify(capsys, tmp_path):
@@ -162,11 +165,21 @@ def test_search_out_of_range_is_usage_error(capsys):
     assert code == 2
 
 
-def test_search_jobs_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("RAMSEY_P5_JOBS", "2")
-    code, out = run(capsys, "search", "--n", "6", "--r", "2")
-    assert code == 0
-    assert "jobs=2" in out
+def test_nodes_and_budget_both_reach_design_search(capsys, monkeypatch):
+    seen = []
+
+    def fake_search(v, mode, classes, budget=None):
+        seen.append(budget)
+        return designs.DesignSearchResult(None, "budget", 0, 0.0)
+
+    monkeypatch.setattr(designs, "search_design", fake_search)
+    limits = ("--nodes", "1000000000", "--budget", "0.5")
+    code, _ = run(capsys, "design", "search", "--v", "28", "--mode", "steiner",
+                  "--classes", "9", *limits)
+    assert code == 3
+    code, _ = run(capsys, "witness", "7", *limits)
+    assert code == 3
+    assert seen == [designs.SearchBudget(nodes=10 ** 9, seconds=0.5)] * 2
 
 
 def test_claims_single_checks(capsys):

@@ -265,6 +265,12 @@ def test_certificate_parse_errors_carry_line_numbers():
     with pytest.raises(CertificateError):
         read_certificate(data[:-1])  # missing newline
 
+    for head in ("n=2 r=1 r=1", "n=1 r=0"):
+        bad = f"{lines[0]}\n{head}\n{lines[2]}\n".encode()
+        with pytest.raises(CertificateError) as err:
+            read_certificate(bad)
+        assert err.value.line == 2
+
 
 def test_certificate_rejects_non_canonical_numbers():
     data = write_certificate(Certificate.from_colouring(witness_k10()))
