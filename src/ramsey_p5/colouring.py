@@ -306,10 +306,11 @@ def read_certificate(data: bytes) -> Certificate:
         raise CertificateError(2, "need at least one colour")
     if lines[2] != f"claim={CLAIM_MONO_P5_FREE}":
         raise CertificateError(3, f"expected 'claim={CLAIM_MONO_P5_FREE}'")
-    pairs = pair_list(n)
-    expected = len(pairs)
+    # Count the lines before building the pair list, which grows as n^2.
+    expected = n * (n - 1) // 2
     if len(lines) < 3 + expected:
         raise CertificateError(len(lines), f"expected {expected} edge lines")
+    pairs = pair_list(n)
     cols = []
     for k, (i, j) in enumerate(pairs):
         lineno = 4 + k

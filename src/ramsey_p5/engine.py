@@ -4,29 +4,37 @@ Backtracking assigns colours to the edges of K_n in vertex-by-vertex order
 (all edges into vertex w before vertex w+1), so every prefix is a complete
 colouring of some K_w. Pruning:
 
-* a colour class may never gain a 5-vertex path (checked incrementally
-  through the new edge);
+* a colour class may never gain a 5-vertex path. The engine keeps the
+  component mask of every vertex in every class, so it tests only the
+  component that the new edge creates or grows, by the catalogue of
+  connected P5-free shapes (``pfree.component_is_p5_free``), without
+  enumerating paths;
 * a colour class may never exceed the Turán bound for 5-vertex paths;
 * the summed completion capacity of all classes must reach the edge count,
   where a class capacity is the largest edge count any supergraph of its
-  current components can have while staying free of 5-vertex paths;
+  current components can have while staying free of 5-vertex paths. It
+  depends only on the sorted component orders, which change only when an
+  edge joins two components;
 * colour relabelling is broken by first-use order, and coloured prefixes on
   the first few vertices are deduplicated by a canonical form.
 
 A refuted verdict therefore means every colouring was covered, up to the
 symmetries above. Budget exhaustion is an ordinary outcome, not an error.
+``SearchStats`` counts the nodes each rule cut off; every other node is a
+descent.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
 from .colouring import Certificate, pair_index, verify_certificate
 from .graphs import ex_p5
-from .pfree import _max_conn_edges
+from .pfree import _max_conn_edges, component_is_p5_free
 
 MAX_ORDER = 12
 MAX_COLOURS = 4
@@ -70,10 +78,19 @@ class SearchStats:
     max_depth: int
     seconds: float
     mode: str
+    # Nodes cut off by each rule; the rest are descents.
+    pruned_turan: int = 0
+    pruned_path: int = 0
+    pruned_capacity: int = 0
+    pruned_isomorph: int = 0
 
     def lines(self) -> list[str]:
         return [f"nodes={self.nodes}", f"depth={self.max_depth}",
-                f"seconds={self.seconds:.3f}", f"mode={self.mode}"]
+                f"seconds={self.seconds:.3f}", f"mode={self.mode}",
+                f"pruned_turan={self.pruned_turan}",
+                f"pruned_path={self.pruned_path}",
+                f"pruned_capacity={self.pruned_capacity}",
+                f"pruned_isomorph={self.pruned_isomorph}"]
 
 
 @dataclass(frozen=True)
@@ -109,62 +126,6 @@ def _completion_cap(sizes: tuple[int, ...]) -> int:
         if val > best:
             best = val
     return best
-
-
-def _component_sizes(adj: list[int], n: int) -> tuple[int, ...]:
-    sizes = []
-    rem = (1 << n) - 1
-    while rem:
-        comp = rem & -rem
-        frontier = comp
-        while frontier:
-            grow = 0
-            m = frontier
-            while m:
-                b = m & -m
-                m ^= b
-                grow |= adj[b.bit_length() - 1]
-            frontier = grow & ~comp
-            comp |= frontier
-        sizes.append(comp.bit_count())
-        rem &= ~comp
-    sizes.sort()
-    return tuple(sizes)
-
-
-def _edge_makes_p5(adj: list[int], u: int, v: int) -> bool:
-    """True iff the class graph (with edge uv already inserted) has a
-    5-vertex path through uv."""
-    ups = _paths_ending(adj, u, 1 << v)
-    vps = _paths_ending(adj, v, 1 << u)
-    for k in range(1, 5):
-        side = vps[5 - k]
-        if not side:
-            continue
-        for mu in ups[k]:
-            for mv in side:
-                if not (mu & mv):
-                    return True
-    return False
-
-
-def _paths_ending(adj: list[int], start: int, avoid: int) -> list[list[int]]:
-    """Vertex masks of simple paths with k vertices ending at start (k=1..4),
-    avoiding the given mask."""
-    out: list[list[int]] = [[], [], [], [], []]
-
-    def rec(v: int, mask: int, k: int) -> None:
-        out[k].append(mask)
-        if k == 4:
-            return
-        nb = adj[v] & ~mask & ~avoid
-        while nb:
-            b = nb & -nb
-            nb ^= b
-            rec(b.bit_length() - 1, mask | b, k + 1)
-
-    rec(start, 1 << start, 1)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -224,6 +185,15 @@ def _coloured_key(cols: list[int], nedges: int, v: int) -> tuple[int, ...]:
     return tuple(best)
 
 
+def _label(comp: list[int], part: int) -> None:
+    """Make part the component mask of each of its vertices."""
+    rest = part
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        comp[b.bit_length() - 1] = part
+
+
 class _Engine:
     def __init__(self, n: int, r: int, cfg: SearchConfig):
         self.n = n
@@ -233,13 +203,19 @@ class _Engine:
         self.edges = [(u, w) for w in range(1, n) for u in range(w)]
         self.m = len(self.edges)
         self.adj = [[0] * n for _ in range(r + 1)]
+        # Per class: the component mask of every vertex, and the sorted
+        # component orders, which fix the class capacity.
+        self.comp = [[1 << v for v in range(n)] for _ in range(r + 1)]
+        self.sizes = [(1,) * n] * (r + 1)
         self.counts = [0] * (r + 1)
-        empty_cap = _completion_cap(tuple([1] * n)) if n else 0
+        empty_cap = _completion_cap((1,) * n)
         self.caps = [empty_cap] * (r + 1)
         self.total_cap = r * empty_cap
         self.cols = [0] * self.m
         self.nodes = 0
         self.max_depth = 0
+        self.pruned_turan = self.pruned_path = 0
+        self.pruned_capacity = self.pruned_isomorph = 0
         self.node_limit = cfg.node_limit
         self.deadline = None
         self.memo: set[tuple] = set()
@@ -258,7 +234,9 @@ class _Engine:
         except _BudgetUp:
             pass
         seconds = time.perf_counter() - t0
-        stats = SearchStats(self.nodes, self.max_depth, seconds, self.cfg.mode)
+        stats = SearchStats(self.nodes, self.max_depth, seconds, self.cfg.mode,
+                            self.pruned_turan, self.pruned_path,
+                            self.pruned_capacity, self.pruned_isomorph)
         if outcome == OUTCOME_WITNESS and not verify_certificate(self.witness).ok:
             raise AssertionError("search witness fails re-verification")
         return Verdict(outcome, self.witness, stats)
@@ -285,37 +263,71 @@ class _Engine:
         for c in range(1, limit + 1):
             self._budget()
             if cfg.turan_bound and self.counts[c] >= self.ex:
+                self.pruned_turan += 1
                 continue
             adjc = self.adj[c]
+            compc = self.comp[c]
+            cu = compc[u]
+            cw = compc[w]
             adjc[u] |= wbit
             adjc[w] |= ubit
-            self.counts[c] += 1
-            ok = not _edge_makes_p5(adjc, u, w)
-            old_cap = self.caps[c]
-            if ok and cfg.component_bound:
-                new_cap = _completion_cap(_component_sizes(adjc, self.n))
-                self.caps[c] = new_cap
-                self.total_cap += new_cap - old_cap
-                if self.total_cap < self.m:
-                    ok = False
-            if ok and boundary_v is not None:
-                self.cols[d] = c
-                key = (boundary_v,
-                       _coloured_key(self.cols, d + 1, boundary_v))
-                if key in self.memo:
-                    ok = False
+            # The class was free of 5-vertex paths before uw went in, so any
+            # such path now runs through uw, inside the component of u and w.
+            if not component_is_p5_free(adjc, cu | cw):
+                self.pruned_path += 1
+            else:
+                self.counts[c] += 1
+                # Capacity changes only when uw joins two components, and the
+                # total passed the test when it last changed.
+                merged = cu != cw
+                if merged:
+                    old_sizes = self.sizes[c]
+                    self._merge(c, cu, cw)
+                if merged and cfg.component_bound and self.total_cap < self.m:
+                    self.pruned_capacity += 1
+                elif boundary_v is not None and self._seen(d, c, boundary_v):
+                    self.pruned_isomorph += 1
                 else:
-                    self.memo.add(key)
-            if ok:
-                self.cols[d] = c
-                if self._dfs(d + 1, max(used, c)):
-                    return True
+                    self.cols[d] = c
+                    if self._dfs(d + 1, max(used, c)):
+                        return True
+                self.counts[c] -= 1
+                if merged:
+                    self._split(c, cu, cw, old_sizes)
             adjc[u] &= ~wbit
             adjc[w] &= ~ubit
-            self.counts[c] -= 1
-            if cfg.component_bound:
-                self.total_cap += old_cap - self.caps[c]
-                self.caps[c] = old_cap
+        return False
+
+    def _merge(self, c: int, cu: int, cw: int) -> None:
+        """Join the components cu and cw of class c."""
+        joined = cu | cw
+        _label(self.comp[c], joined)
+        sizes = list(self.sizes[c])
+        sizes.remove(cu.bit_count())
+        sizes.remove(cw.bit_count())
+        insort(sizes, joined.bit_count())
+        self._set_sizes(c, tuple(sizes))
+
+    def _split(self, c: int, cu: int, cw: int, sizes: tuple[int, ...]) -> None:
+        """Undo _merge(c, cu, cw); sizes are the component orders before it."""
+        _label(self.comp[c], cu)
+        _label(self.comp[c], cw)
+        self._set_sizes(c, sizes)
+
+    def _set_sizes(self, c: int, sizes: tuple[int, ...]) -> None:
+        cap = _completion_cap(sizes)
+        self.total_cap += cap - self.caps[c]
+        self.caps[c] = cap
+        self.sizes[c] = sizes
+
+    def _seen(self, d: int, c: int, v: int) -> bool:
+        """Record the coloured K_v that edge d completes in colour c; True if
+        an isomorphic copy was recorded before."""
+        self.cols[d] = c
+        key = (v, _coloured_key(self.cols, d + 1, v))
+        if key in self.memo:
+            return True
+        self.memo.add(key)
         return False
 
     def _record_witness(self) -> bool:

@@ -6,10 +6,12 @@ A connected graph contains no 5-vertex path exactly when it is one of:
 * a triangle with pendant edges all attached to one vertex (e = s),
 * C4, K4 minus an edge, or K4 (s = 4 with e = 4, 5, 6).
 
-The test suite validates this classification against raw enumeration for
-small orders instead of taking it on faith. Arbitrary graphs without a
-5-vertex path are exactly the disjoint unions of catalogue members, which is
-what ``enumerate_p5_free`` composes.
+``component_is_p5_free`` decides membership from the degrees alone, which
+is the form the search engine tests each new edge with. The test suite
+validates the classification against raw enumeration for small orders
+instead of taking it on faith. Arbitrary graphs without a 5-vertex path are
+exactly the disjoint unions of catalogue members, which is what
+``enumerate_p5_free`` composes.
 """
 
 from __future__ import annotations
@@ -76,6 +78,31 @@ def _max_conn_edges(s: int) -> int:
     the largest e with a catalogue member, searched from s(s-1)/2 down."""
     return next(e for e in range(s * (s - 1) // 2, -1, -1)
                 if component_catalogue(s, e))
+
+
+def component_is_p5_free(adj: list[int], comp: int) -> bool:
+    """Whether the connected graph on the vertex mask ``comp`` (a whole
+    component of the graph with neighbour masks ``adj``) has no 5-vertex
+    path, decided from its degrees by the catalogue: at most 4 vertices, a
+    tree with at most two non-leaves, or s edges with a vertex adjacent to
+    all others."""
+    s = comp.bit_count()
+    if s <= 4:
+        return True
+    twice_e = inner = 0
+    hub = False
+    while comp:
+        b = comp & -comp
+        comp ^= b
+        deg = adj[b.bit_length() - 1].bit_count()
+        twice_e += deg
+        if deg > 1:
+            inner += 1
+            if deg == s - 1:
+                hub = True
+    if twice_e == 2 * s - 2:
+        return inner <= 2
+    return twice_e == 2 * s and hub
 
 
 def _component_options(n: int, m: int) -> list[tuple[int, int, Graph]]:

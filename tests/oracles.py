@@ -165,6 +165,32 @@ def mask_is_connected(mask: int, pairs: list[tuple[int, int]], n: int) -> bool:
     return seen == (1 << n) - 1
 
 
+def bfs_components(adj: list[int], n: int) -> list[int]:
+    """Vertex masks of the components, by breadth-first search one vertex
+    at a time, ordered by smallest member."""
+    comps: list[int] = []
+    seen = 0
+    for root in range(n):
+        if seen >> root & 1:
+            continue
+        comp = 1 << root
+        queue = [root]
+        while queue:
+            x = queue.pop(0)
+            for y in range(n):
+                if adj[x] >> y & 1 and not comp >> y & 1:
+                    comp |= 1 << y
+                    queue.append(y)
+        comps.append(comp)
+        seen |= comp
+    return comps
+
+
+def component_sizes(adj: list[int], n: int) -> tuple[int, ...]:
+    """Sorted component orders, from bfs_components."""
+    return tuple(sorted(c.bit_count() for c in bfs_components(adj, n)))
+
+
 def naive_has_mono_p5(col: EdgeColouring) -> bool:
     """Scan every ordered 5-tuple of vertices for a single-colour path."""
     n = col.n

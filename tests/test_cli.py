@@ -158,6 +158,9 @@ def test_search_budget_exit(capsys):
     code, out = run(capsys, "search", "--n", "9", "--r", "3", "--nodes", "5")
     assert code == 3
     assert "outcome=budget-exhausted" in out
+    keys = [line.partition("=")[0] for line in out.splitlines()]
+    assert keys == ["outcome", "nodes", "depth", "seconds", "mode", "pruned_turan",
+                    "pruned_path", "pruned_capacity", "pruned_isomorph"]
 
 
 def test_search_out_of_range_is_usage_error(capsys):

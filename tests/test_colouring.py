@@ -272,6 +272,24 @@ def test_certificate_parse_errors_carry_line_numbers():
         assert err.value.line == 2
 
 
+def test_header_only_certificate_rejected_in_constant_memory():
+    """A header claiming a large order is rejected from its line count,
+    before any per-pair table is built."""
+    import tracemalloc
+
+    data = b"RAMSEY-P5 v1\nn=2000 r=2\nclaim=mono-p5-free\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(CertificateError) as err:
+            read_certificate(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.line == 3
+    assert str(err.value) == "line 3: expected 1999000 edge lines"
+    assert peak < 1 << 20
+
+
 def test_certificate_rejects_non_canonical_numbers():
     data = write_certificate(Certificate.from_colouring(witness_k10()))
     mangled = data.replace(b"0 1 1", b"00 1 1", 1)

@@ -1,12 +1,15 @@
 """Catalogue of connected path-free components and the (n, m) enumeration."""
 
+import random
+
 import pytest
 
 from oracles import all_pairs, mask_is_connected, p5_free_masks
 from ramsey_p5.canon import OrderTooLarge, canonical_key
 from ramsey_p5.graphs import (Graph, complete, contains_path, disjoint_union,
                               ex_p5, extremal_p5, is_connected, path_graph)
-from ramsey_p5.pfree import component_catalogue, enumerate_p5_free
+from ramsey_p5.pfree import (component_catalogue, component_is_p5_free,
+                             enumerate_p5_free)
 
 
 def test_catalogue_pinned_examples():
@@ -55,6 +58,41 @@ def test_catalogue_complete_at_8_vertices():
         expect = by_edges.get(e, set())
         got = {canonical_key(g) for g in component_catalogue(8, e)}
         assert got == expect, f"catalogue mismatch at s=8, e={e}"
+
+
+def test_degree_test_matches_catalogue():
+    """component_is_p5_free on a connected graph is membership in
+    component_catalogue(s, e): every labelled connected graph up to 6
+    vertices, then random connected graphs and relabelled catalogue members
+    up to 9."""
+    keys = {}
+
+    def agrees(g):
+        s, e = g.n, g.edge_count()
+        if (s, e) not in keys:
+            keys[s, e] = {canonical_key(h) for h in component_catalogue(s, e)}
+        expect = bool(keys[s, e]) and canonical_key(g) in keys[s, e]
+        assert component_is_p5_free(list(g.adj), (1 << g.n) - 1) == expect, g.edges()
+        return expect
+
+    for s in range(1, 7):
+        pairs = all_pairs(s)
+        for mask in range(1 << len(pairs)):
+            if mask_is_connected(mask, pairs, s):
+                agrees(Graph(s, [pairs[k] for k in range(len(pairs)) if mask >> k & 1]))
+    rng = random.Random(9)
+    for s in range(7, 10):
+        pairs = all_pairs(s)
+        members = [g for e in range(s - 1, s + 1) for g in component_catalogue(s, e)]
+        for g in members:
+            perm = rng.sample(range(s), s)
+            assert agrees(Graph(s, [(perm[i], perm[j]) for i, j in g.edges()]))
+        found = 0
+        for _ in range(400):
+            edges = {tuple(sorted((v, rng.randrange(v)))) for v in range(1, s)}
+            edges |= set(rng.sample(pairs, rng.randrange(3)))
+            found += agrees(Graph(s, sorted(edges)))
+        assert 0 < found < 400
 
 
 def test_enumerate_pinned_counts():
