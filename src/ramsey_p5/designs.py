@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .colouring import EdgeColouring, pair_count, pair_index, ramsey_value
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 BLOCK_SIZE = 4
 STRENGTH = 2
@@ -267,12 +267,17 @@ class DesignSearchResult:
     outcome: str  # found | exhausted | budget
     nodes: int
     seconds: float
+    # Covering runs only: nodes whose block takes the repeated pair slots past
+    # the spare slots, and completed classes cut by the coverage deficits.
+    pruned_waste: int = 0
+    rejected_classes: int = 0
 
     def lines(self) -> list[str]:
         label = {"found": "found", "exhausted": "exhausted-space",
                  "budget": "budget-exhausted"}[self.outcome]
         return [f"outcome={label}", f"nodes={self.nodes}",
-                f"seconds={self.seconds:.3f}"]
+                f"seconds={self.seconds:.3f}", f"pruned_waste={self.pruned_waste}",
+                f"rejected_classes={self.rejected_classes}"]
 
 
 class _BudgetUp(Exception):
@@ -313,118 +318,108 @@ def search_design(v: int, mode: str, classes: int,
     The first class is pinned to the natural partition {0..3}, {4..7}, ...,
     blocks within a class are built around the least uncovered point, and
     classes are generated in non-decreasing order, which removes the point
-    and class relabelling symmetry. Steiner and packing runs never repeat a
-    pair; covering runs prune on per-point and global coverage deficits.
+    and class relabelling symmetry. The state is one mask per point of the
+    partners it shares no placed block with. Steiner and packing runs draw
+    each further block point from the intersection of those masks, so they
+    never repeat a pair; covering runs take every trio and prune on the
+    repeated pair slots and on per-point and global coverage deficits.
     """
     _check_feasible(v, mode, classes)
     t0 = time.perf_counter()
     deadline = t0 + budget.seconds if budget and budget.seconds else None
     node_limit = budget.nodes if budget else None
-
-    pidx = [[0] * v for _ in range(v)]
-    for i in range(v):
-        for j in range(i + 1, v):
-            pidx[i][j] = pidx[j][i] = pair_index(v, i, j)
-
-    mult = [0] * pair_count(v)
-    udeg = [v - 1] * v  # uncovered partners per point (covering prune)
-    state = {"nodes": 0, "uncovered": pair_count(v), "waste": 0}
+    covering = mode == "covering"
     per_class = v // 4
+
+    # unc[a]: the partners of a that no placed block pairs it with; the
+    # natural first class is placed.
+    unc = [((1 << v) - 1) ^ 15 << (a & ~3) for a in range(v)]
+    uncovered = pair_count(v) - 6 * per_class
+    waste = nodes = pruned_waste = rejected_classes = 0
     natural = tuple(tuple(range(4 * i, 4 * i + 4)) for i in range(per_class))
-    solution: list[tuple[Block, ...]] = []
+    solution: list[tuple[Block, ...]] = [natural]
     # a covering may repeat only slots - pairs pair slots in total; steiner
     # and packing runs never repeat one, so their waste stays zero
-    max_waste = (classes * per_class * 6 - pair_count(v)
-                 if mode == "covering" else 0)
+    max_waste = classes * per_class * 6 - pair_count(v) if covering else 0
 
     def bump() -> None:
-        state["nodes"] += 1
-        if node_limit is not None and state["nodes"] > node_limit:
+        nonlocal nodes
+        nodes += 1
+        if node_limit is not None and nodes > node_limit:
             raise _BudgetUp
-        if deadline is not None and state["nodes"] % 1024 == 0:
+        if deadline is not None and nodes % 1024 == 0:
             if time.perf_counter() > deadline:
                 raise _BudgetUp
 
-    def cover_block(blk: Block) -> list[tuple[int, int]]:
-        fresh = []
-        for a, b in combinations(blk, 2):
-            p = pidx[a][b]
-            if mult[p] == 0:
-                fresh.append((a, b))
-                udeg[a] -= 1
-                udeg[b] -= 1
-            mult[p] += 1
-        state["uncovered"] -= len(fresh)
-        state["waste"] += 6 - len(fresh)
-        return fresh
-
-    def uncover_block(blk: Block, fresh: list[tuple[int, int]]) -> None:
-        for a, b in combinations(blk, 2):
-            mult[pidx[a][b]] -= 1
-        for a, b in fresh:
-            udeg[a] += 1
-            udeg[b] += 1
-        state["uncovered"] += len(fresh)
-        state["waste"] -= 6 - len(fresh)
-
-    def block_allowed(blk: Block) -> bool:
-        if mode == "covering":
-            return True
-        for a, b in combinations(blk, 2):
-            if mult[pidx[a][b]]:
-                return False
-        return True
-
-    def block_mask(blk: Block) -> int:
-        m = 0
-        for p in blk:
-            m |= 1 << p
-        return m
+    def fresh_trios(qs: int):
+        """Trios q < r < s of qs whose three pairs are uncovered; qs holds
+        the uncovered partners of the block's first point."""
+        while qs:
+            qb = qs & -qs
+            qs ^= qb
+            q = qb.bit_length() - 1
+            rs = qs & unc[q]
+            while rs:
+                rb = rs & -rs
+                rs ^= rb
+                r = rb.bit_length() - 1
+                for s in _bits(rs & unc[r]):
+                    yield q, r, s
 
     def place_blocks(done: list[Block], remaining: int,
                      bound: tuple[Block, ...], tight: bool, on_class_done) -> bool:
+        nonlocal uncovered, waste, pruned_waste
         if remaining == 0:
             return on_class_done(tuple(done))
         low = remaining & -remaining
         p = low.bit_length() - 1
         rest = remaining ^ low
-        others = []
-        m = rest
-        while m:
-            b = m & -m
-            others.append(b.bit_length() - 1)
-            m ^= b
         floor_blk = bound[len(done)] if tight else None
-        for trio in combinations(others, 3):
-            blk: Block = (p, *trio)
+        # A list, not the generator: copying a generator means resizing a
+        # tuple, and the resized tuples fill CPython's tuple free lists
+        # (0.3 MB more peak memory on a v=20 covering run).
+        trios = (combinations(list(_bits(rest)), 3) if covering
+                 else fresh_trios(rest & unc[p]))
+        for q, r, s in trios:
+            blk: Block = (p, q, r, s)
             if floor_blk is not None and blk < floor_blk:
                 continue
-            if not block_allowed(blk):
-                continue
             bump()
-            fresh = cover_block(blk)
-            done.append(blk)
-            if state["waste"] <= max_waste:
-                still_tight = tight and blk == floor_blk
-                if place_blocks(done, remaining & ~block_mask(blk), bound,
-                                still_tight, on_class_done):
+            bm = low | 1 << q | 1 << r | 1 << s
+            up, uq, ur, us = unc[p], unc[q], unc[r], unc[s]
+            fresh = ((up & bm).bit_count() + (uq & bm).bit_count()
+                     + (ur & bm).bit_count() + (us & bm).bit_count()) // 2
+            keep = ~bm
+            unc[p], unc[q], unc[r], unc[s] = up & keep, uq & keep, ur & keep, us & keep
+            uncovered -= fresh
+            waste += 6 - fresh
+            if waste > max_waste:
+                pruned_waste += 1
+            else:
+                done.append(blk)
+                if place_blocks(done, remaining ^ bm, bound,
+                                tight and blk == floor_blk, on_class_done):
                     return True
-            done.pop()
-            uncover_block(blk, fresh)
+                done.pop()
+            unc[p], unc[q], unc[r], unc[s] = up, uq, ur, us
+            uncovered += fresh
+            waste -= 6 - fresh
         return False
 
     def covering_viable(classes_left: int) -> bool:
-        if state["uncovered"] > classes_left * per_class * 6:
+        if uncovered > classes_left * per_class * 6:
             return False
         cap = 3 * classes_left
-        return all(u <= cap for u in udeg)
+        return all(u.bit_count() <= cap for u in unc)
 
     def run_class(cno: int, prev: tuple[Block, ...]) -> bool:
         if cno == classes:
-            return state["uncovered"] == 0 if mode == "covering" else True
+            return uncovered == 0 if covering else True
 
         def on_done(cls: tuple[Block, ...]) -> bool:
-            if mode == "covering" and not covering_viable(classes - cno - 1):
+            nonlocal rejected_classes
+            if covering and not covering_viable(classes - cno - 1):
+                rejected_classes += 1
                 return False
             solution.append(cls)
             if run_class(cno + 1, cls):
@@ -434,21 +429,18 @@ def search_design(v: int, mode: str, classes: int,
 
         return place_blocks([], (1 << v) - 1, prev, True, on_done)
 
-    # Pin the first class to the natural partition.
-    for blk in natural:
-        cover_block(blk)
-    solution.append(natural)
-
+    # _check_feasible leaves enough slots, so the natural class always passes
+    # covering_viable.
     found = False
     outcome = "exhausted"
     try:
-        if mode != "covering" or covering_viable(classes - 1):
-            found = run_class(1, natural)
+        found = run_class(1, natural)
     except _BudgetUp:
         outcome = "budget"
     seconds = time.perf_counter() - t0
     if not found:
-        return DesignSearchResult(None, outcome, state["nodes"], seconds)
+        return DesignSearchResult(None, outcome, nodes, seconds,
+                                  pruned_waste, rejected_classes)
 
     blocks: list[Block] = []
     resolution: list[tuple[int, ...]] = []
@@ -461,7 +453,8 @@ def search_design(v: int, mode: str, classes: int,
         raise AssertionError(f"search_design built an invalid {mode} design")
     if not verify_resolution(design).ok:
         raise AssertionError("search_design built an invalid resolution")
-    return DesignSearchResult(design, "found", state["nodes"], seconds)
+    return DesignSearchResult(design, "found", nodes, seconds,
+                              pruned_waste, rejected_classes)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ colouring of some K_w. Pruning:
   component mask of every vertex in every class, so it tests only the
   component that the new edge creates or grows, by the catalogue of
   connected P5-free shapes (``pfree.component_is_p5_free``), without
-  enumerating paths;
-* a colour class may never exceed the Turán bound for 5-vertex paths;
+  enumerating paths. This also keeps every class within the Turán bound
+  ex(n), since any graph with more edges has a 5-vertex path;
 * the summed completion capacity of all classes must reach the edge count,
   where a class capacity is the largest edge count any supergraph of its
   current components can have while staying free of 5-vertex paths. It
@@ -33,7 +33,6 @@ from functools import lru_cache
 from itertools import permutations
 
 from .colouring import Certificate, pair_index, verify_certificate
-from .graphs import ex_p5
 from .pfree import _max_conn_edges, component_is_p5_free
 
 MAX_ORDER = 12
@@ -52,7 +51,6 @@ class ParameterError(ValueError):
 class SearchConfig:
     node_limit: int | None = None
     time_limit: float | None = None
-    turan_bound: bool = True
     colour_symmetry: bool = True
     component_bound: bool = True
     isomorph_depth: int = 6  # canonical-prefix rejection up to this many vertices
@@ -79,7 +77,6 @@ class SearchStats:
     seconds: float
     mode: str
     # Nodes cut off by each rule; the rest are descents.
-    pruned_turan: int = 0
     pruned_path: int = 0
     pruned_capacity: int = 0
     pruned_isomorph: int = 0
@@ -87,7 +84,6 @@ class SearchStats:
     def lines(self) -> list[str]:
         return [f"nodes={self.nodes}", f"depth={self.max_depth}",
                 f"seconds={self.seconds:.3f}", f"mode={self.mode}",
-                f"pruned_turan={self.pruned_turan}",
                 f"pruned_path={self.pruned_path}",
                 f"pruned_capacity={self.pruned_capacity}",
                 f"pruned_isomorph={self.pruned_isomorph}"]
@@ -199,7 +195,6 @@ class _Engine:
         self.n = n
         self.r = r
         self.cfg = cfg
-        self.ex = ex_p5(n)
         self.edges = [(u, w) for w in range(1, n) for u in range(w)]
         self.m = len(self.edges)
         self.adj = [[0] * n for _ in range(r + 1)]
@@ -207,15 +202,13 @@ class _Engine:
         # component orders, which fix the class capacity.
         self.comp = [[1 << v for v in range(n)] for _ in range(r + 1)]
         self.sizes = [(1,) * n] * (r + 1)
-        self.counts = [0] * (r + 1)
         empty_cap = _completion_cap((1,) * n)
         self.caps = [empty_cap] * (r + 1)
         self.total_cap = r * empty_cap
         self.cols = [0] * self.m
         self.nodes = 0
         self.max_depth = 0
-        self.pruned_turan = self.pruned_path = 0
-        self.pruned_capacity = self.pruned_isomorph = 0
+        self.pruned_path = self.pruned_capacity = self.pruned_isomorph = 0
         self.node_limit = cfg.node_limit
         self.deadline = None
         self.memo: set[tuple] = set()
@@ -235,8 +228,8 @@ class _Engine:
             pass
         seconds = time.perf_counter() - t0
         stats = SearchStats(self.nodes, self.max_depth, seconds, self.cfg.mode,
-                            self.pruned_turan, self.pruned_path,
-                            self.pruned_capacity, self.pruned_isomorph)
+                            self.pruned_path, self.pruned_capacity,
+                            self.pruned_isomorph)
         if outcome == OUTCOME_WITNESS and not verify_certificate(self.witness).ok:
             raise AssertionError("search witness fails re-verification")
         return Verdict(outcome, self.witness, stats)
@@ -262,9 +255,6 @@ class _Engine:
         boundary_v = self.boundaries.get(d + 1)
         for c in range(1, limit + 1):
             self._budget()
-            if cfg.turan_bound and self.counts[c] >= self.ex:
-                self.pruned_turan += 1
-                continue
             adjc = self.adj[c]
             compc = self.comp[c]
             cu = compc[u]
@@ -276,7 +266,6 @@ class _Engine:
             if not component_is_p5_free(adjc, cu | cw):
                 self.pruned_path += 1
             else:
-                self.counts[c] += 1
                 # Capacity changes only when uw joins two components, and the
                 # total passed the test when it last changed.
                 merged = cu != cw
@@ -291,7 +280,6 @@ class _Engine:
                     self.cols[d] = c
                     if self._dfs(d + 1, max(used, c)):
                         return True
-                self.counts[c] -= 1
                 if merged:
                     self._split(c, cu, cw, old_sizes)
             adjc[u] &= ~wbit

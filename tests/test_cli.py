@@ -96,7 +96,9 @@ def test_design_search_and_verify(capsys, tmp_path):
     code, out = run(capsys, "design", "search", "--v", "8", "--mode", "covering",
                     "--classes", "3", "-o", str(path))
     assert code == 0
-    assert "outcome=found" in out
+    assert out.splitlines() == ["outcome=found", "nodes=323", out.splitlines()[2],
+                                "pruned_waste=250", "rejected_classes=0",
+                                f"file={path}"]
     code, out = run(capsys, "design", "verify", str(path))
     assert code == 0
     assert "mode=covering ok=true" in out
@@ -159,8 +161,8 @@ def test_search_budget_exit(capsys):
     assert code == 3
     assert "outcome=budget-exhausted" in out
     keys = [line.partition("=")[0] for line in out.splitlines()]
-    assert keys == ["outcome", "nodes", "depth", "seconds", "mode", "pruned_turan",
-                    "pruned_path", "pruned_capacity", "pruned_isomorph"]
+    assert keys == ["outcome", "nodes", "depth", "seconds", "mode", "pruned_path",
+                    "pruned_capacity", "pruned_isomorph"]
 
 
 def test_search_out_of_range_is_usage_error(capsys):

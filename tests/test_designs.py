@@ -1,5 +1,6 @@
 """Block designs: verification, leave graphs, colourings, search, file format."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -327,3 +328,70 @@ def test_design_self_check_survives_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", script], timeout=120,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0
+
+
+# The search tree is part of the contract: (v, mode, classes) -> nodes and the
+# sha256 of the written design. Recorded before the search moved to
+# uncovered-partner masks; any change to candidate order or pruning shows here.
+FOUND_PINS = {
+    (8, "covering", 3): (
+        323, "57d1b9517fcba557ff44be0a19935c6d76df7bbdbc689fe660590fd5a56b748b"),
+    (8, "covering", 4): (
+        325, "463731e489440b7c19a75129daa1b82a378bde0a0ec464dfc25176ac2e2feecb"),
+    (16, "steiner", 5): (
+        16, "d01b59aacf6388317cdfc8661dab340980973de0fc617946ae904686280d8744"),
+    (16, "packing", 4): (
+        12, "8e63b4809aa4bd5d62ce72440f46b291ef265140888211b2009e8c6fc5020412"),
+    (16, "packing", 2): (
+        4, "7d3fef6152632fd8174d4b465250790650ca7487179d7f06e8bb1ac1dc35c667"),
+    (16, "packing", 3): (
+        8, "61118b8aeade8ba8f328ef1fe75f7a7bed11848c749d608035a33cb68ee796ae"),
+    (16, "covering", 5): (
+        970, "93bcc930a42099ef5f7a00b2b87e43f459edea8da2e4151151c665faf6923b38"),
+    (16, "covering", 6): (
+        974, "b0b5458756e295b4ee95293f86cf1684eb38050912a8d6151b7e8854f9c39195"),
+    (20, "packing", 3): (
+        3322, "506a42e6fa0d57a772513250015a604451f4ae95b894b5fc19959eb63840453b"),
+    (20, "packing", 4): (
+        3971, "bae21389dc91115fa6b80bbfc2be45887cef81d31e4f793de0e30b29ed10fc50"),
+    (20, "packing", 5): (
+        5396, "50dde6d4e508306700cb09afffcc9ab9f56648beb0e78fdf29b9da241fda15ff"),
+    (24, "packing", 4): (
+        36447, "f19603e91f083d96ce3933708de9c05e33e85b77028988ddd4119dddcbda0f53"),
+}
+EXHAUSTED_PINS = ((8, "packing", 2), (12, "packing", 3))
+CAPPED_PINS = ((20, "covering", 7), (24, "covering", 8), (28, "steiner", 9))
+
+
+def test_search_tree_pinned():
+    for (v, mode, classes), (nodes, digest) in FOUND_PINS.items():
+        result = search_design(v, mode, classes)
+        assert (result.outcome, result.nodes) == ("found", nodes), (v, mode, classes)
+        got = hashlib.sha256(write_design(result.design, mode)).hexdigest()
+        assert got == digest, (v, mode, classes)
+    for v, mode, classes in EXHAUSTED_PINS:
+        result = search_design(v, mode, classes)
+        assert (result.outcome, result.nodes, result.design) == ("exhausted", 0, None)
+    for v, mode, classes in CAPPED_PINS:
+        for cap in (2000, 6000):
+            result = search_design(v, mode, classes, SearchBudget(nodes=cap))
+            assert (result.outcome, result.nodes, result.design) == (
+                "budget", cap + 1, None), (v, mode, classes, cap)
+
+
+def test_search_counters():
+    """The covering prunes count what they cut; Steiner and packing runs
+    never repeat a pair, so neither prune can fire there."""
+    for v, mode, classes in ((16, "steiner", 5), (20, "packing", 5),
+                             (12, "packing", 3)):
+        result = search_design(v, mode, classes)
+        assert (result.pruned_waste, result.rejected_classes) == (0, 0)
+    capped = search_design(28, "steiner", 9, SearchBudget(nodes=2000))
+    assert (capped.pruned_waste, capped.rejected_classes) == (0, 0)
+    result = search_design(8, "covering", 3)
+    assert (result.pruned_waste, result.rejected_classes) == (250, 0)
+    for (v, classes), counts in {(20, 7): (120, 873), (24, 8): (1418, 272)}.items():
+        result = search_design(v, "covering", classes, SearchBudget(nodes=2000))
+        assert (result.pruned_waste, result.rejected_classes) == counts, v
+        assert result.lines()[3:] == [f"pruned_waste={counts[0]}",
+                                      f"rejected_classes={counts[1]}"]

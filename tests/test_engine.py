@@ -18,10 +18,10 @@ from ramsey_p5.engine import (OUTCOME_BUDGET, OUTCOME_REFUTED, OUTCOME_WITNESS,
                               _Engine, ramsey_verify)
 from ramsey_p5.pfree import component_is_p5_free
 
-UNPRUNED = SearchConfig(turan_bound=False, colour_symmetry=False,
-                        component_bound=False, isomorph_depth=0)
-ONE_RULE_OFF = (SearchConfig(turan_bound=False), SearchConfig(colour_symmetry=False),
-                SearchConfig(component_bound=False), SearchConfig(isomorph_depth=0))
+UNPRUNED = SearchConfig(colour_symmetry=False, component_bound=False,
+                        isomorph_depth=0)
+ONE_RULE_OFF = (SearchConfig(colour_symmetry=False), SearchConfig(component_bound=False),
+                SearchConfig(isomorph_depth=0))
 
 
 def test_trivial_orders_are_witnesses():
@@ -55,7 +55,8 @@ def test_raw_enumeration_oracle_6_2():
         assert adj_has_p5(adj1, 6) or adj_has_p5(adj2, 6)
 
 
-# Nodes with each rule of ONE_RULE_OFF turned off alone.
+# Nodes with every rule on, then with each rule of ONE_RULE_OFF turned off
+# alone.
 ONE_RULE_OFF_NODES = {(6, 2): (1, 2, 95, 1), (7, 2): (1, 2, 95, 1),
                       (8, 3): (241, 241, 241, 499),
                       (9, 3): (3103, 3174, 5182, 212005)}
@@ -64,14 +65,12 @@ ONE_RULE_OFF_NODES = {(6, 2): (1, 2, 95, 1), (7, 2): (1, 2, 95, 1),
 def test_unpruned_search_agrees_on_small_instances():
     for n, r in ((4, 1), (5, 1), (4, 2), (5, 2), (6, 2), (6, 1)):
         assert ramsey_verify(n, r).outcome == ramsey_verify(n, r, UNPRUNED).outcome
-    # A class at ex(n) edges fails the path test on its next edge anyway, so
-    # the Turán rule only skips work and never changes the node count.
     for (n, r), pinned in ONE_RULE_OFF_NODES.items():
-        outcome = ramsey_verify(n, r).outcome
-        nodes = []
+        base = ramsey_verify(n, r)
+        nodes = [base.stats.nodes]
         for cfg in ONE_RULE_OFF:
             verdict = ramsey_verify(n, r, cfg)
-            assert verdict.outcome == outcome, (n, r, cfg)
+            assert verdict.outcome == base.outcome, (n, r, cfg)
             nodes.append(verdict.stats.nodes)
         assert tuple(nodes) == pinned, (n, r)
 
@@ -105,13 +104,12 @@ def test_prune_counters_account_for_every_node(monkeypatch):
 
     monkeypatch.setattr(_Engine, "_dfs", counted)
     stats = ramsey_verify(9, 3).stats
-    pruned = (stats.pruned_turan, stats.pruned_path, stats.pruned_capacity,
-              stats.pruned_isomorph)
+    pruned = (stats.pruned_path, stats.pruned_capacity, stats.pruned_isomorph)
     assert all(pruned)
     assert sum(pruned) + calls - 1 == stats.nodes  # the root call is no descent
-    off = ramsey_verify(8, 3, SearchConfig(turan_bound=False, component_bound=False,
+    off = ramsey_verify(8, 3, SearchConfig(component_bound=False,
                                            isomorph_depth=0)).stats
-    assert (off.pruned_turan, off.pruned_capacity, off.pruned_isomorph) == (0, 0, 0)
+    assert (off.pruned_capacity, off.pruned_isomorph) == (0, 0)
 
 
 def test_refutes_9_3():
@@ -176,7 +174,8 @@ def test_witness_certificates_reverify():
 @pytest.mark.slow
 def test_witness_10_4():
     verdict = ramsey_verify(10, 4, SearchConfig(node_limit=20_000_000))
-    assert verdict.outcome == OUTCOME_WITNESS
+    assert (verdict.outcome, verdict.stats.nodes, verdict.stats.max_depth) == (
+        OUTCOME_WITNESS, 1536444, 44)
     assert verify_certificate(verdict.certificate).ok
 
 
@@ -214,19 +213,50 @@ def test_connected_edge_cap_small_orders():
         assert best == _max_conn_edges(s)
 
 
-@pytest.mark.slow
 def test_connected_edge_cap_at_search_order():
     """Raw validation at s = 9, the largest component the 3-colour
-    refutation can meet."""
-    from oracles import mask_is_connected, p5_free_masks
+    refutation can meet: a connected path-free graph on 9 vertices has at
+    most 9 edges.
+
+    A connected graph with 10 or more edges has a connected spanning
+    subgraph with exactly 10 edges, a spanning tree plus two edges, and
+    path-freeness passes to subgraphs. A path-free tree has diameter at most
+    3, so up to relabelling it is the star or a double star with 1+6, 2+5
+    or 3+4 leaves. None of these stays path-free with any two extra edges."""
     from ramsey_p5.pfree import _max_conn_edges
 
-    pairs = all_pairs(9)
-    best = 0
-    for mask in p5_free_masks(9):
-        if mask.bit_count() > best and mask_is_connected(mask, pairs, 9):
-            best = mask.bit_count()
-    assert best == _max_conn_edges(9) == 9
+    s = 9
+
+    def graph(edges):
+        adj = [0] * s
+        for u, w in edges:
+            adj[u] |= 1 << w
+            adj[w] |= 1 << u
+        return adj
+
+    # Centres 0 and 1: vertices 2..a+1 hang on 0, the rest on 1 (a = 7 is
+    # the star).
+    for a in (7, 6, 5, 4):
+        tree = [(0, 1)] + [(0 if v <= a + 1 else 1, v) for v in range(2, s)]
+        adj = graph(tree)
+        assert not adj_has_p5(adj, s)
+        extra = [(u, w) for u, w in all_pairs(s) if not adj[u] >> w & 1]
+        for i, (u, w) in enumerate(extra):
+            adj[u] |= 1 << w
+            adj[w] |= 1 << u
+            if not edge_creates_p5(adj, u, w):
+                for x, y in extra[i + 1:]:
+                    adj[x] |= 1 << y
+                    adj[y] |= 1 << x
+                    assert edge_creates_p5(adj, x, y), (a, (u, w), (x, y))
+                    adj[x] &= ~(1 << y)
+                    adj[y] &= ~(1 << x)
+            adj[u] &= ~(1 << w)
+            adj[w] &= ~(1 << u)
+    # The star plus one edge between two leaves reaches 9 edges.
+    adj = graph([(0, v) for v in range(1, s)] + [(1, 2)])
+    assert not adj_has_p5(adj, s) and len(bfs_components(adj, s)) == 1
+    assert _max_conn_edges(s) == 9
 
 
 def test_completion_cap_is_sound_upper_bound():
