@@ -15,12 +15,12 @@ from .colouring import (Certificate, CertificateError, CertificateReport,
                         verify_certificate, witness, write_certificate)
 from .designs import (Design, DesignParseError, DesignSearchResult,
                       DesignVerdict, InfeasibleParameters, LiftPathError,
-                      PairCoverage, ResolutionVerdict, SearchBudget,
+                      PairCoverage, ResolutionVerdict,
                       design_to_colouring, g_of_r, leave_graph, pair_coverage,
                       read_design, search_design, verify_design,
                       verify_resolution, write_design)
-from .engine import (ParameterError, SearchConfig, SearchStats, Verdict,
-                     ramsey_verify)
+from .engine import (ParameterError, SearchBudget, SearchConfig, SearchStats,
+                     Verdict, ramsey_verify)
 from .graphs import (Graph, TuranForm, complement, complete, connected_components,
                      contains_clique, contains_path, cycle_graph, diameter,
                      disjoint_union, empty_graph, ex_p5, extremal_p5, find_path,

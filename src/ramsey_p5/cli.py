@@ -44,10 +44,10 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _budget_from(args) -> designs.SearchBudget | None:
+def _budget_from(args) -> engine.SearchBudget | None:
     if args.nodes is None and args.budget is None:
         return None
-    return designs.SearchBudget(nodes=args.nodes, seconds=args.budget)
+    return engine.SearchBudget(nodes=args.nodes, seconds=args.budget)
 
 
 def _cmd_witness(args) -> int:
@@ -133,9 +133,8 @@ def _cmd_design_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    cfg = engine.SearchConfig(node_limit=args.nodes, time_limit=args.budget)
     try:
-        verdict = engine.ramsey_verify(args.n, args.r, cfg)
+        verdict = engine.ramsey_verify(args.n, args.r, budget=_budget_from(args))
     except engine.ParameterError as exc:
         _say(str(exc))
         return EXIT_USAGE
@@ -246,7 +245,9 @@ def main(argv: list[str] | None = None) -> int:
     except (colouring.CertificateError, designs.DesignParseError) as exc:
         _say(f"input error: {exc}")
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        if exc.filename is None:  # not from opening a file, e.g. a closed stdout
+            raise
         _say(f"cannot open {exc.filename}")
         return EXIT_USAGE
     except designs.InfeasibleParameters as exc:

@@ -232,7 +232,8 @@ def witness(r: int, design=None, budget=None) -> EdgeColouring:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Serialized colouring plus its claimed property.
+    """Serialized colouring; its file claims ``CLAIM_MONO_P5_FREE``, the only
+    property the format carries.
 
     ``notes`` holds trailing comment lines verbatim (each starting with '#'),
     so that serialization round-trips byte for byte.
@@ -241,7 +242,6 @@ class Certificate:
     n: int
     r: int
     colours: tuple[int, ...]
-    claim: str = CLAIM_MONO_P5_FREE
     notes: tuple[str, ...] = field(default=())
 
     def colouring(self) -> EdgeColouring:
@@ -253,7 +253,7 @@ class Certificate:
         packed = []
         for note in notes:
             packed.append(note if note.startswith("#") else "# " + note)
-        return cls(c.n, c.r, c.colours, CLAIM_MONO_P5_FREE, tuple(packed))
+        return cls(c.n, c.r, c.colours, tuple(packed))
 
 
 class CertificateError(ValueError):
@@ -265,9 +265,7 @@ class CertificateError(ValueError):
 
 
 def write_certificate(cert: Certificate) -> bytes:
-    if cert.claim != CLAIM_MONO_P5_FREE:
-        raise ValueError(f"unsupported claim {cert.claim!r}")
-    lines = [CERT_HEADER, f"n={cert.n} r={cert.r}", f"claim={cert.claim}"]
+    lines = [CERT_HEADER, f"n={cert.n} r={cert.r}", f"claim={CLAIM_MONO_P5_FREE}"]
     pairs = pair_list(cert.n)
     if len(pairs) != len(cert.colours):
         raise ValueError("colour table does not match order")
@@ -331,7 +329,7 @@ def read_certificate(data: bytes) -> Certificate:
         if not raw.startswith("#"):
             raise CertificateError(lineno, "trailing lines must start with '#'")
         notes.append(raw)
-    return Certificate(n, r, tuple(cols), CLAIM_MONO_P5_FREE, tuple(notes))
+    return Certificate(n, r, tuple(cols), tuple(notes))
 
 
 @dataclass(frozen=True)

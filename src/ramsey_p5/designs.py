@@ -6,16 +6,14 @@ resolvable instances.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
 
 from .colouring import EdgeColouring, pair_count, pair_index, ramsey_value
+from .engine import BudgetExhausted, NodeMeter, SearchBudget
 from .graphs import Graph, _bits
 
 BLOCK_SIZE = 4
-STRENGTH = 2
-INDEX = 1
 
 MODES = ("steiner", "covering", "packing")
 
@@ -53,24 +51,16 @@ Block = tuple[int, int, int, int]
 class Design:
     """Point set 0..v-1 with 4-element blocks and an optional resolution.
 
-    Block size, balance strength and index are stored for file-format
-    future-proofing but pinned to (4, 2, 1). The resolution, when present,
-    partitions block indices into classes; the semantic requirement that each
-    class partitions the points is checked by ``verify_resolution``, not here.
+    The resolution, when present, partitions block indices into classes; the
+    semantic requirement that each class partitions the points is checked by
+    ``verify_resolution``, not here.
     """
 
     v: int
     blocks: tuple[Block, ...]
     resolution: tuple[tuple[int, ...], ...] | None = None
-    k: int = BLOCK_SIZE
-    t: int = STRENGTH
-    lam: int = INDEX
 
     def __post_init__(self) -> None:
-        if self.k != BLOCK_SIZE:
-            raise ValueError(f"only block size {BLOCK_SIZE} is supported")
-        if self.t != STRENGTH or self.lam != INDEX:
-            raise ValueError("only pairwise balance with index 1 is supported")
         if self.v < 0:
             raise ValueError("point count must be non-negative")
         for blk in self.blocks:
@@ -247,21 +237,6 @@ def _pair_of_index(v: int, idx: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SearchBudget:
-    """Node and/or wall-clock limits; the node check runs first so node-limit
-    runs are reproducible."""
-
-    nodes: int | None = None
-    seconds: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.nodes is not None and self.nodes <= 0:
-            raise ValueError("node limit must be positive")
-        if self.seconds is not None and self.seconds <= 0:
-            raise ValueError("time limit must be positive")
-
-
-@dataclass(frozen=True)
 class DesignSearchResult:
     design: Design | None
     outcome: str  # found | exhausted | budget
@@ -278,10 +253,6 @@ class DesignSearchResult:
         return [f"outcome={label}", f"nodes={self.nodes}",
                 f"seconds={self.seconds:.3f}", f"pruned_waste={self.pruned_waste}",
                 f"rejected_classes={self.rejected_classes}"]
-
-
-class _BudgetUp(Exception):
-    pass
 
 
 def _check_feasible(v: int, mode: str, classes: int) -> None:
@@ -325,31 +296,22 @@ def search_design(v: int, mode: str, classes: int,
     repeated pair slots and on per-point and global coverage deficits.
     """
     _check_feasible(v, mode, classes)
-    t0 = time.perf_counter()
-    deadline = t0 + budget.seconds if budget and budget.seconds else None
-    node_limit = budget.nodes if budget else None
+    meter = NodeMeter(budget)
+    tick = meter.tick
     covering = mode == "covering"
     per_class = v // 4
+    points = (1 << v) - 1
 
     # unc[a]: the partners of a that no placed block pairs it with; the
     # natural first class is placed.
-    unc = [((1 << v) - 1) ^ 15 << (a & ~3) for a in range(v)]
+    unc = [points ^ 15 << (a & ~3) for a in range(v)]
     uncovered = pair_count(v) - 6 * per_class
-    waste = nodes = pruned_waste = rejected_classes = 0
+    waste = pruned_waste = rejected_classes = 0
     natural = tuple(tuple(range(4 * i, 4 * i + 4)) for i in range(per_class))
     solution: list[tuple[Block, ...]] = [natural]
     # a covering may repeat only slots - pairs pair slots in total; steiner
     # and packing runs never repeat one, so their waste stays zero
     max_waste = classes * per_class * 6 - pair_count(v) if covering else 0
-
-    def bump() -> None:
-        nonlocal nodes
-        nodes += 1
-        if node_limit is not None and nodes > node_limit:
-            raise _BudgetUp
-        if deadline is not None and nodes % 1024 == 0:
-            if time.perf_counter() > deadline:
-                raise _BudgetUp
 
     def fresh_trios(qs: int):
         """Trios q < r < s of qs whose three pairs are uncovered; qs holds
@@ -366,15 +328,31 @@ def search_design(v: int, mode: str, classes: int,
                 for s in _bits(rs & unc[r]):
                     yield q, r, s
 
-    def place_blocks(done: list[Block], remaining: int,
-                     bound: tuple[Block, ...], tight: bool, on_class_done) -> bool:
-        nonlocal uncovered, waste, pruned_waste
+    def covering_viable(classes_left: int) -> bool:
+        if uncovered > classes_left * per_class * 6:
+            return False
+        cap = 3 * classes_left
+        return all(u.bit_count() <= cap for u in unc)
+
+    def place(done: list[Block], remaining: int, tight: bool) -> bool:
+        """Extend the class under construction, whose blocks are done and
+        whose free points are remaining; tight while done equals the start
+        of the previous class, which is solution[-1]."""
+        nonlocal uncovered, waste, pruned_waste, rejected_classes
         if remaining == 0:
-            return on_class_done(tuple(done))
+            classes_left = classes - len(solution) - 1
+            if covering and not covering_viable(classes_left):
+                rejected_classes += 1
+                return False
+            solution.append(tuple(done))
+            if classes_left == 0 or place([], points, True):
+                return True
+            solution.pop()
+            return False
         low = remaining & -remaining
         p = low.bit_length() - 1
         rest = remaining ^ low
-        floor_blk = bound[len(done)] if tight else None
+        floor_blk = solution[-1][len(done)] if tight else None
         # A list, not the generator: copying a generator means resizing a
         # tuple, and the resized tuples fill CPython's tuple free lists
         # (0.3 MB more peak memory on a v=20 covering run).
@@ -384,7 +362,7 @@ def search_design(v: int, mode: str, classes: int,
             blk: Block = (p, q, r, s)
             if floor_blk is not None and blk < floor_blk:
                 continue
-            bump()
+            tick()
             bm = low | 1 << q | 1 << r | 1 << s
             up, uq, ur, us = unc[p], unc[q], unc[r], unc[s]
             fresh = ((up & bm).bit_count() + (uq & bm).bit_count()
@@ -397,8 +375,7 @@ def search_design(v: int, mode: str, classes: int,
                 pruned_waste += 1
             else:
                 done.append(blk)
-                if place_blocks(done, remaining ^ bm, bound,
-                                tight and blk == floor_blk, on_class_done):
+                if place(done, remaining ^ bm, tight and blk == floor_blk):
                     return True
                 done.pop()
             unc[p], unc[q], unc[r], unc[s] = up, uq, ur, us
@@ -406,40 +383,17 @@ def search_design(v: int, mode: str, classes: int,
             waste -= 6 - fresh
         return False
 
-    def covering_viable(classes_left: int) -> bool:
-        if uncovered > classes_left * per_class * 6:
-            return False
-        cap = 3 * classes_left
-        return all(u.bit_count() <= cap for u in unc)
-
-    def run_class(cno: int, prev: tuple[Block, ...]) -> bool:
-        if cno == classes:
-            return uncovered == 0 if covering else True
-
-        def on_done(cls: tuple[Block, ...]) -> bool:
-            nonlocal rejected_classes
-            if covering and not covering_viable(classes - cno - 1):
-                rejected_classes += 1
-                return False
-            solution.append(cls)
-            if run_class(cno + 1, cls):
-                return True
-            solution.pop()
-            return False
-
-        return place_blocks([], (1 << v) - 1, prev, True, on_done)
-
     # _check_feasible leaves enough slots, so the natural class always passes
-    # covering_viable.
+    # covering_viable, and covering_viable(0) leaves no pair uncovered.
     found = False
     outcome = "exhausted"
     try:
-        found = run_class(1, natural)
-    except _BudgetUp:
+        found = classes == 1 or place([], points, True)
+    except BudgetExhausted:
         outcome = "budget"
-    seconds = time.perf_counter() - t0
+    seconds = meter.seconds()
     if not found:
-        return DesignSearchResult(None, outcome, nodes, seconds,
+        return DesignSearchResult(None, outcome, meter.nodes, seconds,
                                   pruned_waste, rejected_classes)
 
     blocks: list[Block] = []
@@ -453,7 +407,7 @@ def search_design(v: int, mode: str, classes: int,
         raise AssertionError(f"search_design built an invalid {mode} design")
     if not verify_resolution(design).ok:
         raise AssertionError("search_design built an invalid resolution")
-    return DesignSearchResult(design, "found", nodes, seconds,
+    return DesignSearchResult(design, "found", meter.nodes, seconds,
                               pruned_waste, rejected_classes)
 
 
@@ -529,7 +483,7 @@ DESIGN_HEADER = "DESIGN v1"
 def write_design(d: Design, mode: str) -> bytes:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    lines = [DESIGN_HEADER, f"v={d.v} k={d.k} mode={mode}"]
+    lines = [DESIGN_HEADER, f"v={d.v} k={BLOCK_SIZE} mode={mode}"]
     if d.resolution is None:
         lines.append("P 0")
         for blk in d.blocks:
@@ -558,11 +512,8 @@ def read_design(data: bytes) -> tuple[Design, str]:
     if (len(head) != 3 or not head[0].startswith("v=")
             or not head[1].startswith("k=") or not head[2].startswith("mode=")):
         raise DesignParseError(2, "expected 'v=<v> k=4 mode=<mode>'")
-    try:
-        v = int(head[0][2:])
-        k = int(head[1][2:])
-    except ValueError:
-        raise DesignParseError(2, "malformed v or k") from None
+    v = _strict_int(head[0][2:], 2, "v")
+    k = _strict_int(head[1][2:], 2, "k")
     if k != BLOCK_SIZE:
         raise DesignParseError(2, f"only k={BLOCK_SIZE} designs are supported")
     mode = head[2][5:]
@@ -624,14 +575,16 @@ def _parse_block(line: str, lineno: int, v: int) -> Block:
     parts = line.split(" ")
     if len(parts) != BLOCK_SIZE:
         raise DesignParseError(lineno, f"expected {BLOCK_SIZE} points")
-    pts = []
-    for tok in parts:
-        if not tok.isdigit() or (tok != "0" and tok[0] == "0"):
-            raise DesignParseError(lineno, f"malformed point {tok!r}")
-        pts.append(int(tok))
-    blk = tuple(pts)
+    blk = tuple(_strict_int(tok, lineno, "point") for tok in parts)
     if any(not 0 <= p < v for p in blk):
         raise DesignParseError(lineno, f"point out of range in {blk}")
     if tuple(sorted(set(blk))) != blk:
         raise DesignParseError(lineno, f"block {blk} must be strictly ascending")
     return blk  # type: ignore[return-value]
+
+
+def _strict_int(token: str, lineno: int, what: str) -> int:
+    """A plain decimal: digits only, no sign, underscore or leading zero."""
+    if not token.isdigit() or (token != "0" and token[0] == "0"):
+        raise DesignParseError(lineno, f"malformed {what}: {token!r}")
+    return int(token)

@@ -48,26 +48,68 @@ class ParameterError(ValueError):
 
 
 @dataclass(frozen=True)
-class SearchConfig:
-    node_limit: int | None = None
-    time_limit: float | None = None
-    colour_symmetry: bool = True
-    component_bound: bool = True
-    isomorph_depth: int = 6  # canonical-prefix rejection up to this many vertices
+class SearchBudget:
+    """Node and/or wall-clock limits of a search; the edge-colouring search
+    and the design search both take one."""
+
+    nodes: int | None = None
+    seconds: float | None = None
 
     def __post_init__(self) -> None:
-        if self.node_limit is not None and self.node_limit <= 0:
+        if self.nodes is not None and self.nodes <= 0:
             raise ValueError("node limit must be positive")
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.seconds is not None and self.seconds <= 0:
             raise ValueError("time limit must be positive")
 
     @property
     def mode(self) -> str:
-        if self.node_limit is not None:
+        if self.nodes is not None:
             return "node-limit"
-        if self.time_limit is not None:
+        if self.seconds is not None:
             return "time-limit"
         return "unbounded"
+
+
+class BudgetExhausted(Exception):
+    """A search passed its node cap or its deadline."""
+
+
+# A time-limited search reads the clock once per this many nodes.
+CLOCK_POLL_NODES = 1024
+
+
+class NodeMeter:
+    """Counts the nodes of one search against a budget; the clock starts
+    when the meter is made."""
+
+    def __init__(self, budget: SearchBudget | None):
+        self.budget = budget = budget or SearchBudget()
+        self.nodes = 0
+        self.start = time.perf_counter()
+        self.cap = budget.nodes
+        self.deadline = None if budget.seconds is None else self.start + budget.seconds
+
+    def tick(self) -> None:
+        """Count one node; raise BudgetExhausted past the cap or deadline.
+        The node check runs first, so node-limit runs are reproducible."""
+        self.nodes += 1
+        if self.cap is not None and self.nodes > self.cap:
+            raise BudgetExhausted
+        if self.deadline is not None and self.nodes % CLOCK_POLL_NODES == 0:
+            if time.perf_counter() > self.deadline:
+                raise BudgetExhausted
+
+    def seconds(self) -> float:
+        return time.perf_counter() - self.start
+
+
+@dataclass(frozen=True)
+class SearchConfig:
+    """Pruning-rule switches; every rule is on by default."""
+
+    colour_symmetry: bool = True
+    component_bound: bool = True
+    isomorph_depth: int = 6  # canonical-prefix rejection up to this many vertices
 
 
 @dataclass(frozen=True)
@@ -94,10 +136,6 @@ class Verdict:
     outcome: str
     certificate: Certificate | None
     stats: SearchStats
-
-
-class _BudgetUp(Exception):
-    pass
 
 
 @lru_cache(maxsize=None)
@@ -206,41 +244,28 @@ class _Engine:
         self.caps = [empty_cap] * (r + 1)
         self.total_cap = r * empty_cap
         self.cols = [0] * self.m
-        self.nodes = 0
         self.max_depth = 0
         self.pruned_path = self.pruned_capacity = self.pruned_isomorph = 0
-        self.node_limit = cfg.node_limit
-        self.deadline = None
         self.memo: set[tuple] = set()
         boundary_max = min(cfg.isomorph_depth, n - 1)
         self.boundaries = {v * (v - 1) // 2: v for v in range(3, boundary_max + 1)}
         self.witness: Certificate | None = None
 
-    def run(self) -> Verdict:
-        t0 = time.perf_counter()
-        if self.cfg.time_limit is not None:
-            self.deadline = t0 + self.cfg.time_limit
+    def run(self, budget: SearchBudget | None) -> Verdict:
+        meter = NodeMeter(budget)
+        self.tick = meter.tick
         outcome = OUTCOME_BUDGET
         try:
             found = self._dfs(0, 0)
             outcome = OUTCOME_WITNESS if found else OUTCOME_REFUTED
-        except _BudgetUp:
+        except BudgetExhausted:
             pass
-        seconds = time.perf_counter() - t0
-        stats = SearchStats(self.nodes, self.max_depth, seconds, self.cfg.mode,
-                            self.pruned_path, self.pruned_capacity,
-                            self.pruned_isomorph)
+        stats = SearchStats(meter.nodes, self.max_depth, meter.seconds(),
+                            meter.budget.mode, self.pruned_path,
+                            self.pruned_capacity, self.pruned_isomorph)
         if outcome == OUTCOME_WITNESS and not verify_certificate(self.witness).ok:
             raise AssertionError("search witness fails re-verification")
         return Verdict(outcome, self.witness, stats)
-
-    def _budget(self) -> None:
-        self.nodes += 1
-        if self.node_limit is not None and self.nodes > self.node_limit:
-            raise _BudgetUp
-        if self.deadline is not None and self.nodes % 2048 == 0:
-            if time.perf_counter() > self.deadline:
-                raise _BudgetUp
 
     def _dfs(self, d: int, used: int) -> bool:
         if d == self.m:
@@ -253,8 +278,9 @@ class _Engine:
         cfg = self.cfg
         limit = min(used + 1, self.r) if cfg.colour_symmetry else self.r
         boundary_v = self.boundaries.get(d + 1)
+        tick = self.tick
         for c in range(1, limit + 1):
-            self._budget()
+            tick()
             adjc = self.adj[c]
             compc = self.comp[c]
             cu = compc[u]
@@ -327,13 +353,15 @@ class _Engine:
         return True
 
 
-def ramsey_verify(n: int, r: int, cfg: SearchConfig | None = None) -> Verdict:
+def ramsey_verify(n: int, r: int, cfg: SearchConfig | None = None,
+                  budget: SearchBudget | None = None) -> Verdict:
     """Decide whether every r-colouring of K_n has a monochromatic 5-vertex
     path (refuted) or produce a verified counterexample colouring (witness).
+    ``cfg`` switches pruning rules off; ``budget`` caps nodes and time.
     """
     cfg = cfg or SearchConfig()
     if not 0 <= n <= MAX_ORDER:
         raise ParameterError(f"order must be in 0..{MAX_ORDER}, got {n}")
     if not 1 <= r <= MAX_COLOURS:
         raise ParameterError(f"colour count must be in 1..{MAX_COLOURS}, got {r}")
-    return _Engine(n, r, cfg).run()
+    return _Engine(n, r, cfg).run(budget)

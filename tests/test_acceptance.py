@@ -67,7 +67,7 @@ def test_criterion_3_small_r_table():
     v62 = ramsey_verify(6, 2)
 
     t0 = time.perf_counter()
-    v93 = ramsey_verify(9, 3, SearchConfig(node_limit=10 ** 9))
+    v93 = ramsey_verify(9, 3, budget=SearchBudget(nodes=10 ** 9))
     pruned_elapsed = time.perf_counter() - t0
 
     sizes = {}

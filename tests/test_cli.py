@@ -79,6 +79,18 @@ def test_malformed_certificate_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_unopenable_paths_are_usage_errors(capsys, tmp_path):
+    """A directory given as an input or output file is an input error."""
+    cases = (("verify", str(tmp_path)), ("design", "verify", str(tmp_path)),
+             ("witness", "3", "-o", str(tmp_path)),
+             ("witness", "5", "--design", str(tmp_path)))
+    for argv in cases:
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err == f"cannot open {tmp_path}\n", argv
+
+
 def test_bad_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["search", "--n", "6"])  # missing --r
@@ -163,6 +175,12 @@ def test_search_budget_exit(capsys):
     keys = [line.partition("=")[0] for line in out.splitlines()]
     assert keys == ["outcome", "nodes", "depth", "seconds", "mode", "pruned_path",
                     "pruned_capacity", "pruned_isomorph"]
+    # both limits reach the engine; the node cap decides the mode
+    code, out = run(capsys, "search", "--n", "9", "--r", "3", "--nodes", "5",
+                    "--budget", "60")
+    assert code == 3
+    assert "mode=node-limit" in out.splitlines()
+    assert "nodes=6" in out.splitlines()
 
 
 def test_search_out_of_range_is_usage_error(capsys):

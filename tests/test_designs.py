@@ -17,6 +17,7 @@ from ramsey_p5.designs import (Design, DesignParseError, InfeasibleParameters,
                                pair_coverage, read_design, search_design,
                                verify_design, verify_resolution, witness_parameters,
                                write_design)
+from ramsey_p5.engine import CLOCK_POLL_NODES
 from ramsey_p5.graphs import connected_components
 
 
@@ -41,12 +42,6 @@ def test_design_validation():
         Design(4, ((3, 2, 1, 0),))
     with pytest.raises(ValueError):
         Design(8, ((0, 1, 2, 3), (4, 5, 6, 7)), ((0,), (0, 1)))
-    with pytest.raises(ValueError):
-        Design(4, ((0, 1, 2, 3),), k=5)
-    with pytest.raises(ValueError):
-        Design(4, ((0, 1, 2, 3),), t=3)
-    with pytest.raises(ValueError):
-        Design(4, ((0, 1, 2, 3),), lam=2)
 
 
 def test_single_block_is_steiner():
@@ -224,6 +219,12 @@ def test_search_budget_exhaustion_is_reported():
     assert result.nodes >= 1
 
 
+def test_search_time_limit_stops_on_a_clock_poll():
+    result = search_design(28, "steiner", 9, SearchBudget(seconds=0.05))
+    assert (result.outcome, result.design) == ("budget", None)
+    assert result.nodes > 0 and result.nodes % CLOCK_POLL_NODES == 0
+
+
 def test_search_infeasible_parameters():
     with pytest.raises(InfeasibleParameters):
         search_design(10, "covering", 3)
@@ -310,6 +311,14 @@ def test_design_parse_errors():
     bad[2] = "P 2"
     with pytest.raises(DesignParseError):
         read_design("\n".join(bad).encode())
+
+    # v and k are plain decimals, as block points are
+    for head in ("v=1_6 k=4", "v=+8 k=4", "v=016 k=4", "v=8 k=04"):
+        bad = lines[:]
+        bad[1] = f"{head} mode=covering"
+        with pytest.raises(DesignParseError) as err:
+            read_design("\n".join(bad).encode())
+        assert err.value.line == 2, head
 
 
 def test_design_self_check_survives_python_O():

@@ -13,9 +13,10 @@ import ramsey_p5
 from oracles import (adj_has_p5, all_pairs, bfs_components, component_sizes,
                      edge_creates_p5)
 from ramsey_p5.colouring import verify_certificate, write_certificate
-from ramsey_p5.engine import (OUTCOME_BUDGET, OUTCOME_REFUTED, OUTCOME_WITNESS,
-                              ParameterError, SearchConfig, _completion_cap,
-                              _Engine, ramsey_verify)
+from ramsey_p5.engine import (CLOCK_POLL_NODES, OUTCOME_BUDGET, OUTCOME_REFUTED,
+                              OUTCOME_WITNESS, ParameterError, SearchBudget,
+                              SearchConfig, _completion_cap, _Engine,
+                              ramsey_verify)
 from ramsey_p5.pfree import component_is_p5_free
 
 UNPRUNED = SearchConfig(colour_symmetry=False, component_bound=False,
@@ -87,7 +88,7 @@ def test_node_counts_pinned():
     assert (verdict.outcome, verdict.stats.nodes, verdict.stats.max_depth) == (
         OUTCOME_REFUTED, 3103, 28)
     for n in (11, 12):
-        verdict = ramsey_verify(n, 4, SearchConfig(node_limit=30000))
+        verdict = ramsey_verify(n, 4, budget=SearchBudget(nodes=30000))
         assert (verdict.outcome, verdict.stats.nodes, verdict.stats.max_depth) == (
             OUTCOME_BUDGET, 30001, 37), n
 
@@ -113,7 +114,7 @@ def test_prune_counters_account_for_every_node(monkeypatch):
 
 
 def test_refutes_9_3():
-    verdict = ramsey_verify(9, 3, SearchConfig(node_limit=10 ** 9))
+    verdict = ramsey_verify(9, 3, budget=SearchBudget(nodes=10 ** 9))
     assert verdict.outcome == OUTCOME_REFUTED
 
 
@@ -129,19 +130,19 @@ def test_refutation_monotone_in_order():
 
 
 def test_budget_exhaustion_outcome():
-    verdict = ramsey_verify(9, 3, SearchConfig(node_limit=10))
+    verdict = ramsey_verify(9, 3, budget=SearchBudget(nodes=10))
     assert verdict.outcome == OUTCOME_BUDGET
     assert verdict.certificate is None
     assert verdict.stats.nodes == 11  # stops right past the limit
 
 
 def test_determinism_in_node_limit_mode():
-    cfg = SearchConfig(node_limit=10 ** 8)
-    a = ramsey_verify(9, 3, cfg)
-    b = ramsey_verify(9, 3, cfg)
+    budget = SearchBudget(nodes=10 ** 8)
+    a = ramsey_verify(9, 3, budget=budget)
+    b = ramsey_verify(9, 3, budget=budget)
     assert (a.stats.nodes, a.stats.max_depth) == (b.stats.nodes, b.stats.max_depth)
-    wa = ramsey_verify(8, 3, cfg)
-    wb = ramsey_verify(8, 3, cfg)
+    wa = ramsey_verify(8, 3, budget=budget)
+    wb = ramsey_verify(8, 3, budget=budget)
     assert wa.certificate == wb.certificate
 
 
@@ -153,14 +154,21 @@ def test_parameter_validation():
     with pytest.raises(ParameterError):
         ramsey_verify(-1, 2)
     with pytest.raises(ValueError):
-        SearchConfig(node_limit=0)
+        SearchBudget(nodes=0)
 
 
 def test_stats_mode_label():
-    verdict = ramsey_verify(5, 2, SearchConfig(node_limit=1000))
+    verdict = ramsey_verify(5, 2, budget=SearchBudget(nodes=1000))
     assert verdict.stats.mode == "node-limit"
     verdict = ramsey_verify(5, 2)
     assert verdict.stats.mode == "unbounded"
+
+
+def test_time_limit_stops_on_a_clock_poll():
+    verdict = ramsey_verify(11, 4, budget=SearchBudget(seconds=0.05))
+    assert (verdict.outcome, verdict.stats.mode) == (OUTCOME_BUDGET, "time-limit")
+    assert verdict.certificate is None
+    assert verdict.stats.nodes > 0 and verdict.stats.nodes % CLOCK_POLL_NODES == 0
 
 
 def test_witness_certificates_reverify():
@@ -173,7 +181,7 @@ def test_witness_certificates_reverify():
 
 @pytest.mark.slow
 def test_witness_10_4():
-    verdict = ramsey_verify(10, 4, SearchConfig(node_limit=20_000_000))
+    verdict = ramsey_verify(10, 4, budget=SearchBudget(nodes=20_000_000))
     assert (verdict.outcome, verdict.stats.nodes, verdict.stats.max_depth) == (
         OUTCOME_WITNESS, 1536444, 44)
     assert verify_certificate(verdict.certificate).ok
@@ -409,5 +417,5 @@ def test_search_decisions_match_path_oracle(monkeypatch):
     monkeypatch.setattr(_Engine, "_dfs", checked_dfs)
     assert ramsey_verify(8, 3).stats.nodes == 241
     assert ramsey_verify(9, 3).stats.nodes == 3103
-    assert ramsey_verify(10, 4, SearchConfig(node_limit=3000)).stats.nodes == 3001
+    assert ramsey_verify(10, 4, budget=SearchBudget(nodes=3000)).stats.nodes == 3001
     assert checks > 3000
