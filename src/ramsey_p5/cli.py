@@ -125,9 +125,9 @@ def _cmd_design_verify(args) -> int:
     else:
         print("resolution_ok=absent")
     if mode == "packing" and verdict.ok:
-        # count from the coverage map; packings may exceed graph capacity
-        cov = designs.pair_coverage(design)
-        print(f"leave_edges={sum(1 for c in cov.counts if c == 0)}")
+        # the pairs no block covers; packings may exceed graph capacity
+        covered = len(designs.pair_coverage(design).counts)
+        print(f"leave_edges={colouring.pair_count(design.v) - covered}")
     _say(f"design v={design.v} mode={mode}: " + ("valid" if ok else "INVALID"))
     return EXIT_OK if ok else EXIT_VIOLATION
 
@@ -242,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (colouring.CertificateError, designs.DesignParseError) as exc:
+    except colouring.ParseError as exc:
         _say(f"input error: {exc}")
         return EXIT_USAGE
     except OSError as exc:

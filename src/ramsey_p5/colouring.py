@@ -203,10 +203,11 @@ def witness(r: int, design=None, budget=None) -> EdgeColouring:
     """A colouring of K_N with no monochromatic 5-vertex path, where N is one
     less than the r-colour Ramsey number of the 5-vertex path.
 
-    Dispatch: r=1 is a single-colour K4; r=4 is the hardcoded K_10
-    colouring; r = 2 (mod 4) lifts the witness for r - 1; every other r
-    colours K_{g(r)} from a resolvable block design (searched natively for
-    r <= 9, supplied via ``design`` beyond that).
+    Dispatch: r=4 is the hardcoded K_10 colouring; r = 2 (mod 4) lifts the
+    witness for r - 1; every other r, r=1 included, colours K_{g(r)} from a
+    resolvable block design (searched natively for r <= 9, supplied via
+    ``design`` beyond that). Every built colouring is re-checked here; a
+    supplied design is checked by ``designs.witness_from_design``.
     """
     from . import designs  # local import; designs builds colourings from us
 
@@ -214,16 +215,18 @@ def witness(r: int, design=None, budget=None) -> EdgeColouring:
         raise ValueError("need at least one colour")
     if design is not None:
         return designs.witness_from_design(r, design)
-    if r == 1:
-        return EdgeColouring(4, 1, [1] * 6)
     if r == 4:
-        return witness_k10()
-    if r % 4 == 2:
-        return lift(witness(r - 1, budget=budget))
-    if r > WITNESS_ATTEMPT_MAX:
+        built = witness_k10()
+    elif r % 4 == 2:
+        built = lift(witness(r - 1, budget=budget))
+    elif r > WITNESS_ATTEMPT_MAX:
         raise UnsupportedWitness(
             f"no native witness construction for r={r}; supply a design file")
-    return designs.witness_from_search(r, budget=budget)
+    else:
+        built = designs.witness_from_search(r, budget=budget)
+    if find_mono_p5(built) is not None:
+        raise AssertionError(f"witness for r={r} has a monochromatic 5-vertex path")
+    return built
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +259,39 @@ class Certificate:
         return cls(c.n, c.r, c.colours, tuple(packed))
 
 
-class CertificateError(ValueError):
-    """Certificate parse failure, carrying the 1-based offending line."""
+class ParseError(ValueError):
+    """Parse failure of a certificate or design file, carrying the 1-based
+    offending line (0 for the file as a whole)."""
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class CertificateError(ParseError):
+    """Certificate parse failure."""
+
+
+def _file_lines(data: bytes, header: str, error: type[ParseError]) -> list[str]:
+    """The lines of a file that is ASCII, ends in a newline and opens with
+    the header line; the grammar both file formats share."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise error(0, f"not ASCII: {exc}") from None
+    if not text.endswith("\n"):
+        raise error(0, "missing trailing newline")
+    lines = text[:-1].split("\n")
+    if lines[0] != header:
+        raise error(1, f"expected header {header!r}")
+    return lines
+
+
+def _strict_int(token: str, lineno: int, what: str, error: type[ParseError]) -> int:
+    """A plain decimal: digits only, no sign, underscore or leading zero."""
+    if not token.isdigit() or (token != "0" and token[0] == "0"):
+        raise error(lineno, f"malformed {what}: {token!r}")
+    return int(token)
 
 
 def write_certificate(cert: Certificate) -> bytes:
@@ -277,29 +307,15 @@ def write_certificate(cert: Certificate) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def _strict_int(token: str, lineno: int, what: str) -> int:
-    if not token.isdigit() or (token != "0" and token[0] == "0"):
-        raise CertificateError(lineno, f"malformed {what}: {token!r}")
-    return int(token)
-
-
 def read_certificate(data: bytes) -> Certificate:
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise CertificateError(0, f"not ASCII: {exc}") from None
-    if not text.endswith("\n"):
-        raise CertificateError(0, "missing trailing newline")
-    lines = text[:-1].split("\n")
-    if not lines or lines[0] != CERT_HEADER:
-        raise CertificateError(1, f"expected header {CERT_HEADER!r}")
+    lines = _file_lines(data, CERT_HEADER, CertificateError)
     if len(lines) < 3:
         raise CertificateError(len(lines), "truncated certificate")
     head = lines[1].split(" ")
     if len(head) != 2 or not head[0].startswith("n=") or not head[1].startswith("r="):
         raise CertificateError(2, "expected 'n=<n> r=<r>'")
-    n = _strict_int(head[0][2:], 2, "order")
-    r = _strict_int(head[1][2:], 2, "colour count")
+    n = _strict_int(head[0][2:], 2, "order", CertificateError)
+    r = _strict_int(head[1][2:], 2, "colour count", CertificateError)
     if r < 1:
         raise CertificateError(2, "need at least one colour")
     if lines[2] != f"claim={CLAIM_MONO_P5_FREE}":
@@ -315,9 +331,9 @@ def read_certificate(data: bytes) -> Certificate:
         parts = lines[3 + k].split(" ")
         if len(parts) != 3:
             raise CertificateError(lineno, "expected '<i> <j> <c>'")
-        ii = _strict_int(parts[0], lineno, "vertex")
-        jj = _strict_int(parts[1], lineno, "vertex")
-        c = _strict_int(parts[2], lineno, "colour")
+        ii = _strict_int(parts[0], lineno, "vertex", CertificateError)
+        jj = _strict_int(parts[1], lineno, "vertex", CertificateError)
+        c = _strict_int(parts[2], lineno, "colour", CertificateError)
         if (ii, jj) != (i, j):
             raise CertificateError(lineno, f"expected pair {i} {j}, got {ii} {jj}")
         if not 1 <= c <= r:

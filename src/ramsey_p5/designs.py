@@ -7,11 +7,15 @@ resolvable instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from heapq import merge
+from itertools import combinations, islice
 
-from .colouring import EdgeColouring, pair_count, pair_index, ramsey_value
+from .colouring import (EdgeColouring, ParseError, UnsupportedWitness,
+                        WitnessBudgetExhausted, _file_lines, _strict_int,
+                        find_mono_p5, pair_count, pair_index, pair_list,
+                        ramsey_value)
 from .engine import BudgetExhausted, NodeMeter, SearchBudget
-from .graphs import Graph, _bits
+from .graphs import MAX_VERTICES, Graph, _bits
 
 BLOCK_SIZE = 4
 
@@ -38,10 +42,8 @@ class UncolouredPair(ValueError):
     pass
 
 
-class DesignParseError(ValueError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class DesignParseError(ParseError):
+    """Design file parse failure."""
 
 
 Block = tuple[int, int, int, int]
@@ -89,55 +91,62 @@ class Design:
 
 @dataclass(frozen=True)
 class PairCoverage:
-    """Multiplicity of every point pair over the blocks."""
+    """Multiplicity of every point pair over the blocks; ``counts`` holds
+    only the pairs some block covers, so its size grows with the blocks,
+    not with v^2."""
 
     v: int
-    counts: tuple[int, ...]  # indexed by pair_index(v, i, j)
+    counts: dict[tuple[int, int], int]  # (i, j) with i < j
 
     def multiplicity(self, i: int, j: int) -> int:
-        return self.counts[pair_index(self.v, i, j)]
+        if i > j:
+            i, j = j, i
+        return self.counts.get((i, j), 0)
 
     def total(self) -> int:
-        return sum(self.counts)
+        return sum(self.counts.values())
 
 
 def pair_coverage(d: Design) -> PairCoverage:
-    counts = [0] * pair_count(d.v)
+    counts: dict[tuple[int, int], int] = {}
     for blk in d.blocks:
-        for a, b in combinations(blk, 2):
-            counts[pair_index(d.v, a, b)] += 1
-    return PairCoverage(d.v, tuple(counts))
+        for pair in combinations(blk, 2):
+            counts[pair] = counts.get(pair, 0) + 1
+    return PairCoverage(d.v, counts)
+
+
+# Verdicts keep, and the CLI prints, the first this many violations.
+VIOLATIONS_SHOWN = 20
 
 
 @dataclass(frozen=True)
 class DesignVerdict:
     mode: str
     ok: bool
+    # The first VIOLATIONS_SHOWN violating pairs in pair order.
     violations: tuple[tuple[tuple[int, int], int], ...]  # (pair, multiplicity)
 
     def lines(self) -> list[str]:
         out = [f"mode={self.mode} ok={'true' if self.ok else 'false'}"]
-        for (i, j), mult in self.violations[:20]:
+        for (i, j), mult in self.violations:
             out.append(f"violation=pair {i} {j} multiplicity={mult}")
         return out
 
 
 def verify_design(d: Design, mode: str) -> DesignVerdict:
     """Check pair multiplicities: steiner wants exactly one block per pair,
-    covering at least one, packing at most one."""
+    covering at least one, packing at most one. The work grows with the
+    blocks: uncovered pairs are walked in order only until the shown
+    violations are found."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    cov = pair_coverage(d)
-    bad: list[tuple[tuple[int, int], int]] = []
-    for i in range(d.v):
-        for j in range(i + 1, d.v):
-            mult = cov.counts[pair_index(d.v, i, j)]
-            if mode == "steiner" and mult != 1:
-                bad.append(((i, j), mult))
-            elif mode == "covering" and mult < 1:
-                bad.append(((i, j), mult))
-            elif mode == "packing" and mult > 1:
-                bad.append(((i, j), mult))
+    counts = pair_coverage(d).counts
+    over = ([] if mode == "covering"
+            else sorted(p for p, mult in counts.items() if mult > 1))
+    gaps = (() if mode == "packing"
+            else (p for p in combinations(range(d.v), 2) if p not in counts))
+    bad = [(p, counts.get(p, 0))
+           for p in islice(merge(gaps, over), VIOLATIONS_SHOWN)]
     return DesignVerdict(mode, not bad, tuple(bad))
 
 
@@ -148,7 +157,7 @@ class ResolutionVerdict:
 
     def lines(self) -> list[str]:
         out = [f"resolution_ok={'true' if self.ok else 'false'}"]
-        for cls, point, kind in self.violations[:20]:
+        for cls, point, kind in self.violations[:VIOLATIONS_SHOWN]:
             out.append(f"violation=class {cls} point {point} {kind}")
         return out
 
@@ -173,13 +182,11 @@ def verify_resolution(d: Design) -> ResolutionVerdict:
 
 def leave_graph(d: Design) -> Graph:
     """Graph of the point pairs contained in no block (packings only)."""
-    verdict = verify_design(d, "packing")
-    if not verdict.ok:
-        raise NotAPacking(f"{len(verdict.violations)} pairs covered more than once")
-    cov = pair_coverage(d)
-    edges = [(i, j) for i in range(d.v) for j in range(i + 1, d.v)
-             if cov.counts[pair_index(d.v, i, j)] == 0]
-    return Graph(d.v, edges)
+    counts = pair_coverage(d).counts
+    over = sum(1 for mult in counts.values() if mult > 1)
+    if over:
+        raise NotAPacking(f"{over} pairs covered more than once")
+    return Graph(d.v, [p for p in combinations(range(d.v), 2) if p not in counts])
 
 
 def g_of_r(r: int) -> int:
@@ -212,7 +219,7 @@ def design_to_colouring(d: Design, leave_colour: int | None = None) -> EdgeColou
     uncoloured = [k for k, c in enumerate(cols) if c == 0]
     if uncoloured:
         if leave_colour is None:
-            i, j = _pair_of_index(d.v, uncoloured[0])
+            i, j = pair_list(d.v)[uncoloured[0]]
             raise UncolouredPair(f"pair ({i},{j}) lies in no class and no "
                                  f"leave colour was given")
         if leave_colour <= ncl:
@@ -221,15 +228,6 @@ def design_to_colouring(d: Design, leave_colour: int | None = None) -> EdgeColou
             cols[k] = leave_colour
         return EdgeColouring(d.v, leave_colour, cols)
     return EdgeColouring(d.v, ncl, cols)
-
-
-def _pair_of_index(v: int, idx: int) -> tuple[int, int]:
-    for i in range(v):
-        row = v - i - 1
-        if idx < row:
-            return (i, i + 1 + idx)
-        idx -= row
-    raise IndexError(idx)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +424,8 @@ def witness_parameters(r: int) -> tuple[int, str, int]:
 
 
 def witness_from_search(r: int, budget: SearchBudget | None = None) -> EdgeColouring:
-    from .colouring import WitnessBudgetExhausted, find_mono_p5
-
+    """Colour K_{g(r)} by a searched design; ``colouring.witness`` re-checks
+    the result."""
     v, mode, classes = witness_parameters(r)
     design = search_design(v, mode, classes,
                            budget or _DEFAULT_WITNESS_BUDGET).design
@@ -435,10 +433,7 @@ def witness_from_search(r: int, budget: SearchBudget | None = None) -> EdgeColou
         raise WitnessBudgetExhausted(
             f"design search for r={r} (v={v}, {mode}) exhausted its budget; "
             f"retry with a larger budget or supply a design file")
-    colouring = design_to_colouring(design)
-    if find_mono_p5(colouring) is not None:
-        raise AssertionError("design colouring has a monochromatic 5-path")
-    return colouring
+    return design_to_colouring(design)
 
 
 def witness_from_design(r: int, design: Design) -> EdgeColouring:
@@ -446,9 +441,6 @@ def witness_from_design(r: int, design: Design) -> EdgeColouring:
 
     Accepts the exact-cover route (r classes) and the packing route
     (r - 1 classes plus the leave as colour r)."""
-    from .colouring import UnsupportedWitness, find_mono_p5
-    from .graphs import MAX_VERTICES
-
     v = g_of_r(r)
     if v > MAX_VERTICES:
         raise UnsupportedWitness(
@@ -497,23 +489,15 @@ def write_design(d: Design, mode: str) -> bytes:
 
 
 def read_design(data: bytes) -> tuple[Design, str]:
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise DesignParseError(0, f"not ASCII: {exc}") from None
-    if not text.endswith("\n"):
-        raise DesignParseError(0, "missing trailing newline")
-    lines = text[:-1].split("\n")
-    if not lines or lines[0] != DESIGN_HEADER:
-        raise DesignParseError(1, f"expected header {DESIGN_HEADER!r}")
+    lines = _file_lines(data, DESIGN_HEADER, DesignParseError)
     if len(lines) < 2:
         raise DesignParseError(2, "truncated design file")
     head = lines[1].split(" ")
     if (len(head) != 3 or not head[0].startswith("v=")
             or not head[1].startswith("k=") or not head[2].startswith("mode=")):
         raise DesignParseError(2, "expected 'v=<v> k=4 mode=<mode>'")
-    v = _strict_int(head[0][2:], 2, "v")
-    k = _strict_int(head[1][2:], 2, "k")
+    v = _strict_int(head[0][2:], 2, "v", DesignParseError)
+    k = _strict_int(head[1][2:], 2, "k", DesignParseError)
     if k != BLOCK_SIZE:
         raise DesignParseError(2, f"only k={BLOCK_SIZE} designs are supported")
     mode = head[2][5:]
@@ -575,16 +559,9 @@ def _parse_block(line: str, lineno: int, v: int) -> Block:
     parts = line.split(" ")
     if len(parts) != BLOCK_SIZE:
         raise DesignParseError(lineno, f"expected {BLOCK_SIZE} points")
-    blk = tuple(_strict_int(tok, lineno, "point") for tok in parts)
+    blk = tuple(_strict_int(tok, lineno, "point", DesignParseError) for tok in parts)
     if any(not 0 <= p < v for p in blk):
         raise DesignParseError(lineno, f"point out of range in {blk}")
     if tuple(sorted(set(blk))) != blk:
         raise DesignParseError(lineno, f"block {blk} must be strictly ascending")
     return blk  # type: ignore[return-value]
-
-
-def _strict_int(token: str, lineno: int, what: str) -> int:
-    """A plain decimal: digits only, no sign, underscore or leading zero."""
-    if not token.isdigit() or (token != "0" and token[0] == "0"):
-        raise DesignParseError(lineno, f"malformed {what}: {token!r}")
-    return int(token)

@@ -37,6 +37,9 @@ from .pfree import _max_conn_edges, component_is_p5_free
 
 MAX_ORDER = 12
 MAX_COLOURS = 4
+# Coloured prefixes on up to this many vertices are deduplicated; the
+# permutation tables grow as its factorial.
+ISOMORPH_DEPTH = 6
 
 OUTCOME_REFUTED = "refuted"
 OUTCOME_WITNESS = "witness"
@@ -109,7 +112,7 @@ class SearchConfig:
 
     colour_symmetry: bool = True
     component_bound: bool = True
-    isomorph_depth: int = 6  # canonical-prefix rejection up to this many vertices
+    isomorph: bool = True  # canonical-prefix rejection up to ISOMORPH_DEPTH
 
 
 @dataclass(frozen=True)
@@ -247,7 +250,7 @@ class _Engine:
         self.max_depth = 0
         self.pruned_path = self.pruned_capacity = self.pruned_isomorph = 0
         self.memo: set[tuple] = set()
-        boundary_max = min(cfg.isomorph_depth, n - 1)
+        boundary_max = min(ISOMORPH_DEPTH if cfg.isomorph else 0, n - 1)
         self.boundaries = {v * (v - 1) // 2: v for v in range(3, boundary_max + 1)}
         self.witness: Certificate | None = None
 

@@ -11,14 +11,17 @@ is the form the search engine tests each new edge with. The test suite
 validates the classification against raw enumeration for small orders
 instead of taking it on faith. Arbitrary graphs without a 5-vertex path are
 exactly the disjoint unions of catalogue members, which is what
-``enumerate_p5_free`` composes.
+``enumerate_p5_free`` composes. The members of the catalogue are pairwise
+non-isomorphic (their degree sequences differ), and two such unions are
+isomorphic only when their multisets of components agree, so composing each
+multiset once lists every graph exactly once, without canonical keys.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .canon import OrderTooLarge, canonical_key
+from .canon import OrderTooLarge
 from .graphs import Graph, complete, cycle_graph, disjoint_union, star_graph
 
 ENUM_MAX_ORDER = 12
@@ -47,7 +50,7 @@ def _k4_minus() -> Graph:
 @lru_cache(maxsize=None)
 def component_catalogue(s: int, e: int) -> tuple[Graph, ...]:
     """All connected graphs with s vertices, e edges and no 5-vertex path,
-    up to isomorphism."""
+    one per isomorphism class, in construction order."""
     if s < 1:
         raise ValueError("component order must be >= 1")
     found: list[Graph] = []
@@ -66,10 +69,7 @@ def component_catalogue(s: int, e: int) -> tuple[Graph, ...]:
         found.append(_k4_minus())
     elif s == 4 and e == 6:
         found.append(complete(4))
-    dedup: dict[bytes, Graph] = {}
-    for g in found:
-        dedup.setdefault(canonical_key(g), g)
-    return tuple(dedup[k] for k in sorted(dedup))
+    return tuple(found)
 
 
 @lru_cache(maxsize=None)
@@ -118,8 +118,9 @@ def _component_options(n: int, m: int) -> list[tuple[int, int, Graph]]:
 
 
 def enumerate_p5_free(n: int, m: int) -> tuple[Graph, ...]:
-    """All graphs on n vertices with m edges and no 5-vertex path, up to
-    isomorphism, composed from the connected catalogue."""
+    """All graphs on n vertices with m edges and no 5-vertex path, one per
+    isomorphism class, composed from the connected catalogue in the order of
+    ``_component_options``."""
     if n > ENUM_MAX_ORDER:
         raise OrderTooLarge(f"enumerate_p5_free supports n <= {ENUM_MAX_ORDER}")
     if n < 0 or m < 0:
@@ -127,7 +128,7 @@ def enumerate_p5_free(n: int, m: int) -> tuple[Graph, ...]:
     if n == 0:
         return (Graph(0),) if m == 0 else ()
     opts = _component_options(n, m)
-    results: dict[bytes, Graph] = {}
+    results: list[Graph] = []
 
     def compose(idx: int, n_left: int, m_left: int, parts: list[Graph]) -> None:
         if n_left == 0:
@@ -135,7 +136,7 @@ def enumerate_p5_free(n: int, m: int) -> tuple[Graph, ...]:
                 g = parts[0]
                 for p in parts[1:]:
                     g = disjoint_union(g, p)
-                results.setdefault(canonical_key(g), g)
+                results.append(g)
             return
         for i in range(idx, len(opts)):
             s, e, g = opts[i]
@@ -146,4 +147,4 @@ def enumerate_p5_free(n: int, m: int) -> tuple[Graph, ...]:
             parts.pop()
 
     compose(0, n, m, [])
-    return tuple(results[k] for k in sorted(results))
+    return tuple(results)

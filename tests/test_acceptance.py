@@ -61,7 +61,7 @@ def test_criterion_3_small_r_table():
     v51 = ramsey_verify(5, 1)
     t0 = time.perf_counter()
     raw = SearchConfig(colour_symmetry=False, component_bound=False,
-                       isomorph_depth=0)
+                       isomorph=False)
     v62_raw = ramsey_verify(6, 2, raw)
     raw_elapsed = time.perf_counter() - t0
     v62 = ramsey_verify(6, 2)

@@ -70,3 +70,17 @@ def test_lemma3_placement_counts_match_orbit_arithmetic():
     aut_k4k4mk3 = 24 * 4 * 6       # K4, K4-minus, triangle
     assert fact11 // aut_k4k4p3 == 17325
     assert fact11 // aut_k4k4mk3 == 69300
+
+
+def test_claim1_counts_a_duplicate(monkeypatch):
+    """A graph the enumeration lists twice fails Claim 1 instead of being
+    merged with its copy."""
+    import ramsey_p5.checks as checks
+
+    real = checks.enumerate_p5_free
+    monkeypatch.setattr(checks, "enumerate_p5_free",
+                        lambda n, m: real(n, m) * 2 if m == 15 else real(n, m))
+    rep = claim1_check()
+    assert not rep.ok
+    assert (rep.count_14, rep.count_15) == (2, 2)
+    assert not rep.missing and not rep.extra

@@ -238,6 +238,30 @@ def test_design_verify_handles_orders_beyond_graph_capacity(capsys, tmp_path):
     assert "leave_edges=5616" in out
 
 
+
+def test_design_verify_cost_follows_the_file(capsys, tmp_path):
+    """A 46-byte file naming 2,000 points and one block: the verdict, the
+    20 violation lines and the leave count come out with under 1 MB of
+    allocation, not a table of all 1,999,000 pairs."""
+    import tracemalloc
+
+    gaps = "".join(f"violation=pair 0 {j} multiplicity=0\n" for j in range(4, 24))
+    want = {"steiner": (1, "mode=steiner ok=false\n" + gaps + "resolution_ok=absent\n"),
+            "packing": (0, "mode=packing ok=true\nresolution_ok=absent\n"
+                           "leave_edges=1998994\n")}
+    for mode, expected in want.items():
+        path = tmp_path / f"{mode}.design"
+        path.write_bytes(f"DESIGN v1\nv=2000 k=4 mode={mode}\nP 0\n0 1 2 3\n".encode())
+        assert len(path.read_bytes()) == 46
+        tracemalloc.start()
+        try:
+            got = run(capsys, "design", "verify", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected, mode
+        assert peak < 1 << 20, (mode, peak)
+
 def test_witness_beyond_graph_capacity_refused(capsys, tmp_path):
     lines = ["DESIGN v1", "v=108 k=4 mode=packing", "P 1"]
     lines += [f"{4 * i} {4 * i + 1} {4 * i + 2} {4 * i + 3}" for i in range(27)]

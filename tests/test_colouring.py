@@ -158,6 +158,17 @@ def test_witness_orders_match_ramsey_table():
         assert find_mono_p5(c) is None
 
 
+
+def test_witness_rechecks_every_construction(monkeypatch):
+    """A construction that yields a monochromatic 5-vertex path raises
+    instead of being returned, also on the hardcoded r = 4 route."""
+    import ramsey_p5.colouring as colouring
+
+    monkeypatch.setattr(colouring, "witness_k10",
+                        lambda: EdgeColouring(10, 4, [1] * 45))
+    with pytest.raises(AssertionError):
+        witness(4)
+
 def test_residue_rule_consumers_follow_ramsey_value():
     """Lemma 1 counts at the Ramsey order, except r = 4 (13; Lemma 3 brings
     it down to 11), and the design route colours one vertex fewer, except

@@ -68,7 +68,7 @@ def test_pair_coverage_totals():
     d = the_b4_16()
     cov = pair_coverage(d)
     assert cov.total() == len(d.blocks) * 6 == 120
-    assert all(c == 1 for c in cov.counts)
+    assert all(c == 1 for c in cov.counts.values())
 
 
 def test_b4_16_shape():

@@ -20,9 +20,9 @@ from ramsey_p5.engine import (CLOCK_POLL_NODES, OUTCOME_BUDGET, OUTCOME_REFUTED,
 from ramsey_p5.pfree import component_is_p5_free
 
 UNPRUNED = SearchConfig(colour_symmetry=False, component_bound=False,
-                        isomorph_depth=0)
+                        isomorph=False)
 ONE_RULE_OFF = (SearchConfig(colour_symmetry=False), SearchConfig(component_bound=False),
-                SearchConfig(isomorph_depth=0))
+                SearchConfig(isomorph=False))
 
 
 def test_trivial_orders_are_witnesses():
@@ -109,7 +109,7 @@ def test_prune_counters_account_for_every_node(monkeypatch):
     assert all(pruned)
     assert sum(pruned) + calls - 1 == stats.nodes  # the root call is no descent
     off = ramsey_verify(8, 3, SearchConfig(component_bound=False,
-                                           isomorph_depth=0)).stats
+                                           isomorph=False)).stats
     assert (off.pruned_capacity, off.pruned_isomorph) == (0, 0)
 
 

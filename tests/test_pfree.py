@@ -157,3 +157,18 @@ def test_cross_oracle_equivalence_up_to_7():
         for m, keys in enum_keys.items():
             for g in enumerate_p5_free(n, m):
                 assert not contains_path(g, 5)
+
+
+def test_enumeration_lists_each_graph_once():
+    """The enumeration keeps no canonical keys, so uniqueness rests on the
+    catalogue and the composition order: across every (n, m) with
+    1 <= n <= 12 and m <= ex(n), the graphs returned are pairwise
+    non-isomorphic."""
+    total = 0
+    for n in range(1, 13):
+        for m in range(0, ex_p5(n) + 1):
+            graphs = enumerate_p5_free(n, m)
+            keys = {canonical_key(g) for g in graphs}
+            assert len(keys) == len(graphs), (n, m)
+            total += len(graphs)
+    assert total == 1752
