@@ -8,15 +8,14 @@ from .canon import CANON_MAX, OrderTooLarge, canonical_key
 from .checks import (Claim1Report, Lemma1Report, Lemma3Report, claim1_check,
                      lemma1_check, lemma3_check)
 from .colouring import (Certificate, CertificateError, CertificateReport,
-                        EdgeColouring, MonoPath, PigeonholeReport,
-                        UnsupportedWitness, WitnessBudgetExhausted,
-                        find_mono_p5, lift, max_mono_component_order,
-                        pigeonhole_check, ramsey_value, read_certificate,
-                        verify_certificate, witness, write_certificate)
+                        EdgeColouring, MonoPath, UnsupportedWitness,
+                        WitnessBudgetExhausted, find_mono_p5, lift,
+                        max_mono_component_order, ramsey_value,
+                        read_certificate, verify_certificate, witness,
+                        write_certificate)
 from .designs import (Design, DesignParseError, DesignSearchResult,
-                      DesignVerdict, InfeasibleParameters, LiftPathError,
-                      PairCoverage, ResolutionVerdict,
-                      design_to_colouring, g_of_r, leave_graph, pair_coverage,
+                      DesignVerdict, InfeasibleParameters, ResolutionVerdict,
+                      design_to_colouring, leave_graph, pair_coverage,
                       read_design, search_design, verify_design,
                       verify_resolution, write_design)
 from .engine import (ParameterError, SearchBudget, SearchConfig, SearchStats,

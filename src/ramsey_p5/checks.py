@@ -11,7 +11,8 @@ from itertools import combinations
 
 from .canon import canonical_key
 from .colouring import _forced_order, pair_count, pair_index
-from .graphs import Graph, complete, disjoint_union, ex_p5, extremal_p5, path_graph
+from .graphs import (Graph, complement, complete, contains_clique, disjoint_union,
+                     ex_p5, extremal_p5, path_graph)
 from .pfree import enumerate_p5_free
 
 
@@ -244,7 +245,6 @@ def lemma3_check() -> Lemma3Report:
     )
     floor = _ceil_div(55 - 15, 3)
 
-    from .graphs import complement, contains_clique
     comp_free = not contains_clique(complement(extremal_p5(11)), 4)
 
     k4m = _all_k4_masks()

@@ -126,7 +126,7 @@ def _cmd_design_verify(args) -> int:
         print("resolution_ok=absent")
     if mode == "packing" and verdict.ok:
         # the pairs no block covers; packings may exceed graph capacity
-        covered = len(designs.pair_coverage(design).counts)
+        covered = len(designs.pair_coverage(design))
         print(f"leave_edges={colouring.pair_count(design.v) - covered}")
     _say(f"design v={design.v} mode={mode}: " + ("valid" if ok else "INVALID"))
     return EXIT_OK if ok else EXIT_VIOLATION

@@ -1,5 +1,5 @@
 """Edge colourings of complete graphs, monochromatic-path checks, the
-one-vertex lift, pigeonhole counting, lower-bound witnesses, and the
+one-vertex lift, the Ramsey value table, lower-bound witnesses, and the
 certificate file format.
 """
 
@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from .graphs import Graph, connected_components, ex_p5, find_path
+from .graphs import MAX_VERTICES, Graph, connected_components, find_path
 
 CERT_HEADER = "RAMSEY-P5 v1"
 CLAIM_MONO_P5_FREE = "mono-p5-free"
@@ -92,8 +92,10 @@ class MonoPath(NamedTuple):
 
 
 def find_mono_p5(c: EdgeColouring) -> MonoPath | None:
-    """A monochromatic 5-vertex path in some colour class, or None. Exact."""
-    for colour in range(1, c.r + 1):
+    """A monochromatic 5-vertex path in some colour class, or None. Exact.
+    Only the colours that occur are tried, in ascending order, so the work
+    follows the edges and not the colour count."""
+    for colour in sorted(set(c.colours)):
         path = find_path(c.colour_class(colour), 5)
         if path is not None:
             return MonoPath(colour, path)
@@ -103,7 +105,7 @@ def find_mono_p5(c: EdgeColouring) -> MonoPath | None:
 def max_mono_component_order(c: EdgeColouring) -> int:
     """Largest vertex count of a component of any colour class."""
     best = 0
-    for colour in range(1, c.r + 1):
+    for colour in set(c.colours):
         g = c.colour_class(colour)
         for comp in connected_components(g):
             if comp.bit_count() > 1:
@@ -124,35 +126,6 @@ def lift(c: EdgeColouring) -> EdgeColouring:
     for i in range(c.n):
         cols[pair_index(n2, i, c.n)] = c.r + 1
     return EdgeColouring(n2, c.r + 1, cols)
-
-
-@dataclass(frozen=True)
-class PigeonholeReport:
-    n: int
-    r: int
-    bound: int
-    turan: int
-    relation: str  # forced | extremal | inconclusive
-
-    def line(self) -> str:
-        return (f"n={self.n} r={self.r} bound={self.bound} "
-                f"turan={self.turan} relation={self.relation}")
-
-
-def pigeonhole_check(n: int, r: int) -> PigeonholeReport:
-    """Compare the guaranteed size of the most frequent colour class with the
-    Turán bound for 5-vertex paths."""
-    if r < 1:
-        raise ValueError("need at least one colour")
-    bound = -(-pair_count(n) // r)
-    turan = ex_p5(n)
-    if bound > turan:
-        relation = "forced"
-    elif bound == turan:
-        relation = "extremal"
-    else:
-        relation = "inconclusive"
-    return PigeonholeReport(n, r, bound, turan, relation)
 
 
 def _forced_order(r: int) -> int:
@@ -201,30 +174,56 @@ def witness_k10() -> EdgeColouring:
 
 def witness(r: int, design=None, budget=None) -> EdgeColouring:
     """A colouring of K_N with no monochromatic 5-vertex path, where N is one
-    less than the r-colour Ramsey number of the 5-vertex path.
+    less than the r-colour Ramsey number of the 5-vertex path. This is the
+    one place that picks the construction for r.
 
-    Dispatch: r=4 is the hardcoded K_10 colouring; r = 2 (mod 4) lifts the
-    witness for r - 1; every other r, r=1 included, colours K_{g(r)} from a
-    resolvable block design (searched natively for r <= 9, supplied via
-    ``design`` beyond that). Every built colouring is re-checked here; a
-    supplied design is checked by ``designs.witness_from_design``.
+    r = 4 is the hardcoded K_10 colouring, and r = 2 (mod 4) lifts the
+    witness for r - 1. Every other r colours K_N from a resolvable block
+    design with r classes, or r - 1 classes and the leave as colour r: the
+    supplied ``design``, else one searched for natively up to r = 9. Every
+    route ends in one monochromatic-path re-check, which raises ValueError
+    for a supplied design and AssertionError for a built colouring.
     """
-    from . import designs  # local import; designs builds colourings from us
+    from . import designs  # local imports; both build on this module
+    from .engine import SearchBudget
 
-    if r < 1:
-        raise ValueError("need at least one colour")
-    if design is not None:
-        return designs.witness_from_design(r, design)
-    if r == 4:
-        built = witness_k10()
-    elif r % 4 == 2:
-        built = lift(witness(r - 1, budget=budget))
+    n = ramsey_value(r) - 1
+    if r == 4 or r % 4 == 2:
+        if design is not None:
+            raise ValueError("r=4 uses the dedicated 10-point construction" if r == 4
+                             else f"r={r} has no design order; lift the witness for r-1")
+        built = witness_k10() if r == 4 else lift(witness(r - 1, budget=budget))
+    elif design is not None:
+        if n > MAX_VERTICES:
+            raise UnsupportedWitness(
+                f"witness for r={r} needs {n} points, beyond the {MAX_VERTICES}-"
+                f"vertex graph capacity; such designs are verification-only")
+        if design.v != n:
+            raise ValueError(f"witness for r={r} needs {n} points, design has {design.v}")
+        if design.resolution is None:
+            raise designs.MissingResolution("witness designs must be resolvable")
+        ncl = design.class_count
+        if ncl not in (r, r - 1):
+            raise ValueError(f"expected {r} or {r - 1} classes, design has {ncl}")
+        built = designs.design_to_colouring(design, leave_colour=None if ncl == r else r)
+        if built.r != r:
+            raise ValueError(f"design produces {built.r} colours, expected {r}")
     elif r > WITNESS_ATTEMPT_MAX:
         raise UnsupportedWitness(
             f"no native witness construction for r={r}; supply a design file")
     else:
-        built = designs.witness_from_search(r, budget=budget)
-    if find_mono_p5(built) is not None:
+        mode = "steiner" if n % 12 == 4 else "covering"
+        found = designs.search_design(
+            n, mode, r, budget or SearchBudget(nodes=5_000_000)).design
+        if found is None:
+            raise WitnessBudgetExhausted(
+                f"design search for r={r} (v={n}, {mode}) exhausted its budget; "
+                f"retry with a larger budget or supply a design file")
+        built = designs.design_to_colouring(found)
+    mono = find_mono_p5(built)
+    if mono is not None:
+        if design is not None:
+            raise ValueError(f"design colouring contains a monochromatic 5-path: {mono}")
         raise AssertionError(f"witness for r={r} has a monochromatic 5-vertex path")
     return built
 

@@ -1,7 +1,7 @@
 """Pair-balanced block designs with block size 4: verification of Steiner,
-covering and packing properties, resolvability, leave graphs, the block-design
-route to lower-bound colourings, and a backtracking search for small
-resolvable instances.
+covering and packing properties, resolvability, leave graphs, the colouring
+of a resolvable design, and a backtracking search for small resolvable
+instances.
 """
 
 from __future__ import annotations
@@ -10,12 +10,10 @@ from dataclasses import dataclass
 from heapq import merge
 from itertools import combinations, islice
 
-from .colouring import (EdgeColouring, ParseError, UnsupportedWitness,
-                        WitnessBudgetExhausted, _file_lines, _strict_int,
-                        find_mono_p5, pair_count, pair_index, pair_list,
-                        ramsey_value)
+from .colouring import (EdgeColouring, ParseError, _file_lines, _strict_int,
+                        pair_count, pair_index, pair_list)
 from .engine import BudgetExhausted, NodeMeter, SearchBudget
-from .graphs import MAX_VERTICES, Graph, _bits
+from .graphs import Graph, _bits
 
 BLOCK_SIZE = 4
 
@@ -24,10 +22,6 @@ MODES = ("steiner", "covering", "packing")
 
 class InfeasibleParameters(ValueError):
     """Search parameters that cannot yield a design of the requested kind."""
-
-
-class LiftPathError(ValueError):
-    """r = 2 (mod 4) has no design order; those witnesses go through lift."""
 
 
 class MissingResolution(ValueError):
@@ -89,30 +83,15 @@ class Design:
         return len(self.resolution) if self.resolution else 0
 
 
-@dataclass(frozen=True)
-class PairCoverage:
-    """Multiplicity of every point pair over the blocks; ``counts`` holds
-    only the pairs some block covers, so its size grows with the blocks,
-    not with v^2."""
-
-    v: int
-    counts: dict[tuple[int, int], int]  # (i, j) with i < j
-
-    def multiplicity(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return self.counts.get((i, j), 0)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-def pair_coverage(d: Design) -> PairCoverage:
+def pair_coverage(d: Design) -> dict[tuple[int, int], int]:
+    """Multiplicity of each pair (i, j), i < j, that some block covers;
+    uncovered pairs are absent, so the size grows with the blocks, not
+    with v^2."""
     counts: dict[tuple[int, int], int] = {}
     for blk in d.blocks:
         for pair in combinations(blk, 2):
             counts[pair] = counts.get(pair, 0) + 1
-    return PairCoverage(d.v, counts)
+    return counts
 
 
 # Verdicts keep, and the CLI prints, the first this many violations.
@@ -140,7 +119,7 @@ def verify_design(d: Design, mode: str) -> DesignVerdict:
     violations are found."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    counts = pair_coverage(d).counts
+    counts = pair_coverage(d)
     over = ([] if mode == "covering"
             else sorted(p for p, mult in counts.items() if mult > 1))
     gaps = (() if mode == "packing"
@@ -182,22 +161,11 @@ def verify_resolution(d: Design) -> ResolutionVerdict:
 
 def leave_graph(d: Design) -> Graph:
     """Graph of the point pairs contained in no block (packings only)."""
-    counts = pair_coverage(d).counts
+    counts = pair_coverage(d)
     over = sum(1 for mult in counts.values() if mult > 1)
     if over:
         raise NotAPacking(f"{over} pairs covered more than once")
     return Graph(d.v, [p for p in combinations(range(d.v), 2) if p not in counts])
-
-
-def g_of_r(r: int) -> int:
-    """Order of the complete graph that the design route colours for r
-    colours: one less than the Ramsey number."""
-    value = ramsey_value(r)
-    if r % 4 == 2:
-        raise LiftPathError(f"r={r} has no design order; lift the witness for r-1")
-    if r == 4:
-        raise ValueError("r=4 uses the dedicated 10-point construction")
-    return value - 1
 
 
 def design_to_colouring(d: Design, leave_colour: int | None = None) -> EdgeColouring:
@@ -407,62 +375,6 @@ def search_design(v: int, mode: str, classes: int,
         raise AssertionError("search_design built an invalid resolution")
     return DesignSearchResult(design, "found", meter.nodes, seconds,
                               pruned_waste, rejected_classes)
-
-
-# ---------------------------------------------------------------------------
-# Witness plumbing used by colouring.witness
-# ---------------------------------------------------------------------------
-
-_DEFAULT_WITNESS_BUDGET = SearchBudget(nodes=5_000_000)
-
-
-def witness_parameters(r: int) -> tuple[int, str, int]:
-    """(points, mode, classes) of the design behind the witness for r."""
-    v = g_of_r(r)
-    mode = "steiner" if v % 12 == 4 else "covering"
-    return v, mode, r
-
-
-def witness_from_search(r: int, budget: SearchBudget | None = None) -> EdgeColouring:
-    """Colour K_{g(r)} by a searched design; ``colouring.witness`` re-checks
-    the result."""
-    v, mode, classes = witness_parameters(r)
-    design = search_design(v, mode, classes,
-                           budget or _DEFAULT_WITNESS_BUDGET).design
-    if design is None:
-        raise WitnessBudgetExhausted(
-            f"design search for r={r} (v={v}, {mode}) exhausted its budget; "
-            f"retry with a larger budget or supply a design file")
-    return design_to_colouring(design)
-
-
-def witness_from_design(r: int, design: Design) -> EdgeColouring:
-    """Validate a supplied design against the parameters for r and colour it.
-
-    Accepts the exact-cover route (r classes) and the packing route
-    (r - 1 classes plus the leave as colour r)."""
-    v = g_of_r(r)
-    if v > MAX_VERTICES:
-        raise UnsupportedWitness(
-            f"witness for r={r} needs {v} points, beyond the {MAX_VERTICES}-"
-            f"vertex graph capacity; such designs are verification-only")
-    if design.v != v:
-        raise ValueError(f"witness for r={r} needs {v} points, design has {design.v}")
-    if design.resolution is None:
-        raise MissingResolution("witness designs must be resolvable")
-    ncl = design.class_count
-    if ncl == r:
-        colouring = design_to_colouring(design)
-    elif ncl == r - 1:
-        colouring = design_to_colouring(design, leave_colour=r)
-    else:
-        raise ValueError(f"expected {r} or {r - 1} classes, design has {ncl}")
-    if colouring.r != r:
-        raise ValueError(f"design produces {colouring.r} colours, expected {r}")
-    mono = find_mono_p5(colouring)
-    if mono is not None:
-        raise ValueError(f"design colouring contains a monochromatic 5-path: {mono}")
-    return colouring
 
 
 # ---------------------------------------------------------------------------

@@ -282,3 +282,27 @@ def test_witness_from_design_file(capsys, tmp_path):
     code, out = run(capsys, "verify", str(cert))
     assert code == 0
     assert b"# source design: b16.design" in cert.read_bytes()
+
+
+def test_witness_supplied_design_refusals(capsys, tmp_path):
+    """A supplied design is refused with exit 2 for r = 4 and r = 2 (mod 4),
+    which have their own constructions, for a wrong order or class count,
+    and when its colouring has a monochromatic 5-vertex path (here in the
+    leave, colour 3)."""
+    b16 = tmp_path / "b16.design"
+    run(capsys, "design", "search", "--v", "16", "--mode", "steiner",
+        "--classes", "5", "-o", str(b16))
+    one_class = tmp_path / "c8.design"
+    one_class.write_bytes(b"DESIGN v1\nv=8 k=4 mode=covering\nP 1\n0 1 2 3\n4 5 6 7\n")
+    mono_leave = tmp_path / "m8.design"
+    mono_leave.write_bytes(one_class.read_bytes() + b"P 2\n0 4 5 6\n1 2 3 7\n")
+    cases = {("4", b16): "r=4 uses the dedicated 10-point construction",
+             ("6", b16): "r=6 has no design order; lift the witness for r-1",
+             ("3", b16): "witness for r=3 needs 8 points, design has 16",
+             ("3", one_class): "expected 3 or 2 classes, design has 1",
+             ("3", mono_leave): "design colouring contains a monochromatic "
+                                "5-path: MonoPath(colour=3, path=(1, 4, 2, 5, 3))"}
+    for (r, path), message in cases.items():
+        code = main(["witness", r, "--design", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")

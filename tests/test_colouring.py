@@ -1,18 +1,25 @@
-"""Edge colourings, the lift, pigeonhole counts, witnesses, certificates."""
+"""Edge colourings, the lift, witnesses and their routes, certificates."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ramsey_p5
 from oracles import naive_has_mono_p5, random_mono_free_colouring
+from ramsey_p5 import designs
 from ramsey_p5.colouring import (Certificate, CertificateError, EdgeColouring,
-                                 UnsupportedWitness, find_mono_p5, lift,
-                                 max_mono_component_order, pair_count,
-                                 pair_index, pair_list, pigeonhole_check,
+                                 UnsupportedWitness, WitnessBudgetExhausted,
+                                 find_mono_p5, lift, max_mono_component_order,
+                                 pair_count, pair_index, pair_list,
                                  ramsey_value, read_certificate,
                                  verify_certificate, witness, witness_k10,
                                  write_certificate)
-from ramsey_p5.graphs import connected_components
+from ramsey_p5.engine import SearchBudget
+from ramsey_p5.graphs import connected_components, ex_p5
 
 
 def random_colouring(rng, n, r):
@@ -121,13 +128,34 @@ def test_lift_preserves_mono_p5_freedom():
 
 
 def test_pigeonhole_examples():
-    rep = pigeonhole_check(6, 2)
-    assert (rep.bound, rep.turan, rep.relation) == (8, 7, "forced")
-    rep = pigeonhole_check(9, 3)
-    assert (rep.bound, rep.turan, rep.relation) == (12, 12, "extremal")
-    rep = pigeonhole_check(25, 8)
-    assert rep.bound == 38 and rep.turan == 36 and rep.relation == "forced"
-    assert pigeonhole_check(10, 4).relation == "inconclusive"
+    """The most frequent colour class, ceil(C(n,2)/r) edges, against the
+    Turán number of the 5-vertex path: above it forces a path, equal to it
+    is the extremal case, below it decides nothing."""
+    from ramsey_p5.checks import lemma1_check
+
+    rep = lemma1_check(2)
+    assert (rep.n, rep.bound, rep.turan) == (6, 8, 7) and rep.bound > rep.turan
+    rep = lemma1_check(3)
+    assert (rep.n, rep.bound, rep.turan) == (9, 12, 12)
+    assert ("bound_equals_turan", True) in rep.checks
+    rep = lemma1_check(8)
+    assert (rep.n, rep.bound, rep.turan) == (25, 38, 36) and rep.bound > rep.turan
+    assert -(-pair_count(10) // 4) < ex_p5(10)
+
+
+def test_verify_cost_follows_the_colours_used(monkeypatch):
+    """A one-edge certificate whose header claims 100,000 colours builds the
+    one colour class that occurs, not one class per colour of the header."""
+    data = b"RAMSEY-P5 v1\nn=2 r=100000\nclaim=mono-p5-free\n0 1 7\n"
+    calls = []
+    real_class = EdgeColouring.colour_class
+    monkeypatch.setattr(EdgeColouring, "colour_class",
+                        lambda self, c: calls.append(c) or real_class(self, c))
+    cert = read_certificate(data)
+    assert verify_certificate(cert).ok
+    assert calls == [7]
+    assert max_mono_component_order(cert.colouring()) == 2
+    assert calls == [7, 7]
 
 
 def test_k10_witness():
@@ -171,21 +199,78 @@ def test_witness_rechecks_every_construction(monkeypatch):
 
 def test_residue_rule_consumers_follow_ramsey_value():
     """Lemma 1 counts at the Ramsey order, except r = 4 (13; Lemma 3 brings
-    it down to 11), and the design route colours one vertex fewer, except
-    r = 4 and r = 2 mod 4, which have their own constructions."""
+    it down to 11)."""
     from ramsey_p5.checks import lemma1_check
-    from ramsey_p5.designs import LiftPathError, g_of_r
 
     for r in range(1, 101):
         assert lemma1_check(r).n == (13 if r == 4 else ramsey_value(r))
-        if r % 4 == 2:
-            with pytest.raises(LiftPathError):
-                g_of_r(r)
-        elif r == 4:
-            with pytest.raises(ValueError):
-                g_of_r(r)
-        else:
-            assert g_of_r(r) == ramsey_value(r) - 1
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """Record the design searches behind witness; run the real search up to
+    16 points and report a spent budget beyond."""
+    calls = []
+    real_search = designs.search_design
+
+    def fake_search(v, mode, classes, budget=None):
+        calls.append((v, mode, classes, budget))
+        if v <= 16:
+            return real_search(v, mode, classes, budget)
+        return designs.DesignSearchResult(None, "budget", 0, 0.0)
+
+    monkeypatch.setattr(designs, "search_design", fake_search)
+    return calls
+
+
+def test_witness_search_parameters(search_calls):
+    """The design route searches K_N, N = R_r(P5) - 1, with r classes:
+    Steiner when N = 4 (mod 12), else covering; 5M nodes unless the caller
+    gives a budget."""
+    default = SearchBudget(nodes=5_000_000)
+    want = {1: (4, "steiner", 1), 3: (8, "covering", 3), 5: (16, "steiner", 5),
+            7: (20, "covering", 7), 8: (24, "covering", 8), 9: (28, "steiner", 9)}
+    for r, params in want.items():
+        for budget in (None, SearchBudget(nodes=10 ** 6)):
+            search_calls.clear()
+            if params[0] <= 16:
+                assert witness(r, budget=budget).n == params[0]
+            else:
+                with pytest.raises(WitnessBudgetExhausted):
+                    witness(r, budget=budget)
+            assert search_calls == [(*params, budget or default)], r
+
+
+def test_witness_lift_and_k10_routes(search_calls):
+    """r = 2 and r = 6 make exactly the search of r - 1 and lift it; r = 4
+    searches nothing."""
+    for r, params in ((2, (4, "steiner", 1)), (6, (16, "steiner", 5))):
+        search_calls.clear()
+        c = witness(r)
+        assert (c.n, c.r) == (ramsey_value(r) - 1, r)
+        assert c.colour_class(r).edge_count() == c.n - 1  # the lifted star
+        assert search_calls == [(*params, SearchBudget(nodes=5_000_000))]
+    search_calls.clear()
+    assert witness(4) == witness_k10()
+    assert search_calls == []
+
+
+def test_witness_k10_recheck_survives_python_O():
+    """Under python -O a K_10 construction with a monochromatic 5-vertex
+    path still makes witness(4) raise."""
+    script = (
+        "import sys\n"
+        "from ramsey_p5 import colouring\n"
+        "colouring.witness_k10 = lambda: colouring.EdgeColouring(10, 4, [1] * 45)\n"
+        "try:\n"
+        "    colouring.witness(4)\n"
+        "except AssertionError:\n"
+        "    sys.exit(0 if sys.flags.optimize else 2)\n"
+        "sys.exit(1)\n")
+    src = str(Path(ramsey_p5.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", script], timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0
 
 
 def test_witness_monotone_orders():

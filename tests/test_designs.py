@@ -11,12 +11,10 @@ import pytest
 import ramsey_p5
 from ramsey_p5.colouring import find_mono_p5, max_mono_component_order
 from ramsey_p5.designs import (Design, DesignParseError, InfeasibleParameters,
-                               LiftPathError, MissingResolution, NotAPacking,
-                               SearchBudget, UncolouredPair,
-                               design_to_colouring, g_of_r, leave_graph,
+                               MissingResolution, NotAPacking, SearchBudget,
+                               UncolouredPair, design_to_colouring, leave_graph,
                                pair_coverage, read_design, search_design,
-                               verify_design, verify_resolution, witness_parameters,
-                               write_design)
+                               verify_design, verify_resolution, write_design)
 from ramsey_p5.engine import CLOCK_POLL_NODES
 from ramsey_p5.graphs import connected_components
 
@@ -67,8 +65,8 @@ def test_v8_covering_passes_covering_not_steiner():
 def test_pair_coverage_totals():
     d = the_b4_16()
     cov = pair_coverage(d)
-    assert cov.total() == len(d.blocks) * 6 == 120
-    assert all(c == 1 for c in cov.counts.values())
+    assert sum(cov.values()) == len(d.blocks) * 6 == 120
+    assert all(c == 1 for c in cov.values())
 
 
 def test_b4_16_shape():
@@ -117,31 +115,6 @@ def test_leave_of_truncated_b4_16_is_four_cliques():
     assert leave.edge_count() == 24
     comps = [c.bit_count() for c in connected_components(leave)]
     assert sorted(comps) == [4, 4, 4, 4]
-
-
-def test_g_of_r_values():
-    assert g_of_r(5) == 16
-    assert g_of_r(3) == 8
-    assert g_of_r(8) == 24
-    assert g_of_r(7) == 20
-    with pytest.raises(LiftPathError):
-        g_of_r(6)
-    with pytest.raises(ValueError):
-        g_of_r(4)
-    with pytest.raises(ValueError):
-        g_of_r(0)
-
-
-def test_witness_parameters_class_counts():
-    for r in (3, 5, 7, 8, 9, 11, 12, 13):
-        v, mode, classes = witness_parameters(r)
-        assert classes == r
-        if v % 12 == 4:
-            assert mode == "steiner" and (v - 1) // 3 == r
-        elif v % 12 == 0:
-            assert mode == "covering" and v // 3 == r
-        else:
-            assert mode == "covering" and (v + 1) // 3 == r
 
 
 def test_design_to_colouring_b4_16():
