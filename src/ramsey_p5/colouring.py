@@ -6,7 +6,7 @@ certificate file format.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import MAX_VERTICES, Graph, connected_components, find_path
 
@@ -73,11 +73,23 @@ class EdgeColouring:
     def colour(self, i: int, j: int) -> int:
         return self.colours[pair_index(self.n, i, j)]
 
+    def colour_classes(self) -> Iterator[tuple[int, Graph]]:
+        """Each colour that occurs, ascending, with its class. One pass over
+        the pairs buckets the edges, so the cost follows the edges and not
+        the colour count."""
+        buckets: dict[int, list[tuple[int, int]]] = {}
+        for p, col in zip(pair_list(self.n), self.colours):
+            buckets.setdefault(col, []).append(p)
+        for col in sorted(buckets):
+            yield col, Graph(self.n, buckets[col])
+
     def colour_class(self, c: int) -> Graph:
         if not 1 <= c <= self.r:
             raise ValueError(f"colour {c} outside 1..{self.r}")
-        edges = [p for p, col in zip(pair_list(self.n), self.colours) if col == c]
-        return Graph(self.n, edges)
+        for col, g in self.colour_classes():
+            if col == c:
+                return g
+        return Graph(self.n)
 
     def class_sizes(self) -> list[int]:
         sizes = [0] * (self.r + 1)
@@ -95,8 +107,8 @@ def find_mono_p5(c: EdgeColouring) -> MonoPath | None:
     """A monochromatic 5-vertex path in some colour class, or None. Exact.
     Only the colours that occur are tried, in ascending order, so the work
     follows the edges and not the colour count."""
-    for colour in sorted(set(c.colours)):
-        path = find_path(c.colour_class(colour), 5)
+    for colour, g in c.colour_classes():
+        path = find_path(g, 5)
         if path is not None:
             return MonoPath(colour, path)
     return None
@@ -105,8 +117,7 @@ def find_mono_p5(c: EdgeColouring) -> MonoPath | None:
 def max_mono_component_order(c: EdgeColouring) -> int:
     """Largest vertex count of a component of any colour class."""
     best = 0
-    for colour in set(c.colours):
-        g = c.colour_class(colour)
+    for _colour, g in c.colour_classes():
         for comp in connected_components(g):
             if comp.bit_count() > 1:
                 best = max(best, comp.bit_count())

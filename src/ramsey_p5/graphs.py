@@ -156,7 +156,11 @@ def find_path(g: Graph, t: int) -> tuple[int, ...] | None:
     """An ordered t-vertex path in g as a subgraph, or None.
 
     Exact depth-first search over simple paths; the visited mask prunes
-    revisits and the search stops at the first hit.
+    revisits and the search stops at the first hit. A path starts at a
+    non-isolated vertex, and its interior vertices (positions 2..t-1) have
+    two path neighbours, so only vertices of degree >= 2 are drawn there.
+    Both cuts drop only branches that cannot complete, so the first path in
+    depth-first order is the same as without them.
     """
     if t < 1:
         raise ValueError("path order must be >= 1")
@@ -165,6 +169,10 @@ def find_path(g: Graph, t: int) -> tuple[int, ...] | None:
     if t == 1:
         return (0,)
     adj = g.adj
+    inner = 0
+    for v, row in enumerate(adj):
+        if row & (row - 1):  # at least two neighbours
+            inner |= 1 << v
     path: list[int] = []
 
     def extend(v: int, visited: int) -> bool:
@@ -172,6 +180,8 @@ def find_path(g: Graph, t: int) -> tuple[int, ...] | None:
         if len(path) == t:
             return True
         nb = adj[v] & ~visited
+        if len(path) < t - 1:
+            nb &= inner
         while nb:
             b = nb & -nb
             nb ^= b
@@ -181,7 +191,7 @@ def find_path(g: Graph, t: int) -> tuple[int, ...] | None:
         return False
 
     for s in range(g.n):
-        if extend(s, 1 << s):
+        if adj[s] and extend(s, 1 << s):
             return tuple(path)
     return None
 

@@ -44,6 +44,33 @@ def adj_has_p5(adj: list[int], n: int) -> bool:
     return any(extend(s, 1 << s, 1) for s in range(n))
 
 
+def unpruned_find_path(adj: list[int], n: int, t: int) -> tuple[int, ...] | None:
+    """The first t-vertex path in depth-first order, tried from every start
+    vertex and through every unvisited neighbour: the path search with no
+    cut beyond the visited mask."""
+    if t > n:
+        return None
+    path: list[int] = []
+
+    def extend(v: int, visited: int) -> bool:
+        path.append(v)
+        if len(path) == t:
+            return True
+        nb = adj[v] & ~visited
+        while nb:
+            b = nb & -nb
+            nb ^= b
+            if extend(b.bit_length() - 1, visited | b):
+                return True
+        path.pop()
+        return False
+
+    for s in range(n):
+        if extend(s, 1 << s):
+            return tuple(path)
+    return None
+
+
 def perm_has_path(edges: set[tuple[int, int]], n: int, t: int) -> bool:
     """Path detection by raw enumeration of ordered vertex tuples."""
     if t == 1:

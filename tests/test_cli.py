@@ -1,9 +1,13 @@
 """Command-line surface: outputs, file round trips, exit codes."""
 
+import random
+
 import pytest
 
 from ramsey_p5 import designs, ramsey_value
 from ramsey_p5.cli import main
+from ramsey_p5.colouring import (Certificate, EdgeColouring, lift, pair_count,
+                                 pair_index, witness, write_certificate)
 
 
 def run(capsys, *argv):
@@ -77,6 +81,66 @@ def test_malformed_certificate_is_usage_error(capsys, tmp_path):
     missing = tmp_path / "nope.cert"
     code, _ = run(capsys, "verify", str(missing))
     assert code == 2
+
+
+def test_verify_refuses_orders_beyond_graph_capacity(capsys, tmp_path):
+    """A well-formed 65-vertex certificate parses, but its colour class does
+    not fit the 64-vertex graph cap: exit 2 and no reported path."""
+    n = 65
+    cert = tmp_path / "k65.cert"
+    cert.write_bytes(write_certificate(Certificate(n, 1, (1,) * pair_count(n))))
+    code = main(["verify", str(cert)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        2, "", "error: vertex count must be in 0..64, got 65\n")
+
+
+def _sparse_first_colour(n: int, r: int, seed: int, weight: int) -> EdgeColouring:
+    """A seeded r-colouring of K_n that draws colour 1 with weight 1 and each
+    other colour with the given weight."""
+    rng = random.Random(seed)
+    return EdgeColouring(n, r, rng.choices(range(1, r + 1), k=pair_count(n),
+                                           weights=[1] + [weight] * (r - 1)))
+
+
+def _tampered_lift(n: int) -> EdgeColouring:
+    """The lift chain from witness(6) up to n vertices, with leaf pairs 3-7
+    and 7-12 moved into the last star's colour, which then holds a path."""
+    col = witness(6)
+    while col.n < n:
+        col = lift(col)
+    cols = list(col.colours)
+    for i, j in ((3, 7), (7, 12)):
+        cols[pair_index(n, i, j)] = col.r
+    return EdgeColouring(n, col.r, cols)
+
+
+# The first monochromatic path in depth-first order; a change to the search
+# order of find_path shows here.
+VERIFY_PINS = {
+    "sparse-12-2": (lambda: _sparse_first_colour(12, 2, 7, 6), 1, "0,7,2,1,5"),
+    "sparse-12-3": (lambda: _sparse_first_colour(12, 3, 8, 6), 2, "0,1,2,3,4"),
+    "sparse-16-3": (lambda: _sparse_first_colour(16, 3, 9, 8), 1, "0,11,2,14,3"),
+    "sparse-20-2": (lambda: _sparse_first_colour(20, 2, 10, 10), 1, "1,10,6,9,2"),
+    "sparse-33-3": (lambda: _sparse_first_colour(33, 3, 11, 16), 1, "1,20,30,11,9"),
+    "sparse-48-2": (lambda: _sparse_first_colour(48, 2, 12, 24), 1, "0,5,2,11,16"),
+    "sparse-64-3": (lambda: _sparse_first_colour(64, 3, 13, 32), 1, "1,51,56,60,61"),
+    "uniform-64-2": (lambda: _sparse_first_colour(64, 2, 6, 1), 1, "0,3,1,2,4"),
+    "lift-30": (lambda: _tampered_lift(30), 19, "0,29,3,7,12"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_PINS))
+def test_verify_reports_pinned_paths(capsys, tmp_path, name):
+    build, colour, path = VERIFY_PINS[name]
+    col = build()
+    cert = tmp_path / f"{name}.cert"
+    cert.write_bytes(write_certificate(Certificate.from_colouring(col)))
+    code = main(["verify", str(cert)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (
+        1, f"outcome=fail\nwitness_colour={colour}\nwitness_path={path}\n")
+    assert captured.err == f"certificate n={col.n} r={col.r}: claim VIOLATED\n"
 
 
 def test_unopenable_paths_are_usage_errors(capsys, tmp_path):

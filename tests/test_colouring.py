@@ -144,18 +144,32 @@ def test_pigeonhole_examples():
 
 
 def test_verify_cost_follows_the_colours_used(monkeypatch):
-    """A one-edge certificate whose header claims 100,000 colours builds the
-    one colour class that occurs, not one class per colour of the header."""
-    data = b"RAMSEY-P5 v1\nn=2 r=100000\nclaim=mono-p5-free\n0 1 7\n"
-    calls = []
-    real_class = EdgeColouring.colour_class
-    monkeypatch.setattr(EdgeColouring, "colour_class",
-                        lambda self, c: calls.append(c) or real_class(self, c))
-    cert = read_certificate(data)
-    assert verify_certificate(cert).ok
-    assert calls == [7]
-    assert max_mono_component_order(cert.colouring()) == 2
-    assert calls == [7, 7]
+    """The checks bucket the pairs by colour in one pass over pair_list and
+    build one graph per colour that occurs: a one-edge certificate headed
+    r=100000 builds one class, and a 64-vertex certificate that gives each
+    of its 2,016 edges its own colour takes one pass, not one per colour."""
+    import ramsey_p5.colouring as colouring
+
+    passes, builds = [], []
+    real_pairs, real_graph = colouring.pair_list, colouring.Graph
+    monkeypatch.setattr(colouring, "pair_list",
+                        lambda n: passes.append(n) or real_pairs(n))
+    monkeypatch.setattr(colouring, "Graph",
+                        lambda n, edges=(): builds.append(n) or real_graph(n, edges))
+    n = 64
+    colours = range(1, pair_count(n) + 1)
+    many = write_certificate(Certificate(n, pair_count(n), tuple(colours)))
+    one = b"RAMSEY-P5 v1\nn=2 r=100000\nclaim=mono-p5-free\n0 1 7\n"
+    for data, classes in ((one, 1), (many, pair_count(n))):
+        cert = read_certificate(data)
+        passes.clear()
+        builds.clear()
+        assert verify_certificate(cert).ok
+        assert (passes, len(builds)) == ([cert.n], classes)
+        passes.clear()
+        builds.clear()
+        assert max_mono_component_order(cert.colouring()) == 2
+        assert (passes, len(builds)) == ([cert.n], classes)
 
 
 def test_k10_witness():

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from oracles import all_pairs, brute_force_ex_p5, perm_has_path, unlabelled_trees
+from oracles import (all_pairs, brute_force_ex_p5, perm_has_path, unlabelled_trees,
+                     unpruned_find_path)
 from ramsey_p5.graphs import (Graph, TuranForm, complement, complete,
                               connected_components, contains_clique,
                               contains_path, cycle_graph, diameter,
@@ -62,6 +63,37 @@ def test_find_path_returns_real_path():
     path = find_path(g, 5)
     assert path is not None and len(set(path)) == 5
     assert all(g.has_edge(path[k], path[k + 1]) for k in range(4))
+
+
+def _same_first_path(g: Graph) -> None:
+    for t in range(1, 7):
+        assert find_path(g, t) == unpruned_find_path(list(g.adj), g.n, t), (g.edges(), t)
+
+
+def test_find_path_matches_unpruned_search():
+    """The start and degree cuts in find_path drop only branches that cannot
+    complete: for t = 1..6 it returns the same first path as the search
+    without them, on every labelled graph up to 6 vertices, on seeded random
+    graphs up to 12 vertices, and on relabelled stars and double stars up
+    to the 64-vertex cap."""
+    for n in range(7):
+        pairs = all_pairs(n)
+        for mask in range(1 << len(pairs)):
+            _same_first_path(Graph(n, [p for k, p in enumerate(pairs) if mask >> k & 1]))
+    rng = random.Random(20261018)
+    for _ in range(400):
+        n = rng.randint(7, 12)
+        density = rng.choice((0.1, 0.2, 0.3, 0.5))
+        _same_first_path(Graph(n, [p for p in all_pairs(n) if rng.random() < density]))
+    for n in range(1, 65):
+        label = rng.sample(range(n), n)
+        _same_first_path(Graph(n, [(label[0], label[i]) for i in range(1, n)]))
+        for split in {k for k in (2, n // 2, n - 1) if 2 <= k < n}:
+            # centres label[0] and label[split], joined, splitting the leaves
+            edges = [(label[0], label[split])]
+            edges += [(label[0], label[i]) for i in range(1, split)]
+            edges += [(label[split], label[i]) for i in range(split + 1, n)]
+            _same_first_path(Graph(n, edges))
 
 
 def test_ex_p5_values():
