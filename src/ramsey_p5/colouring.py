@@ -317,6 +317,21 @@ def write_certificate(cert: Certificate) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def _edge_line(parts: list[str], lineno: int, i: int, j: int, r: int) -> int:
+    """The colour of the edge line split into ``parts``, which must name the
+    pair (i, j); CertificateError for a malformed line."""
+    if len(parts) != 3:
+        raise CertificateError(lineno, "expected '<i> <j> <c>'")
+    ii = _strict_int(parts[0], lineno, "vertex", CertificateError)
+    jj = _strict_int(parts[1], lineno, "vertex", CertificateError)
+    c = _strict_int(parts[2], lineno, "colour", CertificateError)
+    if (ii, jj) != (i, j):
+        raise CertificateError(lineno, f"expected pair {i} {j}, got {ii} {jj}")
+    if not 1 <= c <= r:
+        raise CertificateError(lineno, f"colour {c} outside 1..{r}")
+    return c
+
+
 def read_certificate(data: bytes) -> Certificate:
     lines = _file_lines(data, CERT_HEADER, CertificateError)
     if len(lines) < 3:
@@ -334,21 +349,24 @@ def read_certificate(data: bytes) -> Certificate:
     expected = n * (n - 1) // 2
     if len(lines) < 3 + expected:
         raise CertificateError(len(lines), f"expected {expected} edge lines")
-    pairs = pair_list(n)
+    # A well-formed line is the decimal names of its pair and of a colour,
+    # so comparing strings decides it. Any other line takes _edge_line, which
+    # raises, or accepts a colour too large for the table.
+    names = [str(v) for v in range(n)]
+    colour_of = {str(c): c for c in range(1, min(r, expected) + 1)}
     cols = []
-    for k, (i, j) in enumerate(pairs):
-        lineno = 4 + k
-        parts = lines[3 + k].split(" ")
-        if len(parts) != 3:
-            raise CertificateError(lineno, "expected '<i> <j> <c>'")
-        ii = _strict_int(parts[0], lineno, "vertex", CertificateError)
-        jj = _strict_int(parts[1], lineno, "vertex", CertificateError)
-        c = _strict_int(parts[2], lineno, "colour", CertificateError)
-        if (ii, jj) != (i, j):
-            raise CertificateError(lineno, f"expected pair {i} {j}, got {ii} {jj}")
-        if not 1 <= c <= r:
-            raise CertificateError(lineno, f"colour {c} outside 1..{r}")
-        cols.append(c)
+    row = 3
+    for i in range(n):
+        name = names[i]
+        for j in range(i + 1, n):
+            parts = lines[row].split(" ")
+            row += 1
+            if len(parts) == 3 and parts[0] == name and parts[1] == names[j]:
+                c = colour_of.get(parts[2])
+                if c is not None:
+                    cols.append(c)
+                    continue
+            cols.append(_edge_line(parts, row, i, j, r))
     notes = []
     for k, raw in enumerate(lines[3 + expected:]):
         lineno = 4 + expected + k

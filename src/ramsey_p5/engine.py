@@ -4,12 +4,15 @@ Backtracking assigns colours to the edges of K_n in vertex-by-vertex order
 (all edges into vertex w before vertex w+1), so every prefix is a complete
 colouring of some K_w. Pruning:
 
-* a colour class may never gain a 5-vertex path. The engine keeps the
-  component mask of every vertex in every class, so it tests only the
-  component that the new edge creates or grows, by the catalogue of
-  connected P5-free shapes (``pfree.component_is_p5_free``), without
-  enumerating paths. This also keeps every class within the Turán bound
-  ex(n), since any graph with more edges has a 5-vertex path;
+* a colour class may never gain a 5-vertex path. The engine keeps, for
+  every class, the component mask of every vertex, the edge count of every
+  component and the mask of vertices of degree at least 2. So it tests only
+  the component that the new edge creates or grows, by the catalogue of
+  connected P5-free shapes (``pfree.shape_is_p5_free``), in constant time:
+  no path is enumerated and no vertex of the component is visited, except
+  u, w and their common neighbours when looking for a vertex adjacent to
+  all others. This also keeps every class within the Turán bound ex(n),
+  since any graph with more edges has a 5-vertex path;
 * the summed completion capacity of all classes must reach the edge count,
   where a class capacity is the largest edge count any supergraph of its
   current components can have while staying free of 5-vertex paths. It
@@ -33,7 +36,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .colouring import Certificate, pair_index, verify_certificate
-from .pfree import _max_conn_edges, component_is_p5_free
+from .pfree import _max_conn_edges, shape_is_p5_free
 
 MAX_ORDER = 12
 MAX_COLOURS = 4
@@ -125,13 +128,15 @@ class SearchStats:
     pruned_path: int = 0
     pruned_capacity: int = 0
     pruned_isomorph: int = 0
+    memo: int = 0  # canonical prefixes recorded by the isomorph rule
 
     def lines(self) -> list[str]:
         return [f"nodes={self.nodes}", f"depth={self.max_depth}",
                 f"seconds={self.seconds:.3f}", f"mode={self.mode}",
                 f"pruned_path={self.pruned_path}",
                 f"pruned_capacity={self.pruned_capacity}",
-                f"pruned_isomorph={self.pruned_isomorph}"]
+                f"pruned_isomorph={self.pruned_isomorph}",
+                f"memo={self.memo}"]
 
 
 @dataclass(frozen=True)
@@ -222,6 +227,25 @@ def _coloured_key(cols: list[int], nedges: int, v: int) -> tuple[int, ...]:
     return tuple(best)
 
 
+def _grown_is_p5_free(adj: list[int], joined: int, e: int, inner: int,
+                      u: int, w: int) -> bool:
+    """Whether the component ``joined``, which the edge uw has just created
+    or grown to e edges, still has no 5-vertex path; ``inner`` is the mask of
+    the class's vertices of degree at least 2. A vertex adjacent to all the
+    others is u, w or a common neighbour of both, so only those are tried."""
+    s = joined.bit_count()
+    hub = False
+    if e == s:
+        rest = adj[u] & adj[w] | 1 << u | 1 << w
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if adj[b.bit_length() - 1] | b == joined:
+                hub = True
+                break
+    return shape_is_p5_free(s, e, (inner & joined).bit_count(), hub)
+
+
 def _label(comp: list[int], part: int) -> None:
     """Make part the component mask of each of its vertices."""
     rest = part
@@ -239,9 +263,13 @@ class _Engine:
         self.edges = [(u, w) for w in range(1, n) for u in range(w)]
         self.m = len(self.edges)
         self.adj = [[0] * n for _ in range(r + 1)]
-        # Per class: the component mask of every vertex, and the sorted
-        # component orders, which fix the class capacity.
+        # Per class: the component mask of every vertex, the edge count of
+        # every component (keyed by its mask), the mask of vertices of degree
+        # at least 2, and the sorted component orders, which fix the class
+        # capacity.
         self.comp = [[1 << v for v in range(n)] for _ in range(r + 1)]
+        self.edge_counts = [{1 << v: 0 for v in range(n)} for _ in range(r + 1)]
+        self.inner = [0] * (r + 1)
         self.sizes = [(1,) * n] * (r + 1)
         empty_cap = _completion_cap((1,) * n)
         self.caps = [empty_cap] * (r + 1)
@@ -265,7 +293,8 @@ class _Engine:
             pass
         stats = SearchStats(meter.nodes, self.max_depth, meter.seconds(),
                             meter.budget.mode, self.pruned_path,
-                            self.pruned_capacity, self.pruned_isomorph)
+                            self.pruned_capacity, self.pruned_isomorph,
+                            len(self.memo))
         if outcome == OUTCOME_WITNESS and not verify_certificate(self.witness).ok:
             raise AssertionError("search witness fails re-verification")
         return Verdict(outcome, self.witness, stats)
@@ -286,21 +315,36 @@ class _Engine:
             tick()
             adjc = self.adj[c]
             compc = self.comp[c]
+            counts = self.edge_counts[c]
+            inner = self.inner[c]
             cu = compc[u]
             cw = compc[w]
-            adjc[u] |= wbit
-            adjc[w] |= ubit
+            au = adjc[u]
+            aw = adjc[w]
+            adjc[u] = au | wbit
+            adjc[w] = aw | ubit
+            # u and w have degree >= 2 now unless uw is their first edge.
+            grown = inner | (ubit if au else 0) | (wbit if aw else 0)
+            merged = cu != cw
+            if merged:
+                joined = cu | cw
+                e = counts[cu] + counts[cw] + 1
+            else:
+                joined = cu
+                e = counts[cu] + 1
             # The class was free of 5-vertex paths before uw went in, so any
             # such path now runs through uw, inside the component of u and w.
-            if not component_is_p5_free(adjc, cu | cw):
+            if not _grown_is_p5_free(adjc, joined, e, grown, u, w):
                 self.pruned_path += 1
             else:
+                self.inner[c] = grown
                 # Capacity changes only when uw joins two components, and the
                 # total passed the test when it last changed.
-                merged = cu != cw
                 if merged:
                     old_sizes = self.sizes[c]
                     self._merge(c, cu, cw)
+                else:
+                    counts[cu] = e
                 if merged and cfg.component_bound and self.total_cap < self.m:
                     self.pruned_capacity += 1
                 elif boundary_v is not None and self._seen(d, c, boundary_v):
@@ -311,14 +355,21 @@ class _Engine:
                         return True
                 if merged:
                     self._split(c, cu, cw, old_sizes)
-            adjc[u] &= ~wbit
-            adjc[w] &= ~ubit
+                else:
+                    counts[cu] = e - 1
+                self.inner[c] = inner
+            adjc[u] = au
+            adjc[w] = aw
         return False
 
     def _merge(self, c: int, cu: int, cw: int) -> None:
-        """Join the components cu and cw of class c."""
+        """Join the components cu and cw of class c by one edge."""
         joined = cu | cw
         _label(self.comp[c], joined)
+        # The parts keep their entries while they are joined, and no other
+        # component can take their masks, so _split leaves the counts alone.
+        counts = self.edge_counts[c]
+        counts[joined] = counts[cu] + counts[cw] + 1
         sizes = list(self.sizes[c])
         sizes.remove(cu.bit_count())
         sizes.remove(cw.bit_count())

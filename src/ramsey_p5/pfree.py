@@ -6,10 +6,12 @@ A connected graph contains no 5-vertex path exactly when it is one of:
 * a triangle with pendant edges all attached to one vertex (e = s),
 * C4, K4 minus an edge, or K4 (s = 4 with e = 4, 5, 6).
 
-``component_is_p5_free`` decides membership from the degrees alone, which
-is the form the search engine tests each new edge with. The test suite
-validates the classification against raw enumeration for small orders
-instead of taking it on faith. Arbitrary graphs without a 5-vertex path are
+``shape_is_p5_free`` decides membership from four numbers: the order, the
+edge count, the number of vertices of degree at least 2 and whether some
+vertex is adjacent to all others. ``component_is_p5_free`` counts them from
+the degrees; the search engine keeps them up to date edge by edge. The test
+suite validates the classification against raw enumeration for small
+orders instead of taking it on faith. Arbitrary graphs without a 5-vertex path are
 exactly the disjoint unions of catalogue members, which is what
 ``enumerate_p5_free`` composes. The members of the catalogue are pairwise
 non-isomorphic (their degree sequences differ), and two such unions are
@@ -80,15 +82,24 @@ def _max_conn_edges(s: int) -> int:
                 if component_catalogue(s, e))
 
 
+def shape_is_p5_free(s: int, e: int, inner: int, hub: bool) -> bool:
+    """Whether a connected graph with s vertices, e edges, ``inner``
+    vertices of degree at least 2 and (``hub``) a vertex adjacent to all
+    others has no 5-vertex path, by the catalogue: at most 4 vertices, a
+    tree with at most two non-leaves, or s edges with a hub. ``hub`` is
+    read only when e = s."""
+    if s <= 4:
+        return True
+    if e == s - 1:
+        return inner <= 2
+    return e == s and hub
+
+
 def component_is_p5_free(adj: list[int], comp: int) -> bool:
     """Whether the connected graph on the vertex mask ``comp`` (a whole
     component of the graph with neighbour masks ``adj``) has no 5-vertex
-    path, decided from its degrees by the catalogue: at most 4 vertices, a
-    tree with at most two non-leaves, or s edges with a vertex adjacent to
-    all others."""
+    path: ``shape_is_p5_free`` on the shape counted from its degrees."""
     s = comp.bit_count()
-    if s <= 4:
-        return True
     twice_e = inner = 0
     hub = False
     while comp:
@@ -100,9 +111,7 @@ def component_is_p5_free(adj: list[int], comp: int) -> bool:
             inner += 1
             if deg == s - 1:
                 hub = True
-    if twice_e == 2 * s - 2:
-        return inner <= 2
-    return twice_e == 2 * s and hub
+    return shape_is_p5_free(s, twice_e // 2, inner, hub)
 
 
 def _component_options(n: int, m: int) -> list[tuple[int, int, Graph]]:

@@ -382,6 +382,65 @@ def test_certificate_parse_errors_carry_line_numbers():
         assert err.value.line == 2
 
 
+def reference_edge_colours(lines, n, r):
+    """The edge lines parsed token by token, as read_certificate did before
+    it compared strings: the colours, or the (line, message) of the first
+    error."""
+    def strict(token):
+        return token.isdigit() and (token == "0" or token[0] != "0")
+
+    cols = []
+    for k, (i, j) in enumerate(pair_list(n)):
+        lineno = 4 + k
+        parts = lines[3 + k].split(" ")
+        if len(parts) != 3:
+            return lineno, "expected '<i> <j> <c>'"
+        for token, what in zip(parts, ("vertex", "vertex", "colour")):
+            if not strict(token):
+                return lineno, f"malformed {what}: {token!r}"
+        ii, jj, c = map(int, parts)
+        if (ii, jj) != (i, j):
+            return lineno, f"expected pair {i} {j}, got {ii} {jj}"
+        if not 1 <= c <= r:
+            return lineno, f"colour {c} outside 1..{r}"
+        cols.append(c)
+    return tuple(cols)
+
+
+def test_edge_line_parse_matches_token_reference():
+    """Certificates with one edge line mangled at random: read_certificate
+    accepts the same colours or raises at the same line with the same
+    message as the token-by-token reference, with r below and above the
+    edge count."""
+    rng = random.Random(1729)
+    tokens = ("", "0", "00", "01", "+1", "-1", "1_0", "x", "1.0", "7", "12",
+              "99999")
+    for _ in range(600):
+        n = rng.randint(2, 8)
+        r = rng.choice((1, 2, 4, 40, 100000))
+        cert = Certificate(n, r, tuple(rng.randint(1, min(r, 50))
+                                       for _ in range(pair_count(n))))
+        lines = write_certificate(cert).decode("ascii").split("\n")
+        row = rng.randrange(3, 3 + pair_count(n))
+        parts = lines[row].split(" ")
+        change = rng.choice((0, 0, 0, 0, 1, 2, 3))
+        if change == 0:
+            parts[rng.randrange(3)] = rng.choice(tokens + (str(r), str(r + 1)))
+        elif change == 1:
+            parts.insert(rng.randrange(4), rng.choice(("", "1")))
+        elif change == 2:
+            del parts[rng.randrange(3)]
+        else:
+            parts[0], parts[1] = parts[1], parts[0]
+        lines[row] = " ".join(parts)
+        want = reference_edge_colours(lines, n, r)
+        try:
+            got = read_certificate("\n".join(lines).encode("ascii")).colours
+        except CertificateError as exc:
+            got = exc.line, str(exc).partition(": ")[2]
+        assert got == want, (n, r, lines[row])
+
+
 def test_header_only_certificate_rejected_in_constant_memory():
     """A header claiming a large order is rejected from its line count,
     before any per-pair table is built."""

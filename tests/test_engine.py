@@ -16,7 +16,7 @@ from ramsey_p5.colouring import verify_certificate, write_certificate
 from ramsey_p5.engine import (CLOCK_POLL_NODES, OUTCOME_BUDGET, OUTCOME_REFUTED,
                               OUTCOME_WITNESS, ParameterError, SearchBudget,
                               SearchConfig, _completion_cap, _Engine,
-                              ramsey_verify)
+                              _grown_is_p5_free, ramsey_verify)
 from ramsey_p5.pfree import component_is_p5_free
 
 UNPRUNED = SearchConfig(colour_symmetry=False, component_bound=False,
@@ -87,6 +87,7 @@ def test_node_counts_pinned():
     verdict = ramsey_verify(9, 3)
     assert (verdict.outcome, verdict.stats.nodes, verdict.stats.max_depth) == (
         OUTCOME_REFUTED, 3103, 28)
+    assert verdict.stats.memo == 57
     for n in (11, 12):
         verdict = ramsey_verify(n, 4, budget=SearchBudget(nodes=30000))
         assert (verdict.outcome, verdict.stats.nodes, verdict.stats.max_depth) == (
@@ -94,23 +95,31 @@ def test_node_counts_pinned():
 
 
 def test_prune_counters_account_for_every_node(monkeypatch):
-    """Each node is cut off by exactly one rule or descended into."""
-    calls = 0
-    dfs = _Engine._dfs
+    """Each node is cut off by exactly one rule or descended into, and each
+    node at an isomorph boundary is cut off or recorded in the memo."""
+    calls = boundary = 0
+    dfs, seen = _Engine._dfs, _Engine._seen
 
     def counted(self, d, used):
         nonlocal calls
         calls += 1
         return dfs(self, d, used)
 
+    def counted_seen(self, d, c, v):
+        nonlocal boundary
+        boundary += 1
+        return seen(self, d, c, v)
+
     monkeypatch.setattr(_Engine, "_dfs", counted)
+    monkeypatch.setattr(_Engine, "_seen", counted_seen)
     stats = ramsey_verify(9, 3).stats
     pruned = (stats.pruned_path, stats.pruned_capacity, stats.pruned_isomorph)
     assert all(pruned)
     assert sum(pruned) + calls - 1 == stats.nodes  # the root call is no descent
+    assert stats.memo + stats.pruned_isomorph == boundary
     off = ramsey_verify(8, 3, SearchConfig(component_bound=False,
                                            isomorph=False)).stats
-    assert (off.pruned_capacity, off.pruned_isomorph) == (0, 0)
+    assert (off.pruned_capacity, off.pruned_isomorph, off.memo) == (0, 0, 0)
 
 
 def test_refutes_9_3():
@@ -182,8 +191,13 @@ def test_witness_certificates_reverify():
 @pytest.mark.slow
 def test_witness_10_4():
     verdict = ramsey_verify(10, 4, budget=SearchBudget(nodes=20_000_000))
-    assert (verdict.outcome, verdict.stats.nodes, verdict.stats.max_depth) == (
+    stats = verdict.stats
+    assert (verdict.outcome, stats.nodes, stats.max_depth) == (
         OUTCOME_WITNESS, 1536444, 44)
+    assert (stats.pruned_path, stats.pruned_capacity, stats.pruned_isomorph) == (
+        1152075, 16, 224)
+    digest = hashlib.sha256(write_certificate(verdict.certificate)).hexdigest()
+    assert digest == "17f86164fa2b5dddf452851ed921a847216a55bdf2e00d23a557127760a61a68"
     assert verify_certificate(verdict.certificate).ok
 
 
@@ -303,14 +317,25 @@ def test_completion_cap_is_sound_upper_bound():
         assert best <= cap
 
 
+def edge_count(adj, comp):
+    return sum(adj[v].bit_count() for v in range(len(adj)) if comp >> v & 1) // 2
+
+
+def inner_mask(adj):
+    return sum(1 << v for v in range(len(adj)) if adj[v].bit_count() > 1)
+
+
 def assert_class_records(eng, c):
-    """The component masks, orders and capacity of class c match a
-    breadth-first search of its edges."""
+    """The component masks, edge counts, orders and capacity of class c and
+    its mask of vertices of degree at least 2 match a recount of its edges
+    by breadth-first search."""
     adj, comp = eng.adj[c], eng.comp[c]
     for mask in bfs_components(adj, eng.n):
         for v in range(eng.n):
             if mask >> v & 1:
                 assert comp[v] == mask
+        assert eng.edge_counts[c][mask] == edge_count(adj, mask)
+    assert eng.inner[c] == inner_mask(adj)
     assert eng.sizes[c] == component_sizes(adj, eng.n)
     assert eng.caps[c] == _completion_cap(eng.sizes[c])
 
@@ -332,26 +357,37 @@ START_SHAPES = ([], [(0, 1), (0, 2), (0, 3), (0, 4)], [(0, 1), (0, 2), (1, 3), (
 @pytest.mark.parametrize("n", range(5, 13))
 def test_catalogue_edge_test_matches_path_oracle(n):
     """Path-free classes grown at random from each start shape through the
-    engine's component records: every absent edge gets the
-    path-enumeration oracle's verdict, and the records match a breadth-first
-    search after each merge and each undo."""
+    engine's component records: every absent edge gets the same verdict from
+    the incremental test on the kept records, from the degree test and from
+    the path-enumeration oracle, and the records match a breadth-first
+    search after each edge and each undo."""
     rng = random.Random(n)
     pairs = all_pairs(n)
     seen = set()
     for start in START_SHAPES * 3:
         eng = _Engine(n, 1, SearchConfig())
-        adj, comp = eng.adj[1], eng.comp[1]
+        adj, comp, counts = eng.adj[1], eng.comp[1], eng.edge_counts[1]
         start_cap = eng.total_cap
         history = []
+
+        def grow(u, w):
+            """Add uw; the kept edge count it gives and the grown inner mask."""
+            grown = eng.inner[1] | (adj[u] and 1 << u) | (adj[w] and 1 << w)
+            adj[u] |= 1 << w
+            adj[w] |= 1 << u
+            if comp[u] == comp[w]:
+                return counts[comp[u]] + 1, grown
+            return counts[comp[u]] + counts[comp[w]] + 1, grown
+
         while True:
             free = []
             for u, w in pairs:
                 if adj[u] >> w & 1:
                     continue
-                adj[u] |= 1 << w
-                adj[w] |= 1 << u
                 joined = comp[u] | comp[w]
-                ok = component_is_p5_free(adj, joined)
+                e, grown = grow(u, w)
+                ok = _grown_is_p5_free(adj, joined, e, grown, u, w)
+                assert ok == component_is_p5_free(adj, joined), (adj, u, w)
                 assert ok == (not edge_creates_p5(adj, u, w)), (adj, u, w)
                 if joined.bit_count() > 4:
                     seen.add((comp[u] == comp[w], ok and free_shape(adj, joined)))
@@ -365,18 +401,22 @@ def test_catalogue_edge_test_matches_path_oracle(n):
                 u, w = rng.choice(free)
             else:
                 break
-            cu, cw, sizes = comp[u], comp[w], eng.sizes[1]
-            adj[u] |= 1 << w
-            adj[w] |= 1 << u
+            cu, cw, sizes, inner = comp[u], comp[w], eng.sizes[1], eng.inner[1]
+            e, eng.inner[1] = grow(u, w)
             if cu != cw:
                 eng._merge(1, cu, cw)
-            history.append((u, w, cu, cw, sizes))
+            else:
+                counts[cu] = e
+            history.append((u, w, cu, cw, sizes, inner))
             assert_class_records(eng, 1)
-        for u, w, cu, cw, sizes in reversed(history):
+        for u, w, cu, cw, sizes, inner in reversed(history):
             adj[u] &= ~(1 << w)
             adj[w] &= ~(1 << u)
+            eng.inner[1] = inner
             if cu != cw:
                 eng._split(1, cu, cw, sizes)
+            else:
+                counts[cu] -= 1
             assert_class_records(eng, 1)
         assert eng.total_cap == start_cap
     # Past four vertices: an edge inside a star closes a triangle with
@@ -390,20 +430,22 @@ def test_catalogue_edge_test_matches_path_oracle(n):
 
 
 def test_search_decisions_match_path_oracle(monkeypatch):
-    """During real searches, every catalogue verdict is the path oracle's,
-    and every node entered has exact component records."""
+    """During real searches, every incremental verdict is the path
+    oracle's and is taken on exact records of the grown component, and every
+    node entered has exact component records."""
     from ramsey_p5 import engine
 
     checks = 0
-    predicate = engine.component_is_p5_free
+    decide = engine._grown_is_p5_free
     dfs = _Engine._dfs
 
-    def checked_predicate(adj, comp):
+    def checked_decide(adj, joined, e, inner, u, w):
         nonlocal checks
         checks += 1
         n = len(adj)
-        assert comp in bfs_components(adj, n)
-        ok = predicate(adj, comp)
+        assert joined in bfs_components(adj, n) and joined >> u & joined >> w & 1
+        assert (e, inner) == (edge_count(adj, joined), inner_mask(adj))
+        ok = decide(adj, joined, e, inner, u, w)
         assert ok == (not adj_has_p5(adj, n))
         return ok
 
@@ -413,7 +455,7 @@ def test_search_decisions_match_path_oracle(monkeypatch):
         assert self.total_cap == sum(self.caps[1:])
         return dfs(self, d, used)
 
-    monkeypatch.setattr(engine, "component_is_p5_free", checked_predicate)
+    monkeypatch.setattr(engine, "_grown_is_p5_free", checked_decide)
     monkeypatch.setattr(_Engine, "_dfs", checked_dfs)
     assert ramsey_verify(8, 3).stats.nodes == 241
     assert ramsey_verify(9, 3).stats.nodes == 3103
