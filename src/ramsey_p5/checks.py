@@ -138,6 +138,14 @@ def _pairbit(i: int, j: int) -> int:
     return 1 << pair_index(N11, i, j)
 
 
+def _graph_mask(g: Graph) -> int:
+    """The pair mask of an 11-vertex graph."""
+    m = 0
+    for a, b in g.edges():
+        m |= _pairbit(a, b)
+    return m
+
+
 def _clique_mask(points: tuple[int, ...]) -> int:
     m = 0
     for a, b in combinations(points, 2):
@@ -231,9 +239,9 @@ def lemma3_check() -> Lemma3Report:
     (a) the only way four classes of at most 14 edges each can partition the
     55 edges of K_11 is (14, 14, 14, 13), and a 15-edge largest class forces a
     14-edge second class; (b) the complement of the extremal graph has no K4;
-    (c) for each of the two 14-edge shapes placed canonically, every labelled
-    edge-disjoint placement of a 14-edge shape alongside it yields a union
-    containing K4+K4+K3 whose complement has no K4.
+    (c) for each of the two 14-edge shapes, placed as Claim 1 builds them,
+    every labelled edge-disjoint placement of a 14-edge shape alongside it
+    yields a union containing K4+K4+K3 whose complement has no K4.
     """
     splits = tuple(
         (e1, e2, e3, e4)
@@ -249,10 +257,7 @@ def lemma3_check() -> Lemma3Report:
 
     k4m = _all_k4_masks()
     candidates = _placements_two_k4_p3(k4m) + _placements_k4_k4minus_k3(k4m)
-    k4_01 = _clique_mask((0, 1, 2, 3))
-    k4_45 = _clique_mask((4, 5, 6, 7))
-    g1a = k4_01 | k4_45 | _pairbit(8, 9) | _pairbit(9, 10)
-    g1b = k4_01 | (k4_45 ^ _pairbit(6, 7)) | _clique_mask((8, 9, 10))
+    g1a, g1b = (_graph_mask(g) for g in expected_shapes_11_14())
     full = (1 << PAIRS11) - 1
 
     disjoint = 0

@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import checks, colouring, designs, engine
-from .graphs import TuranForm, ex_p5
+from .graphs import ex_p5
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -25,10 +25,10 @@ def _say(msg: str) -> None:
 
 
 def _extremal_name(n: int) -> str:
-    form = TuranForm.of_order(n)
-    parts = ["K4"] * form.a
-    if form.b or not parts:
-        parts.append(f"K{form.b}")
+    a, b = divmod(n, 4)
+    parts = ["K4"] * a
+    if b or not parts:
+        parts.append(f"K{b}")
     return "+".join(parts)
 
 

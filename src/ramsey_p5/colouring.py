@@ -83,20 +83,6 @@ class EdgeColouring:
         for col in sorted(buckets):
             yield col, Graph(self.n, buckets[col])
 
-    def colour_class(self, c: int) -> Graph:
-        if not 1 <= c <= self.r:
-            raise ValueError(f"colour {c} outside 1..{self.r}")
-        for col, g in self.colour_classes():
-            if col == c:
-                return g
-        return Graph(self.n)
-
-    def class_sizes(self) -> list[int]:
-        sizes = [0] * (self.r + 1)
-        for c in self.colours:
-            sizes[c] += 1
-        return sizes[1:]
-
 
 class MonoPath(NamedTuple):
     colour: int

@@ -29,6 +29,7 @@ descent.
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import insort
 from dataclasses import dataclass
@@ -64,8 +65,8 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.nodes is not None and self.nodes <= 0:
             raise ValueError("node limit must be positive")
-        if self.seconds is not None and self.seconds <= 0:
-            raise ValueError("time limit must be positive")
+        if self.seconds is not None and not 0 < self.seconds < math.inf:
+            raise ValueError("time limit must be positive and finite")
 
     @property
     def mode(self) -> str:
@@ -342,9 +343,11 @@ class _Engine:
                 # total passed the test when it last changed.
                 if merged:
                     old_sizes = self.sizes[c]
+                    old_cap = self.caps[c]
                     self._merge(c, cu, cw)
-                else:
-                    counts[cu] = e
+                # An undone merge leaves this count and the parts' counts in
+                # place: no other component can take their masks.
+                counts[joined] = e
                 if merged and cfg.component_bound and self.total_cap < self.m:
                     self.pruned_capacity += 1
                 elif boundary_v is not None and self._seen(d, c, boundary_v):
@@ -354,7 +357,7 @@ class _Engine:
                     if self._dfs(d + 1, max(used, c)):
                         return True
                 if merged:
-                    self._split(c, cu, cw, old_sizes)
+                    self._split(c, cu, cw, old_sizes, old_cap)
                 else:
                     counts[cu] = e - 1
                 self.inner[c] = inner
@@ -363,30 +366,28 @@ class _Engine:
         return False
 
     def _merge(self, c: int, cu: int, cw: int) -> None:
-        """Join the components cu and cw of class c by one edge."""
+        """Join the components cu and cw of class c by one edge: relabel the
+        vertices and update the component orders and the capacity."""
         joined = cu | cw
         _label(self.comp[c], joined)
-        # The parts keep their entries while they are joined, and no other
-        # component can take their masks, so _split leaves the counts alone.
-        counts = self.edge_counts[c]
-        counts[joined] = counts[cu] + counts[cw] + 1
         sizes = list(self.sizes[c])
         sizes.remove(cu.bit_count())
         sizes.remove(cw.bit_count())
         insort(sizes, joined.bit_count())
-        self._set_sizes(c, tuple(sizes))
-
-    def _split(self, c: int, cu: int, cw: int, sizes: tuple[int, ...]) -> None:
-        """Undo _merge(c, cu, cw); sizes are the component orders before it."""
-        _label(self.comp[c], cu)
-        _label(self.comp[c], cw)
-        self._set_sizes(c, sizes)
-
-    def _set_sizes(self, c: int, sizes: tuple[int, ...]) -> None:
+        self.sizes[c] = sizes = tuple(sizes)
         cap = _completion_cap(sizes)
         self.total_cap += cap - self.caps[c]
         self.caps[c] = cap
+
+    def _split(self, c: int, cu: int, cw: int, sizes: tuple[int, ...],
+               cap: int) -> None:
+        """Undo _merge(c, cu, cw); sizes and cap are the component orders
+        and the capacity of class c before it."""
+        _label(self.comp[c], cu)
+        _label(self.comp[c], cw)
         self.sizes[c] = sizes
+        self.total_cap += cap - self.caps[c]
+        self.caps[c] = cap
 
     def _seen(self, d: int, c: int, v: int) -> bool:
         """Record the coloured K_v that edge d completes in colour c; True if

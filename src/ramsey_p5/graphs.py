@@ -1,14 +1,16 @@
-"""Bitmask-backed simple graphs plus the Turán machinery for 5-vertex paths.
+"""Bitmask-backed simple graphs: exact path, clique and component tests,
+and the Turán number ex(n, P5) = 6a + C(b, 2) for n = 4a + b with its
+extremal graph aK4 + K_b.
 
 Vertices are integers 0..n-1. Row ``adj[v]`` is an int whose bit ``w`` is set
 iff vw is an edge, so neighbourhood intersections and component sweeps are
 single integer operations. Capacity is capped at 64 vertices so a row always
-fits one machine word.
+fits one machine word. Graphs have no file format of their own; certificate
+and design files are read by ``colouring`` and ``designs``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -78,10 +80,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
-
-
 def complete(n: int) -> Graph:
     return Graph(n, combinations(range(n), 2))
 
@@ -107,16 +105,6 @@ def complement(g: Graph) -> Graph:
     h.n = g.n
     h.adj = tuple((full ^ g.adj[v]) & ~(1 << v) for v in range(g.n))
     return h
-
-
-def union(g: Graph, h: Graph) -> Graph:
-    """Edge-set union of two graphs on the same vertex set."""
-    if g.n != h.n:
-        raise ValueError(f"union needs equal orders, got {g.n} and {h.n}")
-    out = Graph.__new__(Graph)
-    out.n = g.n
-    out.adj = tuple(a | b for a, b in zip(g.adj, h.adj))
-    return out
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -222,91 +210,26 @@ def contains_clique(g: Graph, k: int) -> bool:
     return grow((1 << g.n) - 1, k)
 
 
-def diameter(g: Graph) -> int:
-    """Longest shortest-path distance; -1 if disconnected or empty."""
-    if g.n == 0 or not is_connected(g):
-        return -1
-    best = 0
-    adj = g.adj
-    for s in range(g.n):
-        seen = 1 << s
-        frontier = seen
-        d = 0
-        while True:
-            grow = 0
-            for v in _bits(frontier):
-                grow |= adj[v]
-            frontier = grow & ~seen
-            if not frontier:
-                break
-            seen |= frontier
-            d += 1
-        best = max(best, d)
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Turán numbers for the 5-vertex path
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TuranForm:
-    """Order split n = 4a + b with 0 <= b <= 3 behind ex_p5/extremal_p5."""
-
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if self.a < 0 or not 0 <= self.b <= 3:
-            raise ValueError(f"invalid Turán form ({self.a}, {self.b})")
-
-    @classmethod
-    def of_order(cls, n: int) -> "TuranForm":
-        if n < 0:
-            raise ValueError("order must be non-negative")
-        return cls(n // 4, n % 4)
-
-    @property
-    def order(self) -> int:
-        return 4 * self.a + self.b
-
-    @property
-    def edges(self) -> int:
-        return 6 * self.a + self.b * (self.b - 1) // 2
-
-
 def ex_p5(n: int) -> int:
     """Maximum edges of an n-vertex graph with no 5-vertex path."""
-    return TuranForm.of_order(n).edges
+    if n < 0:
+        raise ValueError("order must be non-negative")
+    a, b = divmod(n, 4)
+    return 6 * a + b * (b - 1) // 2
 
 
 def extremal_p5(n: int) -> Graph:
     """The unique edge-maximal graph without a 5-vertex path: aK4 + K_b."""
-    form = TuranForm.of_order(n)
+    if n < 0:
+        raise ValueError("order must be non-negative")
+    a = n // 4
     edges = []
-    for i in range(form.a):
+    for i in range(a):
         edges.extend(combinations(range(4 * i, 4 * i + 4), 2))
-    edges.extend(combinations(range(4 * form.a, n), 2))
+    edges.extend(combinations(range(4 * a, n), 2))
     return Graph(n, edges)
 
-
-# ---------------------------------------------------------------------------
-# Text rendering (used in reports)
-# ---------------------------------------------------------------------------
-
-def to_text(g: Graph) -> str:
-    lines = [f"n={g.n}"]
-    lines.extend(f"{i} {j}" for i, j in g.edges())
-    return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or not lines[0].startswith("n="):
-        raise ValueError("graph text must start with 'n=<n>'")
-    n = int(lines[0][2:])
-    edges = []
-    for ln in lines[1:]:
-        i, j = map(int, ln.split())
-        edges.append((i, j))
-    return Graph(n, edges)

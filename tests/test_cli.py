@@ -247,6 +247,17 @@ def test_search_budget_exit(capsys):
     assert "nodes=6" in out.splitlines()
 
 
+@pytest.mark.parametrize("argv", [
+    ("search", "--n", "9", "--r", "3"),
+    ("design", "search", "--v", "16", "--mode", "steiner", "--classes", "5"),
+    ("witness", "5"),
+])
+def test_nan_budget_is_usage_error(capsys, argv):
+    code, out = run(capsys, *argv, "--budget", "nan")
+    assert code == 2
+    assert out == ""
+
+
 def test_search_out_of_range_is_usage_error(capsys):
     code, _ = run(capsys, "search", "--n", "13", "--r", "2")
     assert code == 2

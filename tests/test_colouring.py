@@ -49,9 +49,12 @@ def test_classes_partition_edge_set():
         n = rng.randint(0, 8)
         r = rng.randint(1, 4)
         c = random_colouring(rng, n, r)
-        assert sum(c.class_sizes()) == pair_count(n)
-        assert sum(c.colour_class(i).edge_count()
-                   for i in range(1, r + 1)) == pair_count(n)
+        classes = dict(c.colour_classes())
+        assert sorted(classes) == sorted(set(c.colours))
+        for k, g in classes.items():
+            assert g.edge_count() == c.colours.count(k)
+            assert all(c.colour(i, j) == k for i, j in g.edges())
+        assert sum(g.edge_count() for g in classes.values()) == pair_count(n)
 
 
 def test_find_mono_p5_on_single_colour_k5():
@@ -104,7 +107,7 @@ def test_find_mono_p5_matches_naive_oracle():
 def test_lift_of_single_colour_k4():
     c = lift(EdgeColouring(4, 1, [1] * 6))
     assert c.n == 5 and c.r == 2
-    star = c.colour_class(2)
+    star = dict(c.colour_classes())[2]
     assert star.edge_count() == 4
     assert star.degree(4) == 4
     assert find_mono_p5(c) is None
@@ -184,10 +187,12 @@ def test_k10_witness():
 
 def test_k10_class_components():
     c = witness_k10()
+    classes = dict(c.colour_classes())
+    assert sorted(classes) == [1, 2, 3, 4]
     sizes = sorted(
         comp.bit_count()
-        for colour in range(1, 5)
-        for comp in connected_components(c.colour_class(colour))
+        for g in classes.values()
+        for comp in connected_components(g)
         if comp.bit_count() > 1)
     assert max(sizes) == 4 and sizes.count(4) >= 5
 
@@ -262,7 +267,7 @@ def test_witness_lift_and_k10_routes(search_calls):
         search_calls.clear()
         c = witness(r)
         assert (c.n, c.r) == (ramsey_value(r) - 1, r)
-        assert c.colour_class(r).edge_count() == c.n - 1  # the lifted star
+        assert c.colours.count(r) == c.n - 1  # the lifted star
         assert search_calls == [(*params, SearchBudget(nodes=5_000_000))]
     search_calls.clear()
     assert witness(4) == witness_k10()

@@ -122,8 +122,9 @@ def test_design_to_colouring_b4_16():
     assert c.n == 16 and c.r == 5
     assert find_mono_p5(c) is None
     assert max_mono_component_order(c) <= 4
-    for colour in range(1, 6):
-        g = c.colour_class(colour)
+    classes = dict(c.colour_classes())
+    assert sorted(classes) == [1, 2, 3, 4, 5]
+    for g in classes.values():
         comps = [m for m in connected_components(g) if m.bit_count() > 1]
         assert [m.bit_count() for m in comps] == [4, 4, 4, 4]
         # exact-cover classes split into true cliques

@@ -164,6 +164,11 @@ def test_parameter_validation():
         ramsey_verify(-1, 2)
     with pytest.raises(ValueError):
         SearchBudget(nodes=0)
+    # A NaN deadline compares false both ways and an infinite one never
+    # passes, so either would run an unbounded search labelled time-limit.
+    for seconds in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SearchBudget(seconds=seconds)
 
 
 def test_stats_mode_label():
@@ -401,20 +406,20 @@ def test_catalogue_edge_test_matches_path_oracle(n):
                 u, w = rng.choice(free)
             else:
                 break
-            cu, cw, sizes, inner = comp[u], comp[w], eng.sizes[1], eng.inner[1]
+            cu, cw, inner = comp[u], comp[w], eng.inner[1]
+            sizes, cap = eng.sizes[1], eng.caps[1]
             e, eng.inner[1] = grow(u, w)
             if cu != cw:
                 eng._merge(1, cu, cw)
-            else:
-                counts[cu] = e
-            history.append((u, w, cu, cw, sizes, inner))
+            counts[cu | cw] = e
+            history.append((u, w, cu, cw, sizes, cap, inner))
             assert_class_records(eng, 1)
-        for u, w, cu, cw, sizes, inner in reversed(history):
+        for u, w, cu, cw, sizes, cap, inner in reversed(history):
             adj[u] &= ~(1 << w)
             adj[w] &= ~(1 << u)
             eng.inner[1] = inner
             if cu != cw:
-                eng._split(1, cu, cw, sizes)
+                eng._split(1, cu, cw, sizes, cap)
             else:
                 counts[cu] -= 1
             assert_class_records(eng, 1)

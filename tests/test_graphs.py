@@ -1,4 +1,5 @@
-"""Graph substrate: path/clique detection, Turán values, algebra, rendering."""
+"""Graph substrate: path, clique and component tests, the Turán number
+ex(n, P5) and its extremal graph."""
 
 import random
 
@@ -6,12 +7,11 @@ import pytest
 
 from oracles import (all_pairs, brute_force_ex_p5, perm_has_path, unlabelled_trees,
                      unpruned_find_path)
-from ramsey_p5.graphs import (Graph, TuranForm, complement, complete,
-                              connected_components, contains_clique,
-                              contains_path, cycle_graph, diameter,
+from ramsey_p5.graphs import (Graph, complement, complete, connected_components,
+                              contains_clique, contains_path, cycle_graph,
                               disjoint_union, ex_p5, extremal_p5, find_path,
-                              from_text, is_connected, path_graph, star_graph,
-                              to_text, union)
+                              is_connected, path_graph, star_graph)
+from ramsey_p5.pfree import component_is_p5_free
 
 
 def test_graph_validation():
@@ -101,18 +101,15 @@ def test_ex_p5_values():
     assert ex_p5(0) == 0
     assert ex_p5(9) == 12
     assert ex_p5(6) == 7
+    with pytest.raises(ValueError):
+        ex_p5(-1)
+    with pytest.raises(ValueError):
+        extremal_p5(-1)
 
 
 def test_ex_p5_matches_brute_force_to_6():
     for n in range(7):
         assert ex_p5(n) == brute_force_ex_p5(n)
-
-
-def test_turan_form_reconstructs_order():
-    for n in range(40):
-        form = TuranForm.of_order(n)
-        assert form.order == n
-        assert 0 <= form.b <= 3
 
 
 def test_extremal_graph_examples():
@@ -148,10 +145,6 @@ def test_graph_algebra():
     du = disjoint_union(complete(4), complete(3))
     assert du.n == 7 and du.edge_count() == 9
     assert not contains_clique(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]), 4)
-    g = union(path_graph(4), Graph(4, [(0, 3)]))
-    assert g.edge_count() == 4
-    with pytest.raises(ValueError):
-        union(complete(3), complete(4))
     for g in (complete(5), path_graph(6), star_graph(4)):
         assert complement(complement(g)) == g
 
@@ -172,9 +165,20 @@ def test_contains_clique_matches_enumeration():
 
 
 def test_tree_has_p5_iff_diameter_at_least_4():
-    for level in unlabelled_trees(9):
+    """A tree of diameter at most 3 is a star or a double star, which is the
+    catalogue's only P5-free tree shape: on every unlabelled tree up to 9
+    vertices, find_path's verdict is the catalogue's, and the P5-free trees
+    of each order are the one star and the double stars."""
+    free_counts = []
+    for level in unlabelled_trees(9)[1:]:
+        free = 0
         for tree in level:
-            assert contains_path(tree, 5) == (diameter(tree) >= 4)
+            full = (1 << tree.n) - 1
+            is_free = component_is_p5_free(list(tree.adj), full)
+            assert contains_path(tree, 5) != is_free, tree.edges()
+            free += is_free
+        free_counts.append(free)
+    assert free_counts == [1, 1, 1, 2, 2, 3, 3, 4, 4]
 
 
 def test_connectivity_helpers():
@@ -183,10 +187,3 @@ def test_connectivity_helpers():
     assert [c.bit_count() for c in connected_components(g)] == [3, 2]
     assert is_connected(path_graph(5))
 
-
-def test_text_round_trip():
-    g = extremal_p5(7)
-    text = to_text(g)
-    assert text.splitlines()[0] == "n=7"
-    assert from_text(text) == g
-    assert to_text(Graph(0)) == "n=0\n"

@@ -1,0 +1,44 @@
+"""The public names of the package, pinned: adding or removing one is a
+deliberate change to this list."""
+
+import types
+
+import ramsey_p5
+
+PUBLIC_NAMES = {
+    # canon
+    "CANON_MAX", "OrderTooLarge", "canonical_key",
+    # checks
+    "Claim1Report", "Lemma1Report", "Lemma3Report", "claim1_check",
+    "lemma1_check", "lemma3_check",
+    # colouring
+    "Certificate", "CertificateError", "CertificateReport", "EdgeColouring",
+    "MonoPath", "UnsupportedWitness", "WitnessBudgetExhausted", "find_mono_p5",
+    "lift", "max_mono_component_order", "ramsey_value", "read_certificate",
+    "verify_certificate", "witness", "write_certificate",
+    # designs
+    "Design", "DesignParseError", "DesignSearchResult", "DesignVerdict",
+    "InfeasibleParameters", "ResolutionVerdict", "design_to_colouring",
+    "leave_graph", "pair_coverage", "read_design", "search_design",
+    "verify_design", "verify_resolution", "write_design",
+    # engine
+    "ParameterError", "SearchBudget", "SearchConfig", "SearchStats", "Verdict",
+    "ramsey_verify",
+    # graphs
+    "Graph", "complement", "complete", "connected_components",
+    "contains_clique", "contains_path", "cycle_graph", "disjoint_union",
+    "ex_p5", "extremal_p5", "find_path", "is_connected", "path_graph",
+    "star_graph",
+    # pfree
+    "ENUM_MAX_ORDER", "component_catalogue", "enumerate_p5_free",
+}
+
+
+def test_public_names_are_pinned():
+    # Submodules become package attributes once anything imports them, so
+    # they are left out; the list is of the names __init__ binds.
+    exported = {name for name, value in vars(ramsey_p5).items()
+                if not name.startswith("_")
+                and not isinstance(value, types.ModuleType)}
+    assert exported - PUBLIC_NAMES == set(), "unlisted public name"
+    assert PUBLIC_NAMES - exported == set(), "listed name no longer exported"
