@@ -15,7 +15,7 @@ from .colouring import (Certificate, CertificateError, CertificateReport,
                         write_certificate)
 from .designs import (Design, DesignParseError, DesignSearchResult,
                       DesignVerdict, InfeasibleParameters, ResolutionVerdict,
-                      design_to_colouring, leave_graph, pair_coverage,
+                      design_to_colouring, pair_coverage,
                       read_design, search_design, verify_design,
                       verify_resolution, write_design)
 from .engine import (ParameterError, SearchBudget, SearchConfig, SearchStats,

@@ -39,6 +39,8 @@ def _cmd_turan(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    if args.max_r < 1:
+        raise ValueError("need at least one colour")
     for r in range(1, args.max_r + 1):
         print(f"r={r} R={colouring.ramsey_value(r)}")
     return EXIT_OK
@@ -117,7 +119,7 @@ def _cmd_design_verify(args) -> int:
     for line in verdict.lines():
         print(line)
     ok = verdict.ok
-    if design.resolution is not None:
+    if design.resolved:
         res = designs.verify_resolution(design)
         for line in res.lines():
             print(line)
@@ -133,11 +135,7 @@ def _cmd_design_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    try:
-        verdict = engine.ramsey_verify(args.n, args.r, budget=_budget_from(args))
-    except engine.ParameterError as exc:
-        _say(str(exc))
-        return EXIT_USAGE
+    verdict = engine.ramsey_verify(args.n, args.r, budget=_budget_from(args))
     print(f"outcome={verdict.outcome}")
     for line in verdict.stats.lines():
         print(line)

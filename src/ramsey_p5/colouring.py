@@ -19,7 +19,8 @@ WITNESS_ATTEMPT_MAX = 9
 
 
 class UnsupportedWitness(ValueError):
-    """No native witness construction for this colour count."""
+    """No native witness construction for this colour count, or a design
+    search that proved the design it needs does not exist."""
 
 
 class WitnessBudgetExhausted(RuntimeError):
@@ -197,7 +198,7 @@ def witness(r: int, design=None, budget=None) -> EdgeColouring:
                 f"vertex graph capacity; such designs are verification-only")
         if design.v != n:
             raise ValueError(f"witness for r={r} needs {n} points, design has {design.v}")
-        if design.resolution is None:
+        if not design.resolved:
             raise designs.MissingResolution("witness designs must be resolvable")
         ncl = design.class_count
         if ncl not in (r, r - 1):
@@ -210,13 +211,17 @@ def witness(r: int, design=None, budget=None) -> EdgeColouring:
             f"no native witness construction for r={r}; supply a design file")
     else:
         mode = "steiner" if n % 12 == 4 else "covering"
-        found = designs.search_design(
-            n, mode, r, budget or SearchBudget(nodes=5_000_000)).design
-        if found is None:
+        result = designs.search_design(
+            n, mode, r, budget or SearchBudget(nodes=5_000_000))
+        if result.outcome == "exhausted":
+            raise UnsupportedWitness(
+                f"design search for r={r} (v={n}, {mode}) exhausted its space: "
+                f"no such resolvable design exists; supply a design file")
+        if result.design is None:
             raise WitnessBudgetExhausted(
                 f"design search for r={r} (v={n}, {mode}) exhausted its budget; "
                 f"retry with a larger budget or supply a design file")
-        built = designs.design_to_colouring(found)
+        built = designs.design_to_colouring(result.design)
     mono = find_mono_p5(built)
     if mono is not None:
         if design is not None:

@@ -1,7 +1,7 @@
-"""Pair-balanced block designs with block size 4: verification of Steiner,
-covering and packing properties, resolvability, leave graphs, the colouring
-of a resolvable design, and a backtracking search for small resolvable
-instances.
+"""Pair-balanced block designs with block size 4, held as parallel classes:
+verification of Steiner, covering and packing properties, resolvability, the
+colouring of a resolvable design, and a backtracking search for small
+resolvable instances.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from itertools import combinations, islice
 from .colouring import (EdgeColouring, ParseError, _file_lines, _strict_int,
                         pair_count, pair_index, pair_list)
 from .engine import BudgetExhausted, NodeMeter, SearchBudget
-from .graphs import Graph, _bits
+from .graphs import _bits
 
 BLOCK_SIZE = 4
 
@@ -25,10 +25,6 @@ class InfeasibleParameters(ValueError):
 
 
 class MissingResolution(ValueError):
-    pass
-
-
-class NotAPacking(ValueError):
     pass
 
 
@@ -45,20 +41,23 @@ Block = tuple[int, int, int, int]
 
 @dataclass(frozen=True)
 class Design:
-    """Point set 0..v-1 with 4-element blocks and an optional resolution.
+    """Point set 0..v-1 with 4-element blocks, held as parallel classes.
 
-    The resolution, when present, partitions block indices into classes; the
-    semantic requirement that each class partitions the points is checked by
-    ``verify_resolution``, not here.
+    A resolved design keeps one block list per parallel class; the semantic
+    requirement that each class partitions the points is checked by
+    ``verify_resolution``, not here. An unresolved design keeps all its
+    blocks as exactly one list.
     """
 
     v: int
-    blocks: tuple[Block, ...]
-    resolution: tuple[tuple[int, ...], ...] | None = None
+    classes: tuple[tuple[Block, ...], ...]
+    resolved: bool = True
 
     def __post_init__(self) -> None:
         if self.v < 0:
             raise ValueError("point count must be non-negative")
+        if not self.resolved and len(self.classes) != 1:
+            raise ValueError("an unresolved design holds exactly one block list")
         for blk in self.blocks:
             if len(blk) != BLOCK_SIZE or len(set(blk)) != BLOCK_SIZE:
                 raise ValueError(f"block {blk} must have {BLOCK_SIZE} distinct points")
@@ -66,21 +65,14 @@ class Design:
                 raise ValueError(f"block {blk} out of range for v={self.v}")
             if tuple(sorted(blk)) != blk:
                 raise ValueError(f"block {blk} must be sorted ascending")
-        if self.resolution is not None:
-            seen: set[int] = set()
-            for cls in self.resolution:
-                for idx in cls:
-                    if not 0 <= idx < len(self.blocks):
-                        raise ValueError(f"block index {idx} out of range")
-                    if idx in seen:
-                        raise ValueError(f"block index {idx} in two classes")
-                    seen.add(idx)
-            if len(seen) != len(self.blocks):
-                raise ValueError("resolution must cover every block exactly once")
+
+    @property
+    def blocks(self) -> tuple[Block, ...]:
+        return tuple(blk for cls in self.classes for blk in cls)
 
     @property
     def class_count(self) -> int:
-        return len(self.resolution) if self.resolution else 0
+        return len(self.classes) if self.resolved else 0
 
 
 def pair_coverage(d: Design) -> dict[tuple[int, int], int]:
@@ -143,13 +135,13 @@ class ResolutionVerdict:
 
 def verify_resolution(d: Design) -> ResolutionVerdict:
     """Each parallel class must partition the point set."""
-    if d.resolution is None:
+    if not d.resolved:
         raise MissingResolution("design carries no resolution")
     bad: list[tuple[int, int, str]] = []
-    for cno, cls in enumerate(d.resolution, start=1):
+    for cno, cls in enumerate(d.classes, start=1):
         seen: set[int] = set()
-        for idx in cls:
-            for p in d.blocks[idx]:
+        for blk in cls:
+            for p in blk:
                 if p in seen:
                     bad.append((cno, p, "repeated"))
                 seen.add(p)
@@ -159,28 +151,17 @@ def verify_resolution(d: Design) -> ResolutionVerdict:
     return ResolutionVerdict(not bad, tuple(bad))
 
 
-def leave_graph(d: Design) -> Graph:
-    """Graph of the point pairs contained in no block (packings only)."""
-    counts = pair_coverage(d)
-    over = sum(1 for mult in counts.values() if mult > 1)
-    if over:
-        raise NotAPacking(f"{over} pairs covered more than once")
-    return Graph(d.v, [p for p in combinations(range(d.v), 2) if p not in counts])
-
-
 def design_to_colouring(d: Design, leave_colour: int | None = None) -> EdgeColouring:
     """Colour each pair by the smallest parallel class containing it; pairs in
     no class take ``leave_colour``, which must be a fresh colour."""
-    if d.resolution is None:
-        raise MissingResolution("design carries no resolution")
     res = verify_resolution(d)
     if not res.ok:
         raise ValueError(f"resolution invalid: {res.violations[:3]}")
-    ncl = len(d.resolution)
+    ncl = len(d.classes)
     cols = [0] * pair_count(d.v)
-    for cno, cls in enumerate(d.resolution, start=1):
-        for idx in cls:
-            for a, b in combinations(d.blocks[idx], 2):
+    for cno, cls in enumerate(d.classes, start=1):
+        for blk in cls:
+            for a, b in combinations(blk, 2):
                 p = pair_index(d.v, a, b)
                 if cols[p] == 0:
                     cols[p] = cno
@@ -362,13 +343,7 @@ def search_design(v: int, mode: str, classes: int,
         return DesignSearchResult(None, outcome, meter.nodes, seconds,
                                   pruned_waste, rejected_classes)
 
-    blocks: list[Block] = []
-    resolution: list[tuple[int, ...]] = []
-    for cls in solution:
-        start = len(blocks)
-        blocks.extend(cls)
-        resolution.append(tuple(range(start, start + len(cls))))
-    design = Design(v, tuple(blocks), tuple(resolution))
+    design = Design(v, tuple(solution))
     if not verify_design(design, mode).ok:
         raise AssertionError(f"search_design built an invalid {mode} design")
     if not verify_resolution(design).ok:
@@ -388,15 +363,13 @@ def write_design(d: Design, mode: str) -> bytes:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     lines = [DESIGN_HEADER, f"v={d.v} k={BLOCK_SIZE} mode={mode}"]
-    if d.resolution is None:
+    if not d.resolved:
         lines.append("P 0")
-        for blk in d.blocks:
-            lines.append(" ".join(map(str, blk)))
+        lines.extend(" ".join(map(str, blk)) for blk in d.blocks)
     else:
-        for cno, cls in enumerate(d.resolution, start=1):
+        for cno, cls in enumerate(d.classes, start=1):
             lines.append(f"P {cno}")
-            for blk in sorted(d.blocks[i] for i in cls):
-                lines.append(" ".join(map(str, blk)))
+            lines.extend(" ".join(map(str, blk)) for blk in sorted(cls))
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -415,56 +388,40 @@ def read_design(data: bytes) -> tuple[Design, str]:
     mode = head[2][5:]
     if mode not in MODES:
         raise DesignParseError(2, f"mode must be one of {MODES}")
-    blocks: list[Block] = []
-    classes: list[tuple[int, ...]] = []
-    resolvable: bool | None = None
-    lineno = 2
+    if len(lines) == 2:
+        raise DesignParseError(2, "design file has no block sections")
+    classes: list[tuple[Block, ...]] = []
     i = 2
-    expected_class = 1
     while i < len(lines):
         lineno = i + 1
         line = lines[i]
         if not line.startswith("P "):
             raise DesignParseError(lineno, f"expected a 'P <c>' section, got {line!r}")
         label = line[2:]
-        if label == "0":
-            if resolvable is not None:
-                raise DesignParseError(lineno, "'P 0' must be the only section")
-            resolvable = False
-            i += 1
-            start = len(blocks)
-            while i < len(lines):
-                blocks.append(_parse_block(lines[i], i + 1, v))
-                i += 1
-            if len(blocks) == start:
-                raise DesignParseError(lineno, "empty block section")
-            continue
-        if resolvable is False:
-            raise DesignParseError(lineno, "'P 0' must be the only section")
-        resolvable = True
-        if label != str(expected_class):
-            raise DesignParseError(lineno, f"expected 'P {expected_class}'")
-        expected_class += 1
         i += 1
-        start = len(blocks)
-        per_class = v // 4 if v % 4 == 0 else -1
-        if per_class < 0:
+        if label == "0":
+            # the unresolved section runs to the end of the file
+            if classes:
+                raise DesignParseError(lineno, "'P 0' must be the only section")
+            if i == len(lines):
+                raise DesignParseError(lineno, "empty block section")
+            blocks = tuple(_parse_block(lines[j], j + 1, v) for j in range(i, len(lines)))
+            return Design(v, (blocks,), resolved=False), mode
+        if label != str(len(classes) + 1):
+            raise DesignParseError(lineno, f"expected 'P {len(classes) + 1}'")
+        if v % 4:
             raise DesignParseError(lineno, "resolvable sections need v = 0 (mod 4)")
-        prev: Block | None = None
-        for _ in range(per_class):
-            if i >= len(lines):
+        cls: list[Block] = []
+        for _ in range(v // 4):
+            if i == len(lines):
                 raise DesignParseError(len(lines), "truncated parallel class")
             blk = _parse_block(lines[i], i + 1, v)
-            if prev is not None and blk < prev:
+            if cls and blk < cls[-1]:
                 raise DesignParseError(i + 1, "blocks must be ascending within a class")
-            prev = blk
-            blocks.append(blk)
+            cls.append(blk)
             i += 1
-        classes.append(tuple(range(start, start + per_class)))
-    if resolvable is None:
-        raise DesignParseError(lineno, "design file has no block sections")
-    design = Design(v, tuple(blocks), tuple(classes) if resolvable else None)
-    return design, mode
+        classes.append(tuple(cls))
+    return Design(v, tuple(classes)), mode
 
 
 def _parse_block(line: str, lineno: int, v: int) -> Block:

@@ -247,15 +247,6 @@ def _grown_is_p5_free(adj: list[int], joined: int, e: int, inner: int,
     return shape_is_p5_free(s, e, (inner & joined).bit_count(), hub)
 
 
-def _label(comp: list[int], part: int) -> None:
-    """Make part the component mask of each of its vertices."""
-    rest = part
-    while rest:
-        b = rest & -rest
-        rest ^= b
-        comp[b.bit_length() - 1] = part
-
-
 class _Engine:
     def __init__(self, n: int, r: int, cfg: SearchConfig):
         self.n = n
@@ -342,8 +333,7 @@ class _Engine:
                 # Capacity changes only when uw joins two components, and the
                 # total passed the test when it last changed.
                 if merged:
-                    old_sizes = self.sizes[c]
-                    old_cap = self.caps[c]
+                    saved = (compc, self.sizes[c], self.caps[c], self.total_cap)
                     self._merge(c, cu, cw)
                 # An undone merge leaves this count and the parts' counts in
                 # place: no other component can take their masks.
@@ -357,7 +347,7 @@ class _Engine:
                     if self._dfs(d + 1, max(used, c)):
                         return True
                 if merged:
-                    self._split(c, cu, cw, old_sizes, old_cap)
+                    self.comp[c], self.sizes[c], self.caps[c], self.total_cap = saved
                 else:
                     counts[cu] = e - 1
                 self.inner[c] = inner
@@ -366,26 +356,23 @@ class _Engine:
         return False
 
     def _merge(self, c: int, cu: int, cw: int) -> None:
-        """Join the components cu and cw of class c by one edge: relabel the
-        vertices and update the component orders and the capacity."""
+        """Join the components cu and cw of class c by one edge: give the
+        class a relabelled copy of its component list and update the
+        component orders and the capacity. The caller undoes it by putting
+        back the list, the orders and both capacities it held before."""
         joined = cu | cw
-        _label(self.comp[c], joined)
+        self.comp[c] = comp = self.comp[c][:]
+        rest = joined
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            comp[b.bit_length() - 1] = joined
         sizes = list(self.sizes[c])
         sizes.remove(cu.bit_count())
         sizes.remove(cw.bit_count())
         insort(sizes, joined.bit_count())
         self.sizes[c] = sizes = tuple(sizes)
         cap = _completion_cap(sizes)
-        self.total_cap += cap - self.caps[c]
-        self.caps[c] = cap
-
-    def _split(self, c: int, cu: int, cw: int, sizes: tuple[int, ...],
-               cap: int) -> None:
-        """Undo _merge(c, cu, cw); sizes and cap are the component orders
-        and the capacity of class c before it."""
-        _label(self.comp[c], cu)
-        _label(self.comp[c], cw)
-        self.sizes[c] = sizes
         self.total_cap += cap - self.caps[c]
         self.caps[c] = cap
 

@@ -39,6 +39,11 @@ def test_table_command(capsys):
     assert "r=4 R=11" in lines
     assert "r=5 R=17" in lines
     assert len(lines) == 8
+    for max_r in ("0", "-3"):  # as witness 0 is
+        assert main(["table", "--max-r", max_r]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need at least one colour\n"
 
 
 def test_witness_verify_round_trip(capsys, tmp_path):
@@ -259,8 +264,11 @@ def test_nan_budget_is_usage_error(capsys, argv):
 
 
 def test_search_out_of_range_is_usage_error(capsys):
-    code, _ = run(capsys, "search", "--n", "13", "--r", "2")
-    assert code == 2
+    for argv, err in ((("--n", "13", "--r", "2"), "error: order must be"),
+                      (("--n", "5", "--r", "5"), "error: colour count must be")):
+        assert main(["search", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(err), argv
 
 
 def test_nodes_and_budget_both_reach_design_search(capsys, monkeypatch):

@@ -260,6 +260,17 @@ def test_witness_search_parameters(search_calls):
             assert search_calls == [(*params, budget or default)], r
 
 
+def test_witness_exhausted_space_is_no_witness(monkeypatch):
+    """A design search that exhausts its space proves the design absent:
+    that is a missing witness, not a spent budget."""
+    def exhausted(v, mode, classes, budget=None):
+        return designs.DesignSearchResult(None, "exhausted", 7, 0.0)
+
+    monkeypatch.setattr(designs, "search_design", exhausted)
+    with pytest.raises(UnsupportedWitness, match="exhausted its space"):
+        witness(3)
+
+
 def test_witness_lift_and_k10_routes(search_calls):
     """r = 2 and r = 6 make exactly the search of r - 1 and lift it; r = 4
     searches nothing."""

@@ -1,4 +1,4 @@
-"""Block designs: verification, leave graphs, colourings, search, file format."""
+"""Block designs: verification, leaves, colourings, search, file format."""
 
 import hashlib
 import os
@@ -11,10 +11,10 @@ import pytest
 import ramsey_p5
 from ramsey_p5.colouring import find_mono_p5, max_mono_component_order
 from ramsey_p5.designs import (Design, DesignParseError, InfeasibleParameters,
-                               MissingResolution, NotAPacking, SearchBudget,
-                               UncolouredPair, design_to_colouring, leave_graph,
-                               pair_coverage, read_design, search_design,
-                               verify_design, verify_resolution, write_design)
+                               MissingResolution, SearchBudget, UncolouredPair,
+                               design_to_colouring, pair_coverage, read_design,
+                               search_design, verify_design, verify_resolution,
+                               write_design)
 from ramsey_p5.engine import CLOCK_POLL_NODES
 from ramsey_p5.graphs import connected_components
 
@@ -31,24 +31,39 @@ def the_v8_covering():
     return result.design
 
 
+def leave_edges(d):
+    """Number of point pairs that no block covers."""
+    return d.v * (d.v - 1) // 2 - len(pair_coverage(d))
+
+
 def test_design_validation():
     with pytest.raises(ValueError):
-        Design(4, ((0, 1, 2, 2),))
+        Design(4, (((0, 1, 2, 2),),))
     with pytest.raises(ValueError):
-        Design(4, ((0, 1, 2, 4),))
+        Design(4, (((0, 1, 2, 4),),))
     with pytest.raises(ValueError):
-        Design(4, ((3, 2, 1, 0),))
+        Design(4, (((3, 2, 1, 0),),))
     with pytest.raises(ValueError):
-        Design(8, ((0, 1, 2, 3), (4, 5, 6, 7)), ((0,), (0, 1)))
+        Design(8, (((0, 1, 2, 3),), ((4, 5, 6, 8),)))
+
+
+def test_unresolved_design_holds_one_block_list():
+    with pytest.raises(ValueError):
+        Design(8, (), resolved=False)
+    with pytest.raises(ValueError):
+        Design(8, (((0, 1, 2, 3),), ((4, 5, 6, 7),)), resolved=False)
+    d = Design(8, (((0, 1, 2, 3), (4, 5, 6, 7)),), resolved=False)
+    assert d.blocks == ((0, 1, 2, 3), (4, 5, 6, 7))
+    assert d.class_count == 0
 
 
 def test_single_block_is_steiner():
-    d = Design(4, ((0, 1, 2, 3),), ((0,),))
+    d = Design(4, (((0, 1, 2, 3),),))
     assert verify_design(d, "steiner").ok
     assert verify_design(d, "covering").ok
     assert verify_design(d, "packing").ok
     assert verify_resolution(d).ok
-    assert leave_graph(d).edge_count() == 0
+    assert leave_edges(d) == 0
 
 
 def test_v8_covering_passes_covering_not_steiner():
@@ -75,14 +90,14 @@ def test_b4_16_shape():
     assert d.class_count == 5  # (16 - 1) / 3
     assert verify_design(d, "steiner").ok
     assert verify_resolution(d).ok
-    assert leave_graph(d).edge_count() == 0
+    assert leave_edges(d) == 0
     # exact cover passes the weaker modes too
     assert verify_design(d, "covering").ok
     assert verify_design(d, "packing").ok
 
 
 def test_resolution_failure_names_the_point():
-    d = Design(8, ((0, 1, 2, 3), (3, 4, 5, 6)), ((0, 1),))
+    d = Design(8, (((0, 1, 2, 3), (3, 4, 5, 6)),))
     verdict = verify_resolution(d)
     assert not verdict.ok
     assert (1, 3, "repeated") in verdict.violations
@@ -90,7 +105,7 @@ def test_resolution_failure_names_the_point():
 
 
 def test_missing_resolution():
-    d = Design(4, ((0, 1, 2, 3),))
+    d = Design(4, (((0, 1, 2, 3),),), resolved=False)
     with pytest.raises(MissingResolution):
         verify_resolution(d)
     with pytest.raises(MissingResolution):
@@ -98,20 +113,17 @@ def test_missing_resolution():
 
 
 def test_leave_graph_counts():
-    one_block = Design(8, ((0, 1, 2, 3),))
-    assert leave_graph(one_block).edge_count() == 28 - 6
-    with pytest.raises(NotAPacking):
-        leave_graph(the_v8_covering())
+    one_block = Design(8, (((0, 1, 2, 3),),), resolved=False)
+    assert leave_edges(one_block) == 28 - 6
+    # a covering leaves no pair out, however often it repeats one
+    assert leave_edges(the_v8_covering()) == 0
 
 
 def test_leave_of_truncated_b4_16_is_four_cliques():
-    d = the_b4_16()
-    kept = d.resolution[:4]
-    blocks = tuple(d.blocks[i] for cls in kept for i in cls)
-    packing = Design(16, blocks, tuple(
-        tuple(range(4 * c, 4 * c + 4)) for c in range(4)))
+    packing = Design(16, the_b4_16().classes[:4])
     assert verify_design(packing, "packing").ok
-    leave = leave_graph(packing)
+    assert leave_edges(packing) == 24
+    leave = dict(design_to_colouring(packing, leave_colour=5).colour_classes())[5]
     assert leave.edge_count() == 24
     comps = [c.bit_count() for c in connected_components(leave)]
     assert sorted(comps) == [4, 4, 4, 4]
@@ -142,10 +154,7 @@ def test_design_to_colouring_v8_covering():
 
 def test_design_to_colouring_leave_route():
     d = the_b4_16()
-    kept = d.resolution[:4]
-    blocks = tuple(d.blocks[i] for cls in kept for i in cls)
-    packing = Design(16, blocks, tuple(
-        tuple(range(4 * c, 4 * c + 4)) for c in range(4)))
+    packing = Design(16, d.classes[:4])
     with pytest.raises(UncolouredPair):
         design_to_colouring(packing)
     with pytest.raises(ValueError):
@@ -166,9 +175,8 @@ def test_overlap_tie_break_alternatives_stay_mono_free():
     cov = pair_coverage(d)
     base = design_to_colouring(d)
     membership = {}
-    for cno, cls in enumerate(d.resolution, start=1):
-        for idx in cls:
-            blk = d.blocks[idx]
+    for cno, cls in enumerate(d.classes, start=1):
+        for blk in cls:
             for a in range(4):
                 for b in range(a + 1, 4):
                     membership.setdefault((blk[a], blk[b]), []).append(cno)
@@ -226,7 +234,7 @@ def test_search_packing_route():
     d = result.design
     assert verify_design(d, "packing").ok
     assert verify_resolution(d).ok
-    assert leave_graph(d).edge_count() == 120 - 48
+    assert leave_edges(d) == 120 - 48
 
 
 def test_search_results_always_verify():
@@ -254,12 +262,12 @@ def test_design_file_round_trip():
 
 
 def test_design_file_unresolved_section():
-    d = Design(8, ((0, 1, 2, 3), (2, 4, 5, 6)))
+    d = Design(8, (((0, 1, 2, 3), (2, 4, 5, 6)),), resolved=False)
     data = write_design(d, "packing")
     assert b"P 0" in data
     d2, mode = read_design(data)
     assert d2 == d and mode == "packing"
-    assert d2.resolution is None
+    assert not d2.resolved
 
 
 def test_design_parse_errors():

@@ -206,6 +206,20 @@ def test_witness_10_4():
     assert verify_certificate(verdict.certificate).ok
 
 
+@pytest.mark.slow
+@pytest.mark.skipif(os.environ.get("RAMSEY_P5_SLOW") != "1",
+                    reason="minutes of search; set RAMSEY_P5_SLOW=1 to run")
+def test_refutation_11_4():
+    """Every 4-colouring of K_11 has a monochromatic 5-vertex path: with the
+    K_10 witness this gives R_4(P5) = 11 by search alone."""
+    verdict = ramsey_verify(11, 4)
+    stats = verdict.stats
+    assert (verdict.outcome, stats.nodes, stats.max_depth) == (
+        OUTCOME_REFUTED, 118539580, 52)
+    assert (stats.pruned_path, stats.pruned_capacity, stats.pruned_isomorph,
+            stats.memo) == (87336970, 1527524, 40178, 5987)
+
+
 def test_witness_recheck_survives_python_O():
     """Under python -O a witness that fails its re-check still raises."""
     script = (
@@ -407,19 +421,22 @@ def test_catalogue_edge_test_matches_path_oracle(n):
             else:
                 break
             cu, cw, inner = comp[u], comp[w], eng.inner[1]
-            sizes, cap = eng.sizes[1], eng.caps[1]
+            # the records _dfs saves before a merge and puts back to undo it
+            saved = (comp, eng.sizes[1], eng.caps[1], eng.total_cap)
             e, eng.inner[1] = grow(u, w)
             if cu != cw:
                 eng._merge(1, cu, cw)
+                comp = eng.comp[1]
             counts[cu | cw] = e
-            history.append((u, w, cu, cw, sizes, cap, inner))
+            history.append((u, w, cu, cw, saved, inner))
             assert_class_records(eng, 1)
-        for u, w, cu, cw, sizes, cap, inner in reversed(history):
+        for u, w, cu, cw, saved, inner in reversed(history):
             adj[u] &= ~(1 << w)
             adj[w] &= ~(1 << u)
             eng.inner[1] = inner
             if cu != cw:
-                eng._split(1, cu, cw, sizes, cap)
+                eng.comp[1], eng.sizes[1], eng.caps[1], eng.total_cap = saved
+                comp = eng.comp[1]
             else:
                 counts[cu] -= 1
             assert_class_records(eng, 1)

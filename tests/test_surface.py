@@ -19,7 +19,7 @@ PUBLIC_NAMES = {
     # designs
     "Design", "DesignParseError", "DesignSearchResult", "DesignVerdict",
     "InfeasibleParameters", "ResolutionVerdict", "design_to_colouring",
-    "leave_graph", "pair_coverage", "read_design", "search_design",
+    "pair_coverage", "read_design", "search_design",
     "verify_design", "verify_resolution", "write_design",
     # engine
     "ParameterError", "SearchBudget", "SearchConfig", "SearchStats", "Verdict",
