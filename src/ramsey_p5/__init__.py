@@ -20,10 +20,9 @@ from .designs import (Design, DesignParseError, DesignSearchResult,
                       verify_resolution, write_design)
 from .engine import (ParameterError, SearchBudget, SearchConfig, SearchStats,
                      Verdict, ramsey_verify)
-from .graphs import (Graph, complement, complete, connected_components,
-                     contains_clique, contains_path, cycle_graph, disjoint_union,
-                     ex_p5, extremal_p5, find_path, is_connected, path_graph,
-                     star_graph)
+from .graphs import (Graph, complete, connected_components, contains_path,
+                     cycle_graph, disjoint_union, ex_p5, extremal_p5, find_path,
+                     is_connected, path_graph, star_graph)
 from .pfree import ENUM_MAX_ORDER, component_catalogue, enumerate_p5_free
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Machine verification of the finite case analyses behind the Ramsey table:
 the pigeonhole arithmetic for every colour count, the classification of
 11-vertex path-free graphs at the two critical edge counts, and the
-exhaustive placement argument that rules out a path-free 4-colouring of K_11.
+exhaustive placement argument that rules out a path-free 4-colouring of K_11,
+run on pair masks of K_11.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from itertools import combinations
 
 from .canon import canonical_key
 from .colouring import _forced_order, pair_count, pair_index
-from .graphs import (Graph, complement, complete, contains_clique, disjoint_union,
-                     ex_p5, extremal_p5, path_graph)
+from .graphs import (Graph, complete, disjoint_union, ex_p5, extremal_p5,
+                     path_graph)
 from .pfree import enumerate_p5_free
 
 
@@ -132,31 +133,28 @@ def claim1_check() -> Claim1Report:
 
 N11 = 11
 PAIRS11 = pair_count(N11)  # 55
-
-
-def _pairbit(i: int, j: int) -> int:
-    return 1 << pair_index(N11, i, j)
+# PAIRBIT[i][j]: the bit of the pair ij in an 11-vertex pair mask.
+PAIRBIT = [[0 if i == j else 1 << pair_index(N11, i, j) for j in range(N11)]
+           for i in range(N11)]
 
 
 def _graph_mask(g: Graph) -> int:
     """The pair mask of an 11-vertex graph."""
     m = 0
     for a, b in g.edges():
-        m |= _pairbit(a, b)
+        m |= PAIRBIT[a][b]
     return m
 
 
 def _clique_mask(points: tuple[int, ...]) -> int:
     m = 0
     for a, b in combinations(points, 2):
-        m |= _pairbit(a, b)
+        m |= PAIRBIT[a][b]
     return m
 
 
 @dataclass(frozen=True)
 class Lemma3Report:
-    total_pairs_k11: int
-    turan_11: int
     second_class_floor: int
     size_splits: tuple[tuple[int, int, int, int], ...]
     complement_k4_free: bool
@@ -182,40 +180,26 @@ class Lemma3Report:
         return out
 
 
-def _all_k4_masks() -> dict[tuple[int, ...], int]:
-    return {s: _clique_mask(s) for s in combinations(range(N11), 4)}
-
-
-def _placements_two_k4_p3(k4m: dict[tuple[int, ...], int]) -> list[int]:
-    """Edge masks of every labelled copy of K4+K4+P3 on 11 vertices."""
+def _placements(k4m: dict[tuple[int, ...], int]) -> list[int]:
+    """Pair masks of every labelled copy of the two 14-edge shapes on 11
+    vertices, K4+K4+P3 and K4+K4minus+K3, from one pass over the ordered
+    pairs (a, b) of disjoint 4-sets; the other three vertices x, y, z span
+    the triangle or the path."""
     out = []
     verts = range(N11)
     for a_set in combinations(verts, 4):
-        rest = [x for x in verts if x not in a_set]
+        rest = [t for t in verts if t not in a_set]
         for b_set in combinations(rest, 4):
-            if b_set < a_set:
-                continue
-            tail = [x for x in rest if x not in b_set]
-            base = k4m[a_set] | k4m[b_set]
-            for mid in tail:
-                ends = [x for x in tail if x != mid]
-                out.append(base | _pairbit(mid, ends[0]) | _pairbit(mid, ends[1]))
-    return out
-
-
-def _placements_k4_k4minus_k3(k4m: dict[tuple[int, ...], int]) -> list[int]:
-    """Edge masks of every labelled copy of K4+K4minus+K3 on 11 vertices."""
-    out = []
-    verts = range(N11)
-    for a_set in combinations(verts, 4):
-        rest = [x for x in verts if x not in a_set]
-        for b_set in combinations(rest, 4):
-            tail = tuple(x for x in rest if x not in b_set)
-            tri = _clique_mask(tail)
-            base = k4m[a_set] | tri
-            full_b = k4m[b_set]
-            for miss in combinations(b_set, 2):
-                out.append(base | (full_b ^ _pairbit(*miss)))
+            x, y, z = (t for t in rest if t not in b_set)
+            xy, xz, yz = PAIRBIT[x][y], PAIRBIT[x][z], PAIRBIT[y][z]
+            ka, kb = k4m[a_set], k4m[b_set]
+            if a_set < b_set:
+                # the two K4s are interchangeable, so each unordered pair
+                # once; a path is the triangle less one edge
+                kk = ka | kb
+                out += (kk | xy | xz, kk | xy | yz, kk | xz | yz)
+            base = ka | xy | xz | yz
+            out.extend(base | (kb ^ PAIRBIT[p][q]) for p, q in combinations(b_set, 2))
     return out
 
 
@@ -242,6 +226,9 @@ def lemma3_check() -> Lemma3Report:
     (c) for each of the two 14-edge shapes, placed as Claim 1 builds them,
     every labelled edge-disjoint placement of a 14-edge shape alongside it
     yields a union containing K4+K4+K3 whose complement has no K4.
+
+    Graphs are 55-bit pair masks of K_11, and (b) and (c) test complements
+    against one table of the 330 K4 masks.
     """
     splits = tuple(
         (e1, e2, e3, e4)
@@ -253,12 +240,13 @@ def lemma3_check() -> Lemma3Report:
     )
     floor = _ceil_div(55 - 15, 3)
 
-    comp_free = not contains_clique(complement(extremal_p5(11)), 4)
-
-    k4m = _all_k4_masks()
-    candidates = _placements_two_k4_p3(k4m) + _placements_k4_k4minus_k3(k4m)
-    g1a, g1b = (_graph_mask(g) for g in expected_shapes_11_14())
+    k4m = {s: _clique_mask(s) for s in combinations(range(N11), 4)}
     full = (1 << PAIRS11) - 1
+    ext_comp = full ^ _graph_mask(extremal_p5(11))
+    comp_free = not any(ext_comp & m == m for m in k4m.values())
+
+    candidates = _placements(k4m)
+    g1a, g1b = (_graph_mask(g) for g in expected_shapes_11_14())
 
     disjoint = 0
     bad: list[str] = []
@@ -275,8 +263,6 @@ def lemma3_check() -> Lemma3Report:
             if any(comp & m == m for m in k4m.values()):
                 bad.append(f"complement keeps K4: g1={g1:x} g2={mask:x}")
     return Lemma3Report(
-        total_pairs_k11=55,
-        turan_11=ex_p5(11),
         second_class_floor=floor,
         size_splits=splits,
         complement_k4_free=comp_free,

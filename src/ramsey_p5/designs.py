@@ -190,7 +190,7 @@ class DesignSearchResult:
     nodes: int
     seconds: float
     # Covering runs only: nodes whose block takes the repeated pair slots past
-    # the spare slots, and completed classes cut by the coverage deficits.
+    # the spare slots, and completed classes cut by a point's coverage deficit.
     pruned_waste: int = 0
     rejected_classes: int = 0
 
@@ -240,7 +240,7 @@ def search_design(v: int, mode: str, classes: int,
     partners it shares no placed block with. Steiner and packing runs draw
     each further block point from the intersection of those masks, so they
     never repeat a pair; covering runs take every trio and prune on the
-    repeated pair slots and on per-point and global coverage deficits.
+    repeated pair slots and on each point's coverage deficit.
     """
     _check_feasible(v, mode, classes)
     meter = NodeMeter(budget)
@@ -252,7 +252,6 @@ def search_design(v: int, mode: str, classes: int,
     # unc[a]: the partners of a that no placed block pairs it with; the
     # natural first class is placed.
     unc = [points ^ 15 << (a & ~3) for a in range(v)]
-    uncovered = pair_count(v) - 6 * per_class
     waste = pruned_waste = rejected_classes = 0
     natural = tuple(tuple(range(4 * i, 4 * i + 4)) for i in range(per_class))
     solution: list[tuple[Block, ...]] = [natural]
@@ -276,8 +275,6 @@ def search_design(v: int, mode: str, classes: int,
                     yield q, r, s
 
     def covering_viable(classes_left: int) -> bool:
-        if uncovered > classes_left * per_class * 6:
-            return False
         cap = 3 * classes_left
         return all(u.bit_count() <= cap for u in unc)
 
@@ -285,7 +282,7 @@ def search_design(v: int, mode: str, classes: int,
         """Extend the class under construction, whose blocks are done and
         whose free points are remaining; tight while done equals the start
         of the previous class, which is solution[-1]."""
-        nonlocal uncovered, waste, pruned_waste, rejected_classes
+        nonlocal waste, pruned_waste, rejected_classes
         if remaining == 0:
             classes_left = classes - len(solution) - 1
             if covering and not covering_viable(classes_left):
@@ -316,7 +313,6 @@ def search_design(v: int, mode: str, classes: int,
                      + (ur & bm).bit_count() + (us & bm).bit_count()) // 2
             keep = ~bm
             unc[p], unc[q], unc[r], unc[s] = up & keep, uq & keep, ur & keep, us & keep
-            uncovered -= fresh
             waste += 6 - fresh
             if waste > max_waste:
                 pruned_waste += 1
@@ -326,7 +322,6 @@ def search_design(v: int, mode: str, classes: int,
                     return True
                 done.pop()
             unc[p], unc[q], unc[r], unc[s] = up, uq, ur, us
-            uncovered += fresh
             waste -= 6 - fresh
         return False
 

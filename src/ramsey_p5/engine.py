@@ -188,41 +188,32 @@ def _perm_tables(v: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tabs)
 
 
-def _coloured_key(cols: list[int], nedges: int, v: int) -> tuple[int, ...]:
-    """Canonical form of a coloured K_v prefix: the minimum, over vertex
-    permutations, of the colour sequence renamed by first use."""
-    best: list[int] | None = None
+def _coloured_key(cols: list[int], v: int) -> tuple[int, ...]:
+    """Canonical form of a coloured K_v prefix, the first C(v, 2) entries of
+    cols: the minimum, over vertex permutations, of the colour sequence
+    renamed by first use."""
+    best: list[int] = []
     for tab in _perm_tables(v):
         mapping = [0] * (MAX_COLOURS + 1)
         nxt = 0
         out: list[int] = []
-        if best is None:
-            for src in tab:
-                c = cols[src]
-                mc = mapping[c]
-                if not mc:
-                    nxt += 1
-                    mc = mapping[c] = nxt
-                out.append(mc)
-            best = out
-            continue
-        decided = 0
-        for pos in range(nedges):
-            c = cols[tab[pos]]
+        # 0 while out matches best, -1 once smaller, 1 once larger; the
+        # first permutation counts as smaller than the empty best
+        decided = 0 if best else -1
+        for pos, src in enumerate(tab):
+            c = cols[src]
             mc = mapping[c]
             if not mc:
                 nxt += 1
                 mc = mapping[c] = nxt
-            if decided:
-                out.append(mc)
-                continue
-            bc = best[pos]
-            if mc > bc:
-                decided = 1
-                break
+            if not decided:
+                bc = best[pos]
+                if mc > bc:
+                    decided = 1
+                    break
+                if mc < bc:
+                    decided = -1
             out.append(mc)
-            if mc < bc:
-                decided = -1
         if decided == -1:
             best = out
     return tuple(best)
@@ -330,6 +321,7 @@ class _Engine:
                 self.pruned_path += 1
             else:
                 self.inner[c] = grown
+                self.cols[d] = c
                 # Capacity changes only when uw joins two components, and the
                 # total passed the test when it last changed.
                 if merged:
@@ -340,12 +332,10 @@ class _Engine:
                 counts[joined] = e
                 if merged and cfg.component_bound and self.total_cap < self.m:
                     self.pruned_capacity += 1
-                elif boundary_v is not None and self._seen(d, c, boundary_v):
+                elif boundary_v is not None and self._seen(boundary_v):
                     self.pruned_isomorph += 1
-                else:
-                    self.cols[d] = c
-                    if self._dfs(d + 1, max(used, c)):
-                        return True
+                elif self._dfs(d + 1, max(used, c)):
+                    return True
                 if merged:
                     self.comp[c], self.sizes[c], self.caps[c], self.total_cap = saved
                 else:
@@ -376,11 +366,10 @@ class _Engine:
         self.total_cap += cap - self.caps[c]
         self.caps[c] = cap
 
-    def _seen(self, d: int, c: int, v: int) -> bool:
-        """Record the coloured K_v that edge d completes in colour c; True if
+    def _seen(self, v: int) -> bool:
+        """Record the coloured K_v that the colours so far complete; True if
         an isomorphic copy was recorded before."""
-        self.cols[d] = c
-        key = (v, _coloured_key(self.cols, d + 1, v))
+        key = (v, _coloured_key(self.cols, v))
         if key in self.memo:
             return True
         self.memo.add(key)

@@ -1,4 +1,4 @@
-"""Bitmask-backed simple graphs: exact path, clique and component tests,
+"""Bitmask-backed simple graphs: exact path and component tests,
 and the Turán number ex(n, P5) = 6a + C(b, 2) for n = 4a + b with its
 extremal graph aK4 + K_b.
 
@@ -99,14 +99,6 @@ def star_graph(n: int) -> Graph:
     return Graph(n, ((0, i) for i in range(1, n)))
 
 
-def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    h = Graph.__new__(Graph)
-    h.n = g.n
-    h.adj = tuple((full ^ g.adj[v]) & ~(1 << v) for v in range(g.n))
-    return h
-
-
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     n = g.n + h.n
     if n > MAX_VERTICES:
@@ -186,28 +178,6 @@ def find_path(g: Graph, t: int) -> tuple[int, ...] | None:
 
 def contains_path(g: Graph, t: int) -> bool:
     return find_path(g, t) is not None
-
-
-def contains_clique(g: Graph, k: int) -> bool:
-    if k <= 0:
-        return True
-    if k == 1:
-        return g.n >= 1
-    adj = g.adj
-
-    def grow(cand: int, need: int) -> bool:
-        if need == 0:
-            return True
-        while cand:
-            if cand.bit_count() < need:
-                return False
-            b = cand & -cand
-            cand ^= b
-            if grow(adj[b.bit_length() - 1] & cand, need - 1):
-                return True
-        return False
-
-    return grow((1 << g.n) - 1, k)
 
 
 # ---------------------------------------------------------------------------

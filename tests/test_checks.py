@@ -1,10 +1,18 @@
 """Finite case-analysis checks: counting chains, classification, placements."""
 
+import math
+import random
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
+import ramsey_p5.checks as checks
+from ramsey_p5.canon import canonical_key
 from ramsey_p5.checks import (claim1_check, expected_shapes_11_14,
                               lemma1_check, lemma3_check)
-from ramsey_p5.colouring import pair_count
+from ramsey_p5.colouring import pair_count, pair_list
+from ramsey_p5.graphs import Graph
 
 
 def test_lemma1_examples():
@@ -63,20 +71,34 @@ def test_lemma3_pipeline():
 
 
 def test_lemma3_placement_counts_match_orbit_arithmetic():
-    """Labelled copies = 11! / |automorphisms| for each shape."""
-    import math
+    """The placements are the labelled copies of Claim 1's two 14-edge
+    shapes, each once: 11! / |automorphisms| copies of each shape, told
+    apart by degree sequence, and a sample of them is isomorphic to a
+    shape."""
     fact11 = math.factorial(11)
     aut_k4k4p3 = 24 * 24 * 2 * 2   # two K4s swap, path flips
     aut_k4k4mk3 = 24 * 4 * 6       # K4, K4-minus, triangle
-    assert fact11 // aut_k4k4p3 == 17325
-    assert fact11 // aut_k4k4mk3 == 69300
+    k4m = {s: checks._clique_mask(s) for s in combinations(range(11), 4)}
+    masks = checks._placements(k4m)
+    assert len(set(masks)) == len(masks) == 86625
+    assert all(m.bit_count() == 14 for m in masks)
+
+    pairs = pair_list(11)
+    star = [sum(1 << k for k, p in enumerate(pairs) if v in p) for v in range(11)]
+    degrees = Counter(tuple(sorted((m & s).bit_count() for s in star)) for m in masks)
+    assert degrees == {(1, 1, 2) + (3,) * 8: fact11 // aut_k4k4p3,
+                       (2,) * 5 + (3,) * 6: fact11 // aut_k4k4mk3}
+    assert (fact11 // aut_k4k4p3, fact11 // aut_k4k4mk3) == (17325, 69300)
+
+    shapes = {canonical_key(g) for g in expected_shapes_11_14()}
+    for m in random.Random(13).sample(masks, 1000):
+        g = Graph(11, [p for k, p in enumerate(pairs) if m >> k & 1])
+        assert canonical_key(g) in shapes
 
 
 def test_claim1_counts_a_duplicate(monkeypatch):
     """A graph the enumeration lists twice fails Claim 1 instead of being
     merged with its copy."""
-    import ramsey_p5.checks as checks
-
     real = checks.enumerate_p5_free
     monkeypatch.setattr(checks, "enumerate_p5_free",
                         lambda n, m: real(n, m) * 2 if m == 15 else real(n, m))

@@ -105,10 +105,10 @@ def test_prune_counters_account_for_every_node(monkeypatch):
         calls += 1
         return dfs(self, d, used)
 
-    def counted_seen(self, d, c, v):
+    def counted_seen(self, v):
         nonlocal boundary
         boundary += 1
-        return seen(self, d, c, v)
+        return seen(self, v)
 
     monkeypatch.setattr(_Engine, "_dfs", counted)
     monkeypatch.setattr(_Engine, "_seen", counted_seen)

@@ -25,10 +25,9 @@ PUBLIC_NAMES = {
     "ParameterError", "SearchBudget", "SearchConfig", "SearchStats", "Verdict",
     "ramsey_verify",
     # graphs
-    "Graph", "complement", "complete", "connected_components",
-    "contains_clique", "contains_path", "cycle_graph", "disjoint_union",
-    "ex_p5", "extremal_p5", "find_path", "is_connected", "path_graph",
-    "star_graph",
+    "Graph", "complete", "connected_components", "contains_path",
+    "cycle_graph", "disjoint_union", "ex_p5", "extremal_p5", "find_path",
+    "is_connected", "path_graph", "star_graph",
     # pfree
     "ENUM_MAX_ORDER", "component_catalogue", "enumerate_p5_free",
 }
