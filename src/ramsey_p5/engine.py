@@ -6,18 +6,21 @@ colouring of some K_w. Pruning:
 
 * a colour class may never gain a 5-vertex path. The engine keeps, for
   every class, the component mask of every vertex, the edge count of every
-  component and the mask of vertices of degree at least 2. So it tests only
-  the component that the new edge creates or grows, by the catalogue of
-  connected P5-free shapes (``pfree.shape_is_p5_free``), in constant time:
-  no path is enumerated and no vertex of the component is visited, except
-  u, w and their common neighbours when looking for a vertex adjacent to
-  all others. This also keeps every class within the Turán bound ex(n),
-  since any graph with more edges has a 5-vertex path;
+  component and the mask of vertices of degree at least 2. From those
+  records it decides each child before the edge is written, by the rule of
+  ``pfree.shape_is_p5_free`` applied inline to the component the new edge
+  creates or grows, in constant time: no path is enumerated and no vertex
+  of the component is visited, except u, w and their common neighbours when
+  looking for a vertex adjacent to all others. Only a child that passes
+  writes the edge. This also keeps every class within the Turán bound
+  ex(n), since any graph with more edges has a 5-vertex path;
 * the summed completion capacity of all classes must reach the edge count,
   where a class capacity is the largest edge count any supergraph of its
   current components can have while staying free of 5-vertex paths. It
-  depends only on the sorted component orders, which change only when an
-  edge joins two components;
+  depends only on the multiset of component orders, which changes only when
+  an edge joins two components. The engine keeps that multiset as one
+  integer, 4 bits per order, and looks its capacity up in a table filled on
+  first use;
 * colour relabelling is broken by first-use order, and coloured prefixes on
   the first few vertices are deduplicated by a canonical form.
 
@@ -31,13 +34,12 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
 from .colouring import Certificate, pair_index, verify_certificate
-from .pfree import _max_conn_edges, shape_is_p5_free
+from .pfree import _max_conn_edges
 
 MAX_ORDER = 12
 MAX_COLOURS = 4
@@ -219,23 +221,20 @@ def _coloured_key(cols: list[int], v: int) -> tuple[int, ...]:
     return tuple(best)
 
 
-def _grown_is_p5_free(adj: list[int], joined: int, e: int, inner: int,
-                      u: int, w: int) -> bool:
-    """Whether the component ``joined``, which the edge uw has just created
-    or grown to e edges, still has no 5-vertex path; ``inner`` is the mask of
-    the class's vertices of degree at least 2. A vertex adjacent to all the
-    others is u, w or a common neighbour of both, so only those are tried."""
-    s = joined.bit_count()
-    hub = False
-    if e == s:
-        rest = adj[u] & adj[w] | 1 << u | 1 << w
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if adj[b.bit_length() - 1] | b == joined:
-                hub = True
-                break
-    return shape_is_p5_free(s, e, (inner & joined).bit_count(), hub)
+# A class's component orders as one integer, its capacity key: 4 bits count
+# the components of each order, and no count passes MAX_ORDER.
+_ORDER_UNIT = tuple(1 << 4 * k for k in range(MAX_ORDER + 1))
+
+
+class _Capacities(dict):
+    """Class capacity by capacity key, filled from ``_completion_cap`` on
+    first use."""
+
+    def __missing__(self, key: int) -> int:
+        orders = tuple(k for k in range(1, MAX_ORDER + 1)
+                       for _ in range(key >> 4 * k & 15))
+        cap = self[key] = _completion_cap(orders)
+        return cap
 
 
 class _Engine:
@@ -245,16 +244,18 @@ class _Engine:
         self.cfg = cfg
         self.edges = [(u, w) for w in range(1, n) for u in range(w)]
         self.m = len(self.edges)
+        # Per depth: the ends of its edge, their bits and the edge's mask.
+        self.steps = [(u, w, 1 << u, 1 << w, 1 << u | 1 << w) for u, w in self.edges]
         self.adj = [[0] * n for _ in range(r + 1)]
         # Per class: the component mask of every vertex, the edge count of
         # every component (keyed by its mask), the mask of vertices of degree
-        # at least 2, and the sorted component orders, which fix the class
-        # capacity.
+        # at least 2, and the capacity key of its component orders.
         self.comp = [[1 << v for v in range(n)] for _ in range(r + 1)]
         self.edge_counts = [{1 << v: 0 for v in range(n)} for _ in range(r + 1)]
         self.inner = [0] * (r + 1)
-        self.sizes = [(1,) * n] * (r + 1)
-        empty_cap = _completion_cap((1,) * n)
+        self.cap_of = _Capacities()
+        self.orders = [n * _ORDER_UNIT[1]] * (r + 1)
+        empty_cap = self.cap_of[self.orders[0]]
         self.caps = [empty_cap] * (r + 1)
         self.total_cap = r * empty_cap
         self.cols = [0] * self.m
@@ -287,27 +288,21 @@ class _Engine:
             return self._record_witness()
         if d > self.max_depth:
             self.max_depth = d
-        u, w = self.edges[d]
-        ubit = 1 << u
-        wbit = 1 << w
+        u, w, ubit, wbit, uw = self.steps[d]
         cfg = self.cfg
         limit = min(used + 1, self.r) if cfg.colour_symmetry else self.r
         boundary_v = self.boundaries.get(d + 1)
         tick = self.tick
+        comps = self.comp
+        adjs = self.adj
+        inners = self.inner
+        ecounts = self.edge_counts
         for c in range(1, limit + 1):
             tick()
-            adjc = self.adj[c]
-            compc = self.comp[c]
-            counts = self.edge_counts[c]
-            inner = self.inner[c]
+            compc = comps[c]
+            counts = ecounts[c]
             cu = compc[u]
             cw = compc[w]
-            au = adjc[u]
-            aw = adjc[w]
-            adjc[u] = au | wbit
-            adjc[w] = aw | ubit
-            # u and w have degree >= 2 now unless uw is their first edge.
-            grown = inner | (ubit if au else 0) | (wbit if aw else 0)
             merged = cu != cw
             if merged:
                 joined = cu | cw
@@ -315,41 +310,66 @@ class _Engine:
             else:
                 joined = cu
                 e = counts[cu] + 1
-            # The class was free of 5-vertex paths before uw went in, so any
-            # such path now runs through uw, inside the component of u and w.
-            if not _grown_is_p5_free(adjc, joined, e, grown, u, w):
-                self.pruned_path += 1
-            else:
-                self.inner[c] = grown
-                self.cols[d] = c
-                # Capacity changes only when uw joins two components, and the
-                # total passed the test when it last changed.
-                if merged:
-                    saved = (compc, self.sizes[c], self.caps[c], self.total_cap)
-                    self._merge(c, cu, cw)
-                # An undone merge leaves this count and the parts' counts in
-                # place: no other component can take their masks.
-                counts[joined] = e
-                if merged and cfg.component_bound and self.total_cap < self.m:
-                    self.pruned_capacity += 1
-                elif boundary_v is not None and self._seen(boundary_v):
-                    self.pruned_isomorph += 1
-                elif self._dfs(d + 1, max(used, c)):
-                    return True
-                if merged:
-                    self.comp[c], self.sizes[c], self.caps[c], self.total_cap = saved
+            adjc = adjs[c]
+            au = adjc[u]
+            aw = adjc[w]
+            inner = inners[c]
+            # u and w have degree >= 2 with uw unless it is their first edge.
+            grown = inner | (ubit if au else 0) | (wbit if aw else 0)
+            # The class has no 5-vertex path, so a path that uw makes runs
+            # through uw, inside the component ``joined`` of s vertices and e
+            # edges. The rule of pfree.shape_is_p5_free, decided before uw is
+            # written: past four vertices, a tree with at most two non-leaves,
+            # or e = s with a vertex adjacent to all others, which is u, w or
+            # a common neighbour of both.
+            s = joined.bit_count()
+            if s > 4:
+                if e == s - 1:
+                    free = (grown & joined).bit_count() <= 2
+                elif e == s:
+                    free = au | uw == joined or aw | uw == joined
+                    rest = au & aw
+                    while rest and not free:
+                        b = rest & -rest
+                        rest ^= b
+                        free = adjc[b.bit_length() - 1] | b == joined
                 else:
-                    counts[cu] = e - 1
-                self.inner[c] = inner
+                    free = False
+                if not free:
+                    self.pruned_path += 1
+                    continue
+            adjc[u] = au | wbit
+            adjc[w] = aw | ubit
+            inners[c] = grown
+            self.cols[d] = c
+            # Capacity changes only when uw joins two components, and the
+            # total passed the test when it last changed.
+            if merged:
+                saved = (compc, self.orders[c], self.caps[c], self.total_cap)
+                self._merge(c, cu, cw)
+            # An undone merge leaves this count and the parts' counts in
+            # place: no other component can take their masks.
+            counts[joined] = e
+            if merged and cfg.component_bound and self.total_cap < self.m:
+                self.pruned_capacity += 1
+            elif boundary_v is not None and self._seen(boundary_v):
+                self.pruned_isomorph += 1
+            elif self._dfs(d + 1, max(used, c)):
+                return True
+            if merged:
+                comps[c], self.orders[c], self.caps[c], self.total_cap = saved
+            else:
+                counts[cu] = e - 1
+            inners[c] = inner
             adjc[u] = au
             adjc[w] = aw
         return False
 
     def _merge(self, c: int, cu: int, cw: int) -> None:
         """Join the components cu and cw of class c by one edge: give the
-        class a relabelled copy of its component list and update the
-        component orders and the capacity. The caller undoes it by putting
-        back the list, the orders and both capacities it held before."""
+        class a relabelled copy of its component list and update its capacity
+        key and capacity. The caller undoes it by putting back the list, the
+        key and both capacities it held before."""
         joined = cu | cw
         self.comp[c] = comp = self.comp[c][:]
         rest = joined
@@ -357,12 +377,10 @@ class _Engine:
             b = rest & -rest
             rest ^= b
             comp[b.bit_length() - 1] = joined
-        sizes = list(self.sizes[c])
-        sizes.remove(cu.bit_count())
-        sizes.remove(cw.bit_count())
-        insort(sizes, joined.bit_count())
-        self.sizes[c] = sizes = tuple(sizes)
-        cap = _completion_cap(sizes)
+        unit = _ORDER_UNIT
+        self.orders[c] = key = (self.orders[c] + unit[joined.bit_count()]
+                                - unit[cu.bit_count()] - unit[cw.bit_count()])
+        cap = self.cap_of[key]
         self.total_cap += cap - self.caps[c]
         self.caps[c] = cap
 

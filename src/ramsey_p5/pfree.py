@@ -9,9 +9,11 @@ A connected graph contains no 5-vertex path exactly when it is one of:
 ``shape_is_p5_free`` decides membership from four numbers: the order, the
 edge count, the number of vertices of degree at least 2 and whether some
 vertex is adjacent to all others. ``component_is_p5_free`` counts them from
-the degrees; the search engine keeps them up to date edge by edge. The test
-suite validates the classification against raw enumeration for small
-orders instead of taking it on faith. Arbitrary graphs without a 5-vertex path are
+the degrees; the search engine keeps them up to date edge by edge and
+applies the same rule inline, since a call per edge slows the search, and
+its tests check the two against a path oracle. The test suite validates
+the classification against raw enumeration for small orders instead of
+taking it on faith. Arbitrary graphs without a 5-vertex path are
 exactly the disjoint unions of catalogue members, which is what
 ``enumerate_p5_free`` composes. The members of the catalogue are pairwise
 non-isomorphic (their degree sequences differ), and two such unions are

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,9 +17,12 @@ from ramsey_p5.colouring import verify_certificate, write_certificate
 from ramsey_p5.engine import (CLOCK_POLL_NODES, OUTCOME_BUDGET, OUTCOME_REFUTED,
                               OUTCOME_WITNESS, ParameterError, SearchBudget,
                               SearchConfig, _completion_cap, _Engine,
-                              _grown_is_p5_free, ramsey_verify)
+                              ramsey_verify)
 from ramsey_p5.pfree import component_is_p5_free
 
+# Searches of minutes run only on request.
+SLOW = pytest.mark.skipif(os.environ.get("RAMSEY_P5_SLOW") != "1",
+                          reason="minutes of search; set RAMSEY_P5_SLOW=1 to run")
 UNPRUNED = SearchConfig(colour_symmetry=False, component_bound=False,
                         isomorph=False)
 ONE_RULE_OFF = (SearchConfig(colour_symmetry=False), SearchConfig(component_bound=False),
@@ -88,10 +92,15 @@ def test_node_counts_pinned():
     assert (verdict.outcome, verdict.stats.nodes, verdict.stats.max_depth) == (
         OUTCOME_REFUTED, 3103, 28)
     assert verdict.stats.memo == 57
-    for n in (11, 12):
+    # The capped runs pin the whole tree: nodes, depth, the three prune
+    # counts and the memo.
+    for n, pruned, memo in ((11, (21390, 1099, 0), 11), (12, (20608, 1839, 40), 14)):
         verdict = ramsey_verify(n, 4, budget=SearchBudget(nodes=30000))
-        assert (verdict.outcome, verdict.stats.nodes, verdict.stats.max_depth) == (
-            OUTCOME_BUDGET, 30001, 37), n
+        stats = verdict.stats
+        assert (verdict.outcome, stats.nodes, stats.max_depth, stats.memo) == (
+            OUTCOME_BUDGET, 30001, 37, memo), n
+        assert (stats.pruned_path, stats.pruned_capacity,
+                stats.pruned_isomorph) == pruned, n
 
 
 def test_prune_counters_account_for_every_node(monkeypatch):
@@ -207,8 +216,7 @@ def test_witness_10_4():
 
 
 @pytest.mark.slow
-@pytest.mark.skipif(os.environ.get("RAMSEY_P5_SLOW") != "1",
-                    reason="minutes of search; set RAMSEY_P5_SLOW=1 to run")
+@SLOW
 def test_refutation_11_4():
     """Every 4-colouring of K_11 has a monochromatic 5-vertex path: with the
     K_10 witness this gives R_4(P5) = 11 by search alone."""
@@ -218,6 +226,19 @@ def test_refutation_11_4():
         OUTCOME_REFUTED, 118539580, 52)
     assert (stats.pruned_path, stats.pruned_capacity, stats.pruned_isomorph,
             stats.memo) == (87336970, 1527524, 40178, 5987)
+
+
+@pytest.mark.slow
+@SLOW
+def test_refutation_11_4_without_component_bound():
+    """The full (11,4) search with the capacity rule off refutes too: the
+    differential check of that rule at the order it matters for."""
+    verdict = ramsey_verify(11, 4, SearchConfig(component_bound=False))
+    stats = verdict.stats
+    assert (verdict.outcome, stats.nodes, stats.max_depth) == (
+        OUTCOME_REFUTED, 131925460, 52)
+    assert (stats.pruned_path, stats.pruned_capacity, stats.pruned_isomorph,
+            stats.memo) == (98902649, 0, 41433, 6188)
 
 
 def test_witness_recheck_survives_python_O():
@@ -345,9 +366,9 @@ def inner_mask(adj):
 
 
 def assert_class_records(eng, c):
-    """The component masks, edge counts, orders and capacity of class c and
-    its mask of vertices of degree at least 2 match a recount of its edges
-    by breadth-first search."""
+    """The component masks, edge counts, capacity key and capacity of class c
+    and its mask of vertices of degree at least 2 match a recount of its
+    edges by breadth-first search."""
     adj, comp = eng.adj[c], eng.comp[c]
     for mask in bfs_components(adj, eng.n):
         for v in range(eng.n):
@@ -355,8 +376,9 @@ def assert_class_records(eng, c):
                 assert comp[v] == mask
         assert eng.edge_counts[c][mask] == edge_count(adj, mask)
     assert eng.inner[c] == inner_mask(adj)
-    assert eng.sizes[c] == component_sizes(adj, eng.n)
-    assert eng.caps[c] == _completion_cap(eng.sizes[c])
+    orders = component_sizes(adj, eng.n)
+    assert eng.orders[c] == sum(16 ** k for k in orders)
+    assert eng.caps[c] == _completion_cap(orders)
 
 
 def free_shape(adj, comp):
@@ -375,37 +397,53 @@ START_SHAPES = ([], [(0, 1), (0, 2), (0, 3), (0, 4)], [(0, 1), (0, 2), (1, 3), (
 
 @pytest.mark.parametrize("n", range(5, 13))
 def test_catalogue_edge_test_matches_path_oracle(n):
-    """Path-free classes grown at random from each start shape through the
-    engine's component records: every absent edge gets the same verdict from
-    the incremental test on the kept records, from the degree test and from
-    the path-enumeration oracle, and the records match a breadth-first
-    search after each edge and each undo."""
+    """Path-free classes grown at random from each start shape by the
+    engine's own child step: the step takes every absent edge exactly when
+    the degree test and the path-enumeration oracle find the grown component
+    path-free, and the records, capacity key and capacity match a
+    breadth-first recount after each edge, each merge and each undo."""
     rng = random.Random(n)
     pairs = all_pairs(n)
     seen = set()
     for start in START_SHAPES * 3:
-        eng = _Engine(n, 1, SearchConfig())
-        adj, comp, counts = eng.adj[1], eng.comp[1], eng.edge_counts[1]
+        eng = _Engine(n, 1, SearchConfig(component_bound=False, isomorph=False))
+        eng.tick = lambda: None
+        depth = {edge: d for d, edge in enumerate(eng.edges)}
+        adj = eng.adj[1]
         start_cap = eng.total_cap
-        history = []
 
-        def grow(u, w):
-            """Add uw; the kept edge count it gives and the grown inner mask."""
-            grown = eng.inner[1] | (adj[u] and 1 << u) | (adj[w] and 1 << w)
-            adj[u] |= 1 << w
-            adj[w] |= 1 << u
-            if comp[u] == comp[w]:
-                return counts[comp[u]] + 1, grown
-            return counts[comp[u]] + counts[comp[w]] + 1, grown
+        def step(u, w, child):
+            """Run the search step at edge uw with ``child`` in place of the
+            descent; whether the step took the edge."""
+            entered = []
 
-        while True:
+            def descend(d, used):
+                assert adj[u] >> w & adj[w] >> u & 1
+                assert_class_records(eng, 1)
+                entered.append(d)
+                return child()
+
+            eng._dfs = descend
+            _Engine._dfs(eng, depth[u, w], 1)
+            assert not adj[u] >> w & 1
+            assert_class_records(eng, 1)
+            return bool(entered)
+
+        def grow():
+            """Test every absent edge on the class as it stands, then add the
+            next start edge or a random accepted one and grow on."""
+            assert not adj_has_p5(adj, n)
+            comp = eng.comp[1]
             free = []
             for u, w in pairs:
                 if adj[u] >> w & 1:
                     continue
                 joined = comp[u] | comp[w]
-                e, grown = grow(u, w)
-                ok = _grown_is_p5_free(adj, joined, e, grown, u, w)
+                pruned = eng.pruned_path
+                ok = step(u, w, lambda: False)
+                assert eng.pruned_path - pruned == (not ok)
+                adj[u] |= 1 << w
+                adj[w] |= 1 << u
                 assert ok == component_is_p5_free(adj, joined), (adj, u, w)
                 assert ok == (not edge_creates_p5(adj, u, w)), (adj, u, w)
                 if joined.bit_count() > 4:
@@ -414,33 +452,15 @@ def test_catalogue_edge_test_matches_path_oracle(n):
                 adj[w] &= ~(1 << u)
                 if ok:
                     free.append((u, w))
-            if len(history) < len(start):
-                u, w = start[len(history)]
+            placed = sum(a.bit_count() for a in adj) // 2
+            if placed < len(start):
+                assert step(*start[placed], grow)
             elif free:
-                u, w = rng.choice(free)
-            else:
-                break
-            cu, cw, inner = comp[u], comp[w], eng.inner[1]
-            # the records _dfs saves before a merge and puts back to undo it
-            saved = (comp, eng.sizes[1], eng.caps[1], eng.total_cap)
-            e, eng.inner[1] = grow(u, w)
-            if cu != cw:
-                eng._merge(1, cu, cw)
-                comp = eng.comp[1]
-            counts[cu | cw] = e
-            history.append((u, w, cu, cw, saved, inner))
-            assert_class_records(eng, 1)
-        for u, w, cu, cw, saved, inner in reversed(history):
-            adj[u] &= ~(1 << w)
-            adj[w] &= ~(1 << u)
-            eng.inner[1] = inner
-            if cu != cw:
-                eng.comp[1], eng.sizes[1], eng.caps[1], eng.total_cap = saved
-                comp = eng.comp[1]
-            else:
-                counts[cu] -= 1
-            assert_class_records(eng, 1)
-        assert eng.total_cap == start_cap
+                assert step(*rng.choice(free), grow)
+            return False
+
+        grow()
+        assert not any(adj) and eng.total_cap == start_cap
     # Past four vertices: an edge inside a star closes a triangle with
     # pendants, one inside the other shapes closes a path, and a sixth
     # vertex joins each shape at its centre or not at all.
@@ -452,34 +472,73 @@ def test_catalogue_edge_test_matches_path_oracle(n):
 
 
 def test_search_decisions_match_path_oracle(monkeypatch):
-    """During real searches, every incremental verdict is the path
-    oracle's and is taken on exact records of the grown component, and every
-    node entered has exact component records."""
-    from ramsey_p5 import engine
-
-    checks = 0
-    decide = engine._grown_is_p5_free
+    """During real searches the path test agrees with the path oracle colour
+    by colour. Every node entered has exact records and only path-free
+    classes, so no edge is taken that makes a 5-vertex path; and in every
+    frame the colours the path test cuts off are exactly the colours whose
+    class the frame's edge would give one, so none is cut off wrongly and
+    the frame's path prune count is the oracle's count."""
     dfs = _Engine._dfs
+    frames = []  # the open frames, innermost last
+    pending = None  # (frame, colour, path prunes) of the colour last ticked
+    checked = 0
 
-    def checked_decide(adj, joined, e, inner, u, w):
-        nonlocal checks
-        checks += 1
-        n = len(adj)
-        assert joined in bfs_components(adj, n) and joined >> u & joined >> w & 1
-        assert (e, inner) == (edge_count(adj, joined), inner_mask(adj))
-        ok = decide(adj, joined, e, inner, u, w)
-        assert ok == (not adj_has_p5(adj, n))
-        return ok
+    def settle(eng):
+        """The colour last ticked was cut off by the path test exactly when
+        the path prune count moved before the next tick, descent or return."""
+        nonlocal pending
+        if pending is not None:
+            frame, c, before = pending
+            assert eng.pruned_path - before in (0, 1)
+            if eng.pruned_path != before:
+                frame.cut.append(c)
+            pending = None
 
     def checked_dfs(self, d, used):
+        nonlocal pending, checked
+        if d == 0:
+            frames.clear()
+            pending = None
+            meter_tick = self.tick
+
+            def tick():
+                nonlocal pending
+                settle(self)
+                frame = frames[-1]
+                frame.tried += 1
+                pending = (frame, frame.tried, self.pruned_path)
+                meter_tick()
+
+            self.tick = tick
+        settle(self)
+        n = self.n
         for c in range(1, self.r + 1):
+            assert not adj_has_p5(self.adj[c], n)
             assert_class_records(self, c)
         assert self.total_cap == sum(self.caps[1:])
-        return dfs(self, d, used)
+        if d == self.m:
+            return dfs(self, d, used)
+        u, w = self.edges[d]
+        would = []
+        for c in range(1, self.r + 1):
+            adj = self.adj[c][:]
+            adj[u] |= 1 << w
+            adj[w] |= 1 << u
+            would.append(adj_has_p5(adj, n))
+        frame = SimpleNamespace(cut=[], tried=0)
+        frames.append(frame)
+        found = dfs(self, d, used)
+        settle(self)
+        frames.pop()
+        assert frame.cut == [c for c in range(1, frame.tried + 1) if would[c - 1]]
+        checked += 1
+        return found
 
-    monkeypatch.setattr(engine, "_grown_is_p5_free", checked_decide)
     monkeypatch.setattr(_Engine, "_dfs", checked_dfs)
     assert ramsey_verify(8, 3).stats.nodes == 241
     assert ramsey_verify(9, 3).stats.nodes == 3103
+    # With the capacity rule off, (9,3) also meets a hub that is a common
+    # neighbour of the edge's ends.
+    assert ramsey_verify(9, 3, SearchConfig(component_bound=False)).stats.nodes == 5182
     assert ramsey_verify(10, 4, budget=SearchBudget(nodes=3000)).stats.nodes == 3001
-    assert checks > 3000
+    assert checked > 3500
