@@ -2,12 +2,21 @@
 
 The key of a graph is the lexicographically smallest upper-triangle adjacency
 bit string over all vertex orderings the refinement search reaches. Ordered
-partition refinement (split cells by neighbour counts against every cell until
-stable) narrows the orderings; backtracking individualizes each vertex of the
-first non-singleton cell in turn. Whenever two leaves produce equal encodings
-the permutation between them is an automorphism, and its orbits are merged so
-that symmetric graphs (stars, unions of equal cliques, empty graphs) do not
-blow the branch count up.
+partition refinement narrows the orderings; backtracking individualizes each
+vertex of the first non-singleton cell in turn, once per orbit of the
+automorphisms known so far. Twins (two vertices whose neighbourhoods agree
+outside the pair) start in one orbit, since swapping them fixes every other
+vertex; whenever two leaves produce equal encodings the permutation between
+them is an automorphism, and its orbits are merged too. So the empty graph,
+K16 and the star reach one leaf in at most 16 refinements, not 120 to 136.
+
+Refinement counts each vertex only against the cells split in the round
+before, as in McKay & Piperno, "Practical graph isomorphism, II" (2014): its
+counts in every other cell already agree with its cell's. That gives the same
+partitions in the same order as counting against every cell. A twin swap fixes
+every vertex already individualized, so a branch that the twin orbits cut
+holds the same leaf codes as the branch searched. The keys are the same as
+without either step, and a test pins their bytes.
 """
 
 from __future__ import annotations
@@ -28,12 +37,23 @@ def _mask(cell: list[int]) -> int:
     return m
 
 
-def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
-    """Equitable refinement: split cells by neighbour counts in every cell."""
-    while True:
-        masks = [_mask(c) for c in cells]
+def _refine(adj: tuple[int, ...], cells: list[list[int]],
+            split: list[int]) -> list[list[int]]:
+    """Equitable refinement of the ordered partition ``cells``.
+
+    Every cell agrees on its neighbour counts in each cell of the partition
+    before the last split, so only the fragments of the cells that split can
+    tell its vertices apart. ``split`` lists their masks in partition order
+    and leaves out the last fragment of each split cell, whose count follows
+    from the others and the whole cell's: the whole vertex set at the root,
+    the individualized vertex below it (the rest of its cell is the last
+    fragment). Each round counts every vertex only against ``split`` and
+    sorts each cell's groups by those counts, which splits and orders them as
+    the counts in every cell would. The loop ends when no cell splits.
+    """
+    while split:
         out: list[list[int]] = []
-        changed = False
+        fragments: list[int] = []
         for cell in cells:
             if len(cell) == 1:
                 out.append(cell)
@@ -41,17 +61,16 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
             groups: dict[tuple[int, ...], list[int]] = {}
             for v in cell:
                 row = adj[v]
-                sig = tuple((row & m).bit_count() for m in masks)
+                sig = tuple((row & m).bit_count() for m in split)
                 groups.setdefault(sig, []).append(v)
             if len(groups) == 1:
                 out.append(cell)
-            else:
-                changed = True
-                for sig in sorted(groups):
-                    out.append(groups[sig])
-        if not changed:
-            return out
-        cells = out
+                continue
+            parts = [groups[sig] for sig in sorted(groups)]
+            out.extend(parts)
+            fragments.extend(_mask(part) for part in parts[:-1])
+        cells, split = out, fragments
+    return cells
 
 
 def canonical_key(g: Graph) -> bytes:
@@ -85,10 +104,19 @@ def canonical_key(g: Graph) -> bytes:
                 bits = (bits << 1) | (row >> perm[j] & 1)
         return bits
 
+    # Twins (equal open or equal closed neighbourhoods) are swapped by an
+    # automorphism that fixes every other vertex: start them in one orbit.
+    first: dict[int, int] = {}
+    for v in range(n):
+        for nbhd in (adj[v], adj[v] | 1 << v):
+            w = first.setdefault(nbhd, v)
+            if w != v:
+                merge(w, v)
+
     best: list = [None, None]  # [code, perm]
 
-    def search(cells: list[list[int]]) -> None:
-        cells = _refine(adj, cells)
+    def search(cells: list[list[int]], split: list[int]) -> None:
+        cells = _refine(adj, cells, split)
         tgt = -1
         for k, cell in enumerate(cells):
             if len(cell) > 1:
@@ -112,9 +140,9 @@ def canonical_key(g: Graph) -> bytes:
                 continue
             branched.append(v)
             rest = [u for u in cell if u != v]
-            search(cells[:tgt] + [[v], rest] + cells[tgt + 1:])
+            search(cells[:tgt] + [[v], rest] + cells[tgt + 1:], [1 << v])
 
-    search([list(range(n))])
+    search([list(range(n))], [(1 << n) - 1])
     if nbits == 0:
         return bytes([n])
     return bytes([n]) + best[0].to_bytes((nbits + 7) // 8, "big")

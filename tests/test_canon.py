@@ -1,17 +1,56 @@
 """Canonical keys: isomorphism invariance and completeness."""
 
+import hashlib
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 from oracles import all_pairs, perm_canonical_mask
+from ramsey_p5 import canon
 from ramsey_p5.canon import CANON_MAX, OrderTooLarge, canonical_key
-from ramsey_p5.graphs import Graph, complete, path_graph, star_graph
+from ramsey_p5.graphs import (Graph, complete, cycle_graph, path_graph,
+                              star_graph)
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def circulant(n: int, jumps: tuple[int, ...]) -> Graph:
+    return Graph(n, [(v, (v + j) % n) for v in range(n) for j in jumps])
+
+
+def symmetric_16() -> dict[str, Graph]:
+    """Twin-rich and vertex-transitive graphs on 16 vertices, pairwise
+    non-isomorphic."""
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    return {
+        "empty": Graph(16),
+        "K16": complete(16),
+        "star": star_graph(16),
+        "4K4": Graph(16, [e for q in range(4)
+                          for e in combinations(range(4 * q, 4 * q + 4), 2)]),
+        "C16": cycle_graph(16),
+        "rook4x4": Graph(16, [(a, b) for a, b in combinations(range(16), 2)
+                              if cells[a][0] == cells[b][0]
+                              or cells[a][1] == cells[b][1]]),
+        "C16(1,2)": circulant(16, (1, 2)),
+        "C16(1,4)": circulant(16, (1, 4)),
+        "C16(1,2,4)": circulant(16, (1, 2, 4)),
+        "C16(8)": circulant(16, (8,)),
+    }
+
+
+def pinned_batch() -> list[Graph]:
+    rng = random.Random(20260815)
+    batch = []
+    for n in range(CANON_MAX + 1):
+        pairs = all_pairs(n)
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for _ in range(3):
+                batch.append(Graph(n, [e for e in pairs if rng.random() < p]))
+    return batch + list(symmetric_16().values())
 
 
 def test_relabelled_k4_same_key():
@@ -86,7 +125,46 @@ def test_invariant_under_random_relabellings():
             assert canonical_key(relabel(g, perm)) == key
 
 
-def test_symmetric_worst_cases_fast():
-    for g in (Graph(12), complete(12), star_graph(12),
-              Graph(12, [(i, i + 6) for i in range(6)])):
-        assert isinstance(canonical_key(g), bytes)
+def test_156_classes_on_six_vertices():
+    """The 32,768 labelled graphs on 6 vertices fall into exactly 156
+    isomorphism classes (OEIS A000088)."""
+    pairs = all_pairs(6)
+    keys = {canonical_key(Graph(6, [pairs[k] for k in range(15) if mask >> k & 1]))
+            for mask in range(1 << 15)}
+    assert len(keys) == 156
+
+
+def test_key_bytes_pinned():
+    """The keys themselves, not only their equalities: a change to the
+    refinement or the search tree that moves any key shows here."""
+    digest = hashlib.sha256(b"".join(canonical_key(g) for g in pinned_batch()))
+    assert digest.hexdigest() == (
+        "175afc3b5e916be0a0c283731de1bbfd0e0ff464526c96e9f7e0889c1aa0b007")
+
+
+def test_symmetric_worst_cases_fast(monkeypatch):
+    """Twin-rich and vertex-transitive graphs keep their key under
+    relabelling, and the twin orbits keep the empty graph and K16 to one
+    refinement per level of the search tree."""
+    rng = random.Random(16)
+    keys = {}
+    for name, g in symmetric_16().items():
+        keys[name] = canonical_key(g)
+        for _ in range(5):
+            perm = list(range(16))
+            rng.shuffle(perm)
+            assert canonical_key(relabel(g, perm)) == keys[name], name
+    assert len(set(keys.values())) == len(keys)
+
+    calls = []
+    refine = canon._refine
+
+    def counted(*args):
+        calls.append(1)
+        return refine(*args)
+
+    monkeypatch.setattr(canon, "_refine", counted)
+    for g in (Graph(16), complete(16)):
+        calls.clear()
+        canonical_key(g)
+        assert len(calls) <= 16
