@@ -1,25 +1,30 @@
-"""Canonical forms for graphs on at most 16 vertices.
+"""Canonical forms for graphs on at most 16 vertices and for coloured K_v.
 
 The key of a graph is the lexicographically smallest upper-triangle adjacency
 bit string over all vertex orderings the refinement search reaches. Ordered
 partition refinement narrows the orderings; backtracking individualizes each
 vertex of the first non-singleton cell in turn, once per orbit of the
 automorphisms known so far. Twins (two vertices whose neighbourhoods agree
-outside the pair) start in one orbit, since swapping them fixes every other
-vertex; whenever two leaves produce equal encodings the permutation between
-them is an automorphism, and its orbits are merged too. So the empty graph,
-K16 and the star reach one leaf in at most 16 refinements, not 120 to 136.
+outside the pair) start in one orbit, and two leaves with equal encodings give
+an automorphism whose orbits are merged too. Refinement counts each vertex
+only against the cells split in the round before (McKay & Piperno, "Practical
+graph isomorphism, II", 2014), which yields the same partitions in the same
+order. A twin swap fixes every vertex already individualized, so neither step
+changes a key; a test pins their bytes.
 
-Refinement counts each vertex only against the cells split in the round
-before, as in McKay & Piperno, "Practical graph isomorphism, II" (2014): its
-counts in every other cell already agree with its cell's. That gives the same
-partitions in the same order as counting against every cell. A twin swap fixes
-every vertex already individualized, so a branch that the twin orbits cut
-holds the same leaf codes as the branch searched. The keys are the same as
-without either step, and a test pins their bytes.
+The key of a coloured K_v up to vertex relabelling and colour renaming
+(``coloured_key``) is its least block sequence over the vertex orders that
+list vertices by ascending sorted colour degrees, a colour-blind invariant. A
+vertex's block is its colours to the vertices before it, renamed by first
+use. The order grows one vertex at a time, keeping only the partial orders
+whose blocks are least so far, and tries one of two unplaced twins (the same
+colour to every third vertex) only, since swapping them fixes the rest.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
+from itertools import combinations
 
 from .graphs import Graph
 
@@ -146,3 +151,46 @@ def canonical_key(g: Graph) -> bytes:
     if nbits == 0:
         return bytes([n])
     return bytes([n]) + best[0].to_bytes((nbits + 7) // 8, "big")
+
+
+def _twin_reps(rows: list[list], inv: list) -> list[int]:
+    """The least vertex of each vertex's twin class. Twins have the same
+    colour to every third vertex, so they also share their invariant."""
+    v = len(rows)
+    rep = list(range(v))
+    for x, y in combinations(range(v), 2):
+        if rep[y] == y and inv[x] == inv[y] and all(
+                rows[x][z] == rows[y][z] for z in range(v) if z != x and z != y):
+            rep[y] = rep[x]
+    return rep
+
+
+def coloured_key(cols: Sequence[int], v: int) -> tuple[int, ...]:
+    """Canonical form of the coloured K_v whose edge (u, w), u < w, has colour
+    ``cols[w(w-1)/2 + u]``: equal for two prefixes iff one becomes the other
+    under a vertex relabelling and a colour renaming."""
+    rows: list[list] = [[None] * v for _ in range(v)]
+    for w in range(1, v):
+        for u in range(w):
+            rows[w][u] = rows[u][w] = cols[w * (w - 1) // 2 + u]
+    inv = [sorted(map(row.count, set(row) - {None})) for row in rows]
+    rep = _twin_reps(rows, inv)
+    states = [((), 0, {})]  # least partial orders: vertices, mask, colour names
+    seq: list[int] = []
+    for want in sorted(inv):
+        best = None
+        for placed, mask, names in states:
+            tried = set()
+            for x in range(v):
+                if inv[x] != want or mask >> x & 1 or rep[x] in tried:
+                    continue
+                tried.add(rep[x])
+                named = dict(names)
+                block = [named.setdefault(rows[x][p], len(named) + 1) for p in placed]
+                if best is None or block < best:
+                    best, kept = block, []
+                if block == best:
+                    kept.append((placed + (x,), mask | 1 << x, named))
+        seq += best
+        states = kept
+    return (v, *seq)

@@ -22,7 +22,7 @@ colouring of some K_w. Pruning:
   integer, 4 bits per order, and looks its capacity up in a table filled on
   first use;
 * colour relabelling is broken by first-use order, and coloured prefixes on
-  the first few vertices are deduplicated by a canonical form.
+  the first few vertices are deduplicated by ``canon.coloured_key``.
 
 A refuted verdict therefore means every colouring was covered, up to the
 symmetries above. Budget exhaustion is an ordinary outcome, not an error.
@@ -36,15 +36,15 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
+from .canon import coloured_key
 from .colouring import Certificate, pair_index, verify_certificate
 from .pfree import _max_conn_edges
 
 MAX_ORDER = 12
 MAX_COLOURS = 4
-# Coloured prefixes on up to this many vertices are deduplicated; the
-# permutation tables grow as its factorial.
+# Coloured prefixes on up to this many vertices are deduplicated. A K7 memo
+# would cut the trees further, but it changes the pinned node counts.
 ISOMORPH_DEPTH = 6
 
 OUTCOME_REFUTED = "refuted"
@@ -171,54 +171,6 @@ def _completion_cap(sizes: tuple[int, ...]) -> int:
         if val > best:
             best = val
     return best
-
-
-@lru_cache(maxsize=None)
-def _perm_tables(v: int) -> tuple[tuple[int, ...], ...]:
-    """For each permutation of v vertices, the source index of every edge of
-    K_v in engine order (edge (u, w), u < w, has index w(w-1)/2 + u)."""
-    tabs = []
-    for perm in permutations(range(v)):
-        idx = []
-        for w in range(1, v):
-            for u in range(w):
-                a, b = perm[u], perm[w]
-                if a > b:
-                    a, b = b, a
-                idx.append(b * (b - 1) // 2 + a)
-        tabs.append(tuple(idx))
-    return tuple(tabs)
-
-
-def _coloured_key(cols: list[int], v: int) -> tuple[int, ...]:
-    """Canonical form of a coloured K_v prefix, the first C(v, 2) entries of
-    cols: the minimum, over vertex permutations, of the colour sequence
-    renamed by first use."""
-    best: list[int] = []
-    for tab in _perm_tables(v):
-        mapping = [0] * (MAX_COLOURS + 1)
-        nxt = 0
-        out: list[int] = []
-        # 0 while out matches best, -1 once smaller, 1 once larger; the
-        # first permutation counts as smaller than the empty best
-        decided = 0 if best else -1
-        for pos, src in enumerate(tab):
-            c = cols[src]
-            mc = mapping[c]
-            if not mc:
-                nxt += 1
-                mc = mapping[c] = nxt
-            if not decided:
-                bc = best[pos]
-                if mc > bc:
-                    decided = 1
-                    break
-                if mc < bc:
-                    decided = -1
-            out.append(mc)
-        if decided == -1:
-            best = out
-    return tuple(best)
 
 
 # A class's component orders as one integer, its capacity key: 4 bits count
@@ -387,7 +339,7 @@ class _Engine:
     def _seen(self, v: int) -> bool:
         """Record the coloured K_v that the colours so far complete; True if
         an isomorphic copy was recorded before."""
-        key = (v, _coloured_key(self.cols, v))
+        key = coloured_key(self.cols, v)
         if key in self.memo:
             return True
         self.memo.add(key)

@@ -7,6 +7,7 @@ paths under test.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 
 from ramsey_p5.colouring import EdgeColouring, pair_list
@@ -122,6 +123,60 @@ def perm_canonical_mask(mask: int, n: int) -> int:
         if best is None or img < best:
             best = img
     return best if best is not None else 0
+
+
+@lru_cache(maxsize=None)
+def _perm_tables(v: int) -> tuple[tuple[int, ...], ...]:
+    """For each permutation of v vertices, the source index of every edge of
+    K_v in search order (edge (u, w), u < w, has index w(w-1)/2 + u)."""
+    tabs = []
+    for perm in permutations(range(v)):
+        idx = []
+        for w in range(1, v):
+            for u in range(w):
+                a, b = perm[u], perm[w]
+                if a > b:
+                    a, b = b, a
+                idx.append(b * (b - 1) // 2 + a)
+        tabs.append(tuple(idx))
+    return tuple(tabs)
+
+
+def perm_coloured_key(cols, v: int) -> tuple[int, ...]:
+    """Canonical form of the coloured K_v whose edge (u, w), u < w, has colour
+    cols[w(w-1)/2 + u]: the minimum, over all v! vertex permutations, of the
+    colour sequence renamed by first use. Exact for small v."""
+    best: list[int] = []
+    for tab in _perm_tables(v):
+        names: dict = {}
+        out: list[int] = []
+        # 0 while out matches best, -1 once smaller, 1 once larger; the
+        # first permutation counts as smaller than the empty best
+        decided = 0 if best else -1
+        for pos, src in enumerate(tab):
+            mc = names.setdefault(cols[src], len(names) + 1)
+            if not decided:
+                if mc > best[pos]:
+                    decided = 1
+                    break
+                if mc < best[pos]:
+                    decided = -1
+            out.append(mc)
+        if decided == -1:
+            best = out
+    return tuple(best)
+
+
+def colour_twin_reps(cols, v: int) -> list[int]:
+    """For each vertex of a coloured K_v (indexed as in perm_coloured_key),
+    the least vertex with the same colour as it to every third vertex."""
+    def col(a: int, b: int):
+        a, b = min(a, b), max(a, b)
+        return cols[b * (b - 1) // 2 + a]
+
+    return [min(x for x in range(v)
+                if all(col(x, z) == col(y, z) for z in range(v) if z not in (x, y)))
+            for y in range(v)]
 
 
 def edge_creates_p5(adj: list[int], u: int, v: int) -> bool:

@@ -2,13 +2,15 @@
 
 import hashlib
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
-from oracles import all_pairs, perm_canonical_mask
-from ramsey_p5 import canon
-from ramsey_p5.canon import CANON_MAX, OrderTooLarge, canonical_key
+from oracles import (all_pairs, colour_twin_reps, perm_canonical_mask,
+                     perm_coloured_key)
+from ramsey_p5 import canon, engine
+from ramsey_p5.canon import CANON_MAX, OrderTooLarge, canonical_key, coloured_key
+from ramsey_p5.engine import SearchBudget, ramsey_verify
 from ramsey_p5.graphs import (Graph, complete, cycle_graph, path_graph,
                               star_graph)
 
@@ -168,3 +170,128 @@ def test_symmetric_worst_cases_fast(monkeypatch):
         calls.clear()
         canonical_key(g)
         assert len(calls) <= 16
+
+
+def coloured_copy(cols, v: int, perm: list[int], rename: dict) -> list:
+    """The coloured K_v with vertex u moved to perm[u] and colour c renamed
+    rename[c]; edge (u, w), u < w, sits at index w(w-1)/2 + u."""
+    out = [None] * len(cols)
+    k = 0
+    for w in range(1, v):
+        for u in range(w):
+            a, b = sorted((perm[u], perm[w]))
+            out[b * (b - 1) // 2 + a] = rename[cols[k]]
+            k += 1
+    return out
+
+
+def random_coloured(rng: random.Random, v: int) -> list[int]:
+    """A colouring of K_v with colours 1..k for a random k <= 4. Half of them
+    give each vertex one of a few types and colour an edge by the types of
+    its ends, so vertices of one type are twins."""
+    k = rng.randint(1, 4)
+    if rng.random() < 0.5:
+        return [rng.randint(1, k) for _ in range(v * (v - 1) // 2)]
+    types = [rng.randrange(max(1, v // 2)) for _ in range(v)]
+    between = {}
+    return [between.setdefault((min(types[u], types[w]), max(types[u], types[w])),
+                               rng.randint(1, k))
+            for w in range(1, v) for u in range(w)]
+
+
+def random_copy(rng: random.Random, cols, v: int) -> list:
+    perm = list(range(v))
+    rng.shuffle(perm)
+    names = list(range(1, 5))
+    rng.shuffle(names)
+    return coloured_copy(cols, v, perm, dict(zip(range(1, 5), names)))
+
+
+def assert_same_classes(samples) -> None:
+    """``samples`` holds (v, cols, reference) triples whose references are
+    equal exactly for isomorphic prefixes: the keys must split them into the
+    same classes."""
+    by_ref: dict = {}
+    by_key: dict = {}
+    for i, (v, cols, ref) in enumerate(samples):
+        by_ref.setdefault((v, ref), []).append(i)
+        by_key.setdefault(coloured_key(cols, v), []).append(i)
+    assert sorted(by_key.values()) == sorted(by_ref.values())
+
+
+def test_coloured_key_matches_brute_force_on_small_prefixes():
+    """Every colouring of K4 with at most 4 colours and every 2-colouring of
+    K5."""
+    samples = [(4, cols, perm_coloured_key(cols, 4))
+               for cols in product(range(1, 5), repeat=6)]
+    samples += [(5, cols, perm_coloured_key(cols, 5))
+                for cols in product(range(1, 3), repeat=10)]
+    assert_same_classes(samples)
+
+
+def test_coloured_key_matches_brute_force_on_search_prefixes(monkeypatch):
+    """Every prefix the isomorph rule keys in the (9,3) refutation and the
+    (11,4) and (12,4) searches capped at 30,000 nodes."""
+    prefixes = set()
+    key = engine.coloured_key
+
+    def recorded(cols, v):
+        prefixes.add((v, tuple(cols[:v * (v - 1) // 2])))
+        return key(cols, v)
+
+    monkeypatch.setattr(engine, "coloured_key", recorded)
+    ramsey_verify(9, 3)
+    for n in (11, 12):
+        ramsey_verify(n, 4, budget=SearchBudget(nodes=30000))
+    assert {v for v, _ in prefixes} == {3, 4, 5, 6}
+    assert_same_classes([(v, cols, perm_coloured_key(cols, v))
+                         for v, cols in sorted(prefixes)])
+
+
+def test_coloured_key_matches_brute_force_on_random_k6_k7():
+    """300 seeded K6 and 30 seeded K7 colourings, each with two relabelled and
+    recoloured copies."""
+    rng = random.Random(1998)
+    samples = []
+    for v, count in ((6, 300), (7, 30)):
+        for _ in range(count):
+            cols = random_coloured(rng, v)
+            ref = perm_coloured_key(cols, v)
+            samples += [(v, cols, ref)] + [(v, random_copy(rng, cols, v), ref)
+                                           for _ in range(2)]
+    assert_same_classes(samples)
+
+
+def test_coloured_key_invariant_under_relabelling():
+    """A vertex permutation and a colour permutation keep the key, v = 3..8,
+    including colourings with many twins and single-colour ones."""
+    rng = random.Random(2014)
+    for v in range(3, 9):
+        for trial in range(60):
+            cols = random_coloured(rng, v) if trial else [1] * (v * (v - 1) // 2)
+            key = coloured_key(cols, v)
+            assert key[0] == v
+            for _ in range(4):
+                assert coloured_key(random_copy(rng, cols, v), v) == key
+
+
+def test_coloured_key_finds_every_twin(monkeypatch):
+    """The twin classes the key prunes with are the brute-force ones."""
+    seen = []
+    twin_reps = canon._twin_reps
+
+    def recorded(*args):
+        seen.append(twin_reps(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(canon, "_twin_reps", recorded)
+    rng = random.Random(1521)
+    twins = 0
+    for v in range(2, 9):
+        for _ in range(40):
+            cols = random_coloured(rng, v)
+            seen.clear()
+            coloured_key(cols, v)
+            assert seen == [colour_twin_reps(cols, v)]
+            twins += sum(r != x for x, r in enumerate(seen[0]))
+    assert twins > 500
