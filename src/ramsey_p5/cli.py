@@ -25,8 +25,9 @@ def _say(msg: str) -> None:
 
 
 def _extremal_name(n: int) -> str:
+    """aK4 + K_b as ``a*K4+Kb``; the count keeps the line short for any n."""
     a, b = divmod(n, 4)
-    parts = ["K4"] * a
+    parts = [f"{a}*K4" if a > 1 else "K4"] if a else []
     if b or not parts:
         parts.append(f"K{b}")
     return "+".join(parts)
@@ -127,7 +128,7 @@ def _cmd_design_verify(args) -> int:
     else:
         print("resolution_ok=absent")
     if mode == "packing" and verdict.ok:
-        # the pairs no block covers; packings may exceed graph capacity
+        # the pairs no block covers, counted from the blocks, not from v^2
         covered = len(designs.pair_coverage(design))
         print(f"leave_edges={colouring.pair_count(design.v) - covered}")
     _say(f"design v={design.v} mode={mode}: " + ("valid" if ok else "INVALID"))

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
-from .graphs import MAX_VERTICES, Graph, connected_components, find_path
+from .graphs import Graph, connected_components, find_path
 
 CERT_HEADER = "RAMSEY-P5 v1"
 CLAIM_MONO_P5_FREE = "mono-p5-free"
@@ -20,7 +20,8 @@ WITNESS_ATTEMPT_MAX = 9
 
 class UnsupportedWitness(ValueError):
     """No native witness construction for this colour count, or a design
-    search that proved the design it needs does not exist."""
+    search that proved the design it needs does not exist. A supplied
+    design of any order is checked, never refused as unsupported."""
 
 
 class WitnessBudgetExhausted(RuntimeError):
@@ -192,10 +193,6 @@ def witness(r: int, design=None, budget=None) -> EdgeColouring:
                              else f"r={r} has no design order; lift the witness for r-1")
         built = witness_k10() if r == 4 else lift(witness(r - 1, budget=budget))
     elif design is not None:
-        if n > MAX_VERTICES:
-            raise UnsupportedWitness(
-                f"witness for r={r} needs {n} points, beyond the {MAX_VERTICES}-"
-                f"vertex graph capacity; such designs are verification-only")
         if design.v != n:
             raise ValueError(f"witness for r={r} needs {n} points, design has {design.v}")
         if not design.resolved:

@@ -19,6 +19,11 @@ BLOCK_SIZE = 4
 
 MODES = ("steiner", "covering", "packing")
 
+# search_design keeps v masks of v bits and recurses once per block and once
+# per class, so it refuses runs that place more blocks (classes * v/4) than
+# this: at v = 4 that is 800 frames, under CPython's default limit of 1,000.
+SEARCH_MAX_BLOCKS = 400
+
 
 class InfeasibleParameters(ValueError):
     """Search parameters that cannot yield a design of the requested kind."""
@@ -114,8 +119,10 @@ def verify_design(d: Design, mode: str) -> DesignVerdict:
     counts = pair_coverage(d)
     over = ([] if mode == "covering"
             else sorted(p for p, mult in counts.items() if mult > 1))
+    # nested ranges: combinations would first copy range(v) into a tuple
     gaps = (() if mode == "packing"
-            else (p for p in combinations(range(d.v), 2) if p not in counts))
+            else ((i, j) for i in range(d.v) for j in range(i + 1, d.v)
+                  if (i, j) not in counts))
     bad = [(p, counts.get(p, 0))
            for p in islice(merge(gaps, over), VIOLATIONS_SHOWN)]
     return DesignVerdict(mode, not bad, tuple(bad))
@@ -243,10 +250,13 @@ def search_design(v: int, mode: str, classes: int,
     repeated pair slots and on each point's coverage deficit.
     """
     _check_feasible(v, mode, classes)
+    per_class = v // 4
+    if classes * per_class > SEARCH_MAX_BLOCKS:
+        raise ValueError(f"v={v} and classes={classes} place {classes * per_class} "
+                         f"blocks, over the search limit of {SEARCH_MAX_BLOCKS}")
     meter = NodeMeter(budget)
     tick = meter.tick
     covering = mode == "covering"
-    per_class = v // 4
     points = (1 << v) - 1
 
     # unc[a]: the partners of a that no placed block pairs it with; the

@@ -4,8 +4,7 @@ extremal graph aK4 + K_b.
 
 Vertices are integers 0..n-1. Row ``adj[v]`` is an int whose bit ``w`` is set
 iff vw is an edge, so neighbourhood intersections and component sweeps are
-single integer operations. Capacity is capped at 64 vertices so a row always
-fits one machine word. Graphs have no file format of their own; certificate
+single integer operations. Graphs have no file format of their own; certificate
 and design files are read by ``colouring`` and ``designs``.
 """
 
@@ -14,8 +13,6 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator
 
-MAX_VERTICES = 64
-
 
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1."""
@@ -23,8 +20,8 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
+        if n < 0:
+            raise ValueError(f"vertex count must be non-negative, got {n}")
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -100,11 +97,8 @@ def star_graph(n: int) -> Graph:
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    n = g.n + h.n
-    if n > MAX_VERTICES:
-        raise ValueError(f"disjoint union exceeds {MAX_VERTICES} vertices")
     out = Graph.__new__(Graph)
-    out.n = n
+    out.n = g.n + h.n
     out.adj = tuple(list(g.adj) + [row << g.n for row in h.adj])
     return out
 

@@ -7,7 +7,8 @@ import pytest
 from ramsey_p5 import designs, ramsey_value
 from ramsey_p5.cli import main
 from ramsey_p5.colouring import (Certificate, EdgeColouring, lift, pair_count,
-                                 pair_index, witness, write_certificate)
+                                 pair_index, read_certificate, verify_certificate,
+                                 witness, write_certificate)
 
 
 def run(capsys, *argv):
@@ -25,11 +26,15 @@ def test_ramsey_value_table():
 def test_turan_line(capsys):
     code, out = run(capsys, "turan", "11")
     assert code == 0
-    assert out == "ex=15 extremal=K4+K4+K3 unique=true\n"
+    assert out == "ex=15 extremal=2*K4+K3 unique=true\n"
     code, out = run(capsys, "turan", "5")
     assert out == "ex=6 extremal=K4+K1 unique=true\n"
     code, out = run(capsys, "turan", "0")
     assert out == "ex=0 extremal=K0 unique=true\n"
+    # the K4 part is written once with its count, so the line stays short
+    code, out = run(capsys, "turan", "10000000")
+    assert out == "ex=15000000 extremal=2500000*K4 unique=true\n"
+    assert len(out) < 64
 
 
 def test_table_command(capsys):
@@ -88,16 +93,34 @@ def test_malformed_certificate_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
-def test_verify_refuses_orders_beyond_graph_capacity(capsys, tmp_path):
-    """A well-formed 65-vertex certificate parses, but its colour class does
-    not fit the 64-vertex graph cap: exit 2 and no reported path."""
+def test_verify_checks_orders_beyond_64_vertices(capsys, tmp_path):
+    """A 65-vertex certificate is checked like any other: the one-colour
+    K65 has a monochromatic path, exit 1 with the path reported."""
     n = 65
     cert = tmp_path / "k65.cert"
     cert.write_bytes(write_certificate(Certificate(n, 1, (1,) * pair_count(n))))
     code = main(["verify", str(cert)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (
-        2, "", "error: vertex count must be in 0..64, got 65\n")
+        1, "outcome=fail\nwitness_colour=1\nwitness_path=0,1,2,3,4\n",
+        "certificate n=65 r=1: claim VIOLATED\n")
+
+
+def test_lift_chain_past_64_vertices_verifies(capsys, tmp_path):
+    """The lift chain from witness(6) continues to K80: each certificate
+    round-trips and passes, and `verify` on the K65 file exits 0."""
+    col = witness(6)
+    while col.n < 80:
+        col = lift(col)
+        cert = Certificate.from_colouring(col)
+        data = write_certificate(cert)
+        assert read_certificate(data) == cert
+        assert verify_certificate(cert).ok, col.n
+        if col.n == 65:
+            path = tmp_path / "k65.cert"
+            path.write_bytes(data)
+    code, out = run(capsys, "verify", str(path))
+    assert (code, out) == (0, "outcome=pass\n")
 
 
 def _sparse_first_colour(n: int, r: int, seed: int, weight: int) -> EdgeColouring:
@@ -345,13 +368,71 @@ def test_design_verify_cost_follows_the_file(capsys, tmp_path):
         assert got == expected, mode
         assert peak < 1 << 20, (mode, peak)
 
-def test_witness_beyond_graph_capacity_refused(capsys, tmp_path):
+
+def test_design_verify_steiner_gaps_walk_lazily(capsys, tmp_path):
+    """A one-block Steiner file naming 10^6 points: the first 20 uncovered
+    pairs are found without a table of the points, under 1 MB."""
+    import tracemalloc
+
+    path = tmp_path / "s.design"
+    path.write_bytes(b"DESIGN v1\nv=1000000 k=4 mode=steiner\nP 0\n0 1 2 3\n")
+    tracemalloc.start()
+    try:
+        code, out = run(capsys, "design", "verify", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gaps = "".join(f"violation=pair 0 {j} multiplicity=0\n" for j in range(4, 24))
+    assert (code, out) == (1, "mode=steiner ok=false\n" + gaps + "resolution_ok=absent\n")
+    assert peak < 1 << 20, peak
+
+
+def test_witness_checks_designs_beyond_64_points(capsys, tmp_path):
+    """A 108-point design for r = 36 gets the same checks as a small one:
+    one class is the wrong class count, exit 2."""
     lines = ["DESIGN v1", "v=108 k=4 mode=packing", "P 1"]
     lines += [f"{4 * i} {4 * i + 1} {4 * i + 2} {4 * i + 3}" for i in range(27)]
     path = tmp_path / "p108.design"
     path.write_bytes(("\n".join(lines) + "\n").encode())
-    code, _ = run(capsys, "witness", "36", "--design", str(path))
-    assert code == 1
+    code = main(["witness", "36", "--design", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        2, "", "error: expected 36 or 35 classes, design has 1\n")
+
+
+def test_witness_design_header_claiming_a_million_points(capsys, tmp_path):
+    """witness 333333 needs 10^6 points; a file whose header says so but that
+    holds one unresolved block is refused in constant memory, exit 2."""
+    import tracemalloc
+
+    path = tmp_path / "huge.design"
+    path.write_bytes(b"DESIGN v1\nv=1000000 k=4 mode=covering\nP 0\n0 1 2 3\n")
+    tracemalloc.start()
+    try:
+        code = main(["witness", "333333", "--design", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        2, "", "error: witness designs must be resolvable\n")
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("v,mode,classes", [
+    (8, "covering", 600), (8, "covering", 450), (4000, "packing", 2),
+    (16000, "packing", 1)])
+def test_design_search_beyond_block_limit_is_usage_error(capsys, v, mode, classes):
+    """Runs that would place more blocks than the search supports are refused
+    before they start: exit 2 with one line, not a RecursionError (exit 1)
+    or masks that grow as v^2."""
+    code = main(["design", "search", "--v", str(v), "--mode", mode,
+                 "--classes", str(classes)])
+    captured = capsys.readouterr()
+    blocks = classes * (v // 4)
+    assert (code, captured.out, captured.err) == (
+        2, "", f"error: v={v} and classes={classes} place {blocks} blocks, "
+               f"over the search limit of {designs.SEARCH_MAX_BLOCKS}\n")
 
 
 def test_witness_from_design_file(capsys, tmp_path):

@@ -321,6 +321,17 @@ def test_witness_unsupported():
         witness(0)
 
 
+def test_witness_checks_a_supplied_design_past_64_points():
+    """r = 23 needs 68 points. The natural partition taken as all 22 classes
+    passes every design check, and the re-check finds the path in the leave
+    (colour 23) instead of refusing the order as unsupported."""
+    natural = tuple(tuple(range(4 * i, 4 * i + 4)) for i in range(17))
+    with pytest.raises(ValueError,
+                       match=r"monochromatic 5-path: MonoPath\(colour=23") as err:
+        witness(23, design=designs.Design(68, (natural,) * 22))
+    assert not isinstance(err.value, UnsupportedWitness)
+
+
 def test_witness_stretch_orders_report_budget_exhaustion():
     from ramsey_p5.colouring import WitnessBudgetExhausted
     from ramsey_p5.designs import SearchBudget

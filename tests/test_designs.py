@@ -10,8 +10,9 @@ import pytest
 
 import ramsey_p5
 from ramsey_p5.colouring import find_mono_p5, max_mono_component_order
-from ramsey_p5.designs import (Design, DesignParseError, InfeasibleParameters,
-                               MissingResolution, SearchBudget, UncolouredPair,
+from ramsey_p5.designs import (SEARCH_MAX_BLOCKS, Design, DesignParseError,
+                               InfeasibleParameters, MissingResolution,
+                               SearchBudget, UncolouredPair,
                                design_to_colouring, pair_coverage, read_design,
                                search_design, verify_design, verify_resolution,
                                write_design)
@@ -218,6 +219,18 @@ def test_search_infeasible_parameters():
         search_design(8, "covering", 2)  # 24 slots < 28 pairs
     with pytest.raises(InfeasibleParameters):
         search_design(8, "packing", 3)  # 36 slots > 28 pairs
+
+
+def test_search_block_limit():
+    """The deepest run the limit allows, one block per class on 4 points,
+    completes; one more class is refused before any search."""
+    result = search_design(4, "covering", SEARCH_MAX_BLOCKS)
+    assert result.outcome == "found"
+    assert len(result.design.classes) == SEARCH_MAX_BLOCKS
+    for v, mode, classes in ((4, "covering", SEARCH_MAX_BLOCKS + 1),
+                             (100, "steiner", 33)):
+        with pytest.raises(ValueError, match="over the search limit"):
+            search_design(v, mode, classes)
 
 
 def test_search_distinguishes_exhausted_space_from_budget():

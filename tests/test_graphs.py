@@ -16,7 +16,8 @@ from ramsey_p5.pfree import component_is_p5_free
 
 def test_graph_validation():
     with pytest.raises(ValueError):
-        Graph(65)
+        Graph(-1)
+    assert disjoint_union(complete(40), complete(40)).edge_count() == 2 * 780
     with pytest.raises(ValueError):
         Graph(3, [(0, 0)])
     with pytest.raises(ValueError):
@@ -75,7 +76,7 @@ def test_find_path_matches_unpruned_search():
     complete: for t = 1..6 it returns the same first path as the search
     without them, on every labelled graph up to 6 vertices, on seeded random
     graphs up to 12 vertices, and on relabelled stars and double stars up
-    to the 64-vertex cap."""
+    to 96 vertices, past one machine word per adjacency row."""
     for n in range(7):
         pairs = all_pairs(n)
         for mask in range(1 << len(pairs)):
@@ -85,7 +86,7 @@ def test_find_path_matches_unpruned_search():
         n = rng.randint(7, 12)
         density = rng.choice((0.1, 0.2, 0.3, 0.5))
         _same_first_path(Graph(n, [p for p in all_pairs(n) if rng.random() < density]))
-    for n in range(1, 65):
+    for n in range(1, 97):
         label = rng.sample(range(n), n)
         _same_first_path(Graph(n, [(label[0], label[i]) for i in range(1, n)]))
         for split in {k for k in (2, n // 2, n - 1) if 2 <= k < n}:
