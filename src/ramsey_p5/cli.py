@@ -2,7 +2,8 @@
 
 Machine-readable key=value lines go to stdout; human summaries go to stderr.
 Exit codes: 0 success or claims hold, 1 claim violated or witness absent,
-2 usage or input-format error, 3 budget exhausted.
+2 usage or input-format error, 3 budget exhausted; 141 (128 + SIGPIPE) when
+the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -258,7 +259,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``). Point stdout at
+        # devnull so the interpreter's exit flush cannot fail again, and exit
+        # as a shell reports a writer killed by SIGPIPE: 128 + 13.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -177,21 +177,23 @@ def witness(r: int, design=None, budget=None) -> EdgeColouring:
     one place that picks the construction for r.
 
     r = 4 is the hardcoded K_10 colouring, and r = 2 (mod 4) lifts the
-    witness for r - 1. Every other r colours K_N from a resolvable block
-    design with r classes, or r - 1 classes and the leave as colour r: the
-    supplied ``design``, else one searched for natively up to r = 9. Every
-    route ends in one monochromatic-path re-check, which raises ValueError
-    for a supplied design and AssertionError for a built colouring.
+    witness for r - 1, built from ``design`` if one is supplied. Every other
+    r colours K_N from a resolvable block design with r classes, or r - 1
+    classes and the leave as colour r: the supplied ``design``, else one
+    searched for natively up to r = 9. Every route ends in one
+    monochromatic-path re-check, which raises ValueError for a supplied
+    design and AssertionError for a built colouring.
     """
     from . import designs  # local imports; both build on this module
     from .engine import SearchBudget
 
     n = ramsey_value(r) - 1
-    if r == 4 or r % 4 == 2:
+    if r == 4:
         if design is not None:
-            raise ValueError("r=4 uses the dedicated 10-point construction" if r == 4
-                             else f"r={r} has no design order; lift the witness for r-1")
-        built = witness_k10() if r == 4 else lift(witness(r - 1, budget=budget))
+            raise ValueError("r=4 uses the dedicated 10-point construction")
+        built = witness_k10()
+    elif r % 4 == 2:
+        built = lift(witness(r - 1, design=design, budget=budget))
     elif design is not None:
         if design.v != n:
             raise ValueError(f"witness for r={r} needs {n} points, design has {design.v}")

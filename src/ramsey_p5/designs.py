@@ -255,7 +255,8 @@ def search_design(v: int, mode: str, classes: int,
         raise ValueError(f"v={v} and classes={classes} place {classes * per_class} "
                          f"blocks, over the search limit of {SEARCH_MAX_BLOCKS}")
     meter = NodeMeter(budget)
-    tick = meter.tick
+    nodes = 0
+    stop = meter.check(nodes)
     covering = mode == "covering"
     points = (1 << v) - 1
 
@@ -292,7 +293,7 @@ def search_design(v: int, mode: str, classes: int,
         """Extend the class under construction, whose blocks are done and
         whose free points are remaining; tight while done equals the start
         of the previous class, which is solution[-1]."""
-        nonlocal waste, pruned_waste, rejected_classes
+        nonlocal nodes, stop, waste, pruned_waste, rejected_classes
         if remaining == 0:
             classes_left = classes - len(solution) - 1
             if covering and not covering_viable(classes_left):
@@ -316,7 +317,9 @@ def search_design(v: int, mode: str, classes: int,
             blk: Block = (p, q, r, s)
             if floor_blk is not None and blk < floor_blk:
                 continue
-            tick()
+            nodes += 1
+            if nodes == stop:
+                stop = meter.check(nodes)
             bm = low | 1 << q | 1 << r | 1 << s
             up, uq, ur, us = unc[p], unc[q], unc[r], unc[s]
             fresh = ((up & bm).bit_count() + (uq & bm).bit_count()
@@ -345,7 +348,7 @@ def search_design(v: int, mode: str, classes: int,
         outcome = "budget"
     seconds = meter.seconds()
     if not found:
-        return DesignSearchResult(None, outcome, meter.nodes, seconds,
+        return DesignSearchResult(None, outcome, nodes, seconds,
                                   pruned_waste, rejected_classes)
 
     design = Design(v, tuple(solution))
@@ -353,7 +356,7 @@ def search_design(v: int, mode: str, classes: int,
         raise AssertionError(f"search_design built an invalid {mode} design")
     if not verify_resolution(design).ok:
         raise AssertionError("search_design built an invalid resolution")
-    return DesignSearchResult(design, "found", meter.nodes, seconds,
+    return DesignSearchResult(design, "found", nodes, seconds,
                               pruned_waste, rejected_classes)
 
 

@@ -20,14 +20,21 @@ colouring of some K_w. Pruning:
   depends only on the multiset of component orders, which changes only when
   an edge joins two components. The engine keeps that multiset as one
   integer, 4 bits per order, and looks its capacity up in a table filled on
-  first use;
+  first use. A child that joins two components is tested before its edge is
+  written, after the path test;
 * colour relabelling is broken by first-use order, and coloured prefixes on
   the first few vertices are deduplicated by ``canon.coloured_key``.
 
 A refuted verdict therefore means every colouring was covered, up to the
 symmetries above. Budget exhaustion is an ordinary outcome, not an error.
 ``SearchStats`` counts the nodes each rule cut off; every other node is a
-descent.
+descent, except the last node of a budget-exhausted run, which no rule
+decides.
+
+The search is one loop, not a recursion: each descended edge leaves one
+undo record on an explicit stack, and the node and prune counts stay in
+locals until the loop stops. The loop asks ``NodeMeter.check`` about the
+budget only at the node counts the meter names.
 """
 
 from __future__ import annotations
@@ -88,25 +95,30 @@ CLOCK_POLL_NODES = 1024
 
 
 class NodeMeter:
-    """Counts the nodes of one search against a budget; the clock starts
-    when the meter is made."""
+    """The budget of one search; the clock starts when the meter is made.
+    The search counts its own nodes and calls ``check`` at the counts the
+    meter names."""
 
     def __init__(self, budget: SearchBudget | None):
         self.budget = budget = budget or SearchBudget()
-        self.nodes = 0
         self.start = time.perf_counter()
         self.cap = budget.nodes
         self.deadline = None if budget.seconds is None else self.start + budget.seconds
 
-    def tick(self) -> None:
-        """Count one node; raise BudgetExhausted past the cap or deadline.
+    def check(self, nodes: int) -> int:
+        """Raise BudgetExhausted if ``nodes`` passes the cap or the deadline
+        has passed, else return the count at which to check next: cap + 1,
+        or the next multiple of CLOCK_POLL_NODES unless only a cap is set.
         The node check runs first, so node-limit runs are reproducible."""
-        self.nodes += 1
-        if self.cap is not None and self.nodes > self.cap:
+        cap = self.cap
+        if cap is not None and nodes > cap:
             raise BudgetExhausted
-        if self.deadline is not None and self.nodes % CLOCK_POLL_NODES == 0:
-            if time.perf_counter() > self.deadline:
-                raise BudgetExhausted
+        if self.deadline is not None and time.perf_counter() > self.deadline:
+            raise BudgetExhausted
+        poll = nodes - nodes % CLOCK_POLL_NODES + CLOCK_POLL_NODES
+        if cap is None:
+            return poll
+        return cap + 1 if self.deadline is None else min(cap + 1, poll)
 
     def seconds(self) -> float:
         return time.perf_counter() - self.start
@@ -127,7 +139,8 @@ class SearchStats:
     max_depth: int
     seconds: float
     mode: str
-    # Nodes cut off by each rule; the rest are descents.
+    # Nodes cut off by each rule; the rest are descents, but for the last
+    # node of a budget-exhausted run, which no rule decides.
     pruned_path: int = 0
     pruned_capacity: int = 0
     pruned_isomorph: int = 0
@@ -196,8 +209,6 @@ class _Engine:
         self.cfg = cfg
         self.edges = [(u, w) for w in range(1, n) for u in range(w)]
         self.m = len(self.edges)
-        # Per depth: the ends of its edge, their bits and the edge's mask.
-        self.steps = [(u, w, 1 << u, 1 << w, 1 << u | 1 << w) for u, w in self.edges]
         self.adj = [[0] * n for _ in range(r + 1)]
         # Per class: the component mask of every vertex, the edge count of
         # every component (keyed by its mask), the mask of vertices of degree
@@ -211,23 +222,24 @@ class _Engine:
         self.caps = [empty_cap] * (r + 1)
         self.total_cap = r * empty_cap
         self.cols = [0] * self.m
-        self.max_depth = 0
+        self.nodes = self.max_depth = 0
         self.pruned_path = self.pruned_capacity = self.pruned_isomorph = 0
         self.memo: set[tuple] = set()
+        # Edge count of K_v -> v: the isomorph test runs on each child that
+        # writes the last edge of K_v.
         boundary_max = min(ISOMORPH_DEPTH if cfg.isomorph else 0, n - 1)
         self.boundaries = {v * (v - 1) // 2: v for v in range(3, boundary_max + 1)}
         self.witness: Certificate | None = None
 
     def run(self, budget: SearchBudget | None) -> Verdict:
         meter = NodeMeter(budget)
-        self.tick = meter.tick
         outcome = OUTCOME_BUDGET
         try:
-            found = self._dfs(0, 0)
+            found = self._search(0, 0, meter)
             outcome = OUTCOME_WITNESS if found else OUTCOME_REFUTED
         except BudgetExhausted:
             pass
-        stats = SearchStats(meter.nodes, self.max_depth, meter.seconds(),
+        stats = SearchStats(self.nodes, self.max_depth, meter.seconds(),
                             meter.budget.mode, self.pruned_path,
                             self.pruned_capacity, self.pruned_isomorph,
                             len(self.memo))
@@ -235,106 +247,161 @@ class _Engine:
             raise AssertionError("search witness fails re-verification")
         return Verdict(outcome, self.witness, stats)
 
-    def _dfs(self, d: int, used: int) -> bool:
+    def _search(self, d: int, used: int, meter: NodeMeter) -> bool:
+        """Search every colouring of the edges from depth d on, with colours
+        1..used in use before it; True at a witness, False once every colour
+        of edge d is done. Each descended edge leaves one undo record on a
+        stack, and the counters live in locals until the search stops."""
         if d == self.m:
             return self._record_witness()
-        if d > self.max_depth:
-            self.max_depth = d
-        u, w, ubit, wbit, uw = self.steps[d]
-        cfg = self.cfg
-        limit = min(used + 1, self.r) if cfg.colour_symmetry else self.r
-        boundary_v = self.boundaries.get(d + 1)
-        tick = self.tick
+        d0 = d
+        m = self.m
+        r = self.r
+        bound = self.cfg.component_bound
+        # Per count of colours in use: the last colour edge d may take.
+        limits = [min(k + 1, r) if self.cfg.colour_symmetry else r
+                  for k in range(r + 1)]
+        # Per depth: the ends of its edge, their bits, the edge's mask and the
+        # order of the K_v it completes at an isomorph boundary.
+        steps = [(u, w, 1 << u, 1 << w, 1 << u | 1 << w, self.boundaries.get(k + 1))
+                 for k, (u, w) in enumerate(self.edges)]
         comps = self.comp
+        ecounts = self.edge_counts
         adjs = self.adj
         inners = self.inner
-        ecounts = self.edge_counts
-        for c in range(1, limit + 1):
-            tick()
-            compc = comps[c]
-            counts = ecounts[c]
-            cu = compc[u]
-            cw = compc[w]
-            merged = cu != cw
-            if merged:
-                joined = cu | cw
-                e = counts[cu] + counts[cw] + 1
-            else:
-                joined = cu
-                e = counts[cu] + 1
-            adjc = adjs[c]
-            au = adjc[u]
-            aw = adjc[w]
-            inner = inners[c]
-            # u and w have degree >= 2 with uw unless it is their first edge.
-            grown = inner | (ubit if au else 0) | (wbit if aw else 0)
-            # The class has no 5-vertex path, so a path that uw makes runs
-            # through uw, inside the component ``joined`` of s vertices and e
-            # edges. The rule of pfree.shape_is_p5_free, decided before uw is
-            # written: past four vertices, a tree with at most two non-leaves,
-            # or e = s with a vertex adjacent to all others, which is u, w or
-            # a common neighbour of both.
-            s = joined.bit_count()
-            if s > 4:
-                if e == s - 1:
-                    free = (grown & joined).bit_count() <= 2
-                elif e == s:
-                    free = au | uw == joined or aw | uw == joined
-                    rest = au & aw
-                    while rest and not free:
-                        b = rest & -rest
-                        rest ^= b
-                        free = adjc[b.bit_length() - 1] | b == joined
+        orders = self.orders
+        caps = self.caps
+        cap_of = self.cap_of
+        cols = self.cols
+        stack = []
+        nodes = self.nodes
+        stop = meter.check(nodes)
+        pruned_path = self.pruned_path
+        pruned_capacity = self.pruned_capacity
+        total_cap = self.total_cap
+        max_depth = self.max_depth
+        c = 0  # the colour of edge d tried last; 0 on entering depth d
+        try:
+            while True:
+                u, w, ubit, wbit, uw, boundary_v = steps[d]
+                if c:
+                    # Back at depth d: undo its edge in colour c.
+                    c, used, au, aw, inner, saved, cu, e = stack.pop()
+                    adjc = adjs[c]
+                    adjc[u] = au
+                    adjc[w] = aw
+                    inners[c] = inner
+                    if saved is None:
+                        ecounts[c][cu] = e - 1
+                    else:
+                        comps[c], orders[c], caps[c], total_cap = saved
+                elif d > max_depth:
+                    max_depth = d
+                limit = limits[used]
+                while c < limit:
+                    c += 1
+                    nodes += 1
+                    if nodes == stop:
+                        stop = meter.check(nodes)
+                    compc = comps[c]
+                    counts = ecounts[c]
+                    cu = compc[u]
+                    cw = compc[w]
+                    merged = cu != cw
+                    if merged:
+                        joined = cu | cw
+                        e = counts[cu] + counts[cw] + 1
+                    else:
+                        joined = cu
+                        e = counts[cu] + 1
+                    adjc = adjs[c]
+                    au = adjc[u]
+                    aw = adjc[w]
+                    inner = inners[c]
+                    # u and w have degree >= 2 with uw unless it is their
+                    # first edge.
+                    grown = inner | (ubit if au else 0) | (wbit if aw else 0)
+                    # The class has no 5-vertex path, so a path that uw makes
+                    # runs through uw, inside the component ``joined`` of s
+                    # vertices and e edges. The rule of pfree.shape_is_p5_free,
+                    # decided before uw is written: past four vertices, a tree
+                    # with at most two non-leaves, or e = s with a vertex
+                    # adjacent to all others, which is u, w or a common
+                    # neighbour of both.
+                    s = joined.bit_count()
+                    if s > 4:
+                        if e == s - 1:
+                            free = (grown & joined).bit_count() <= 2
+                        elif e == s:
+                            free = au | uw == joined or aw | uw == joined
+                            rest = au & aw
+                            while rest and not free:
+                                b = rest & -rest
+                                rest ^= b
+                                free = adjc[b.bit_length() - 1] | b == joined
+                        else:
+                            free = False
+                        if not free:
+                            pruned_path += 1
+                            continue
+                    # Capacity changes only when uw joins two components, and
+                    # the total passed the test when it last changed.
+                    if merged:
+                        key = (orders[c] + _ORDER_UNIT[s] - _ORDER_UNIT[cu.bit_count()]
+                               - _ORDER_UNIT[cw.bit_count()])
+                        cap = cap_of[key]
+                        grown_cap = total_cap + cap - caps[c]
+                        if bound and grown_cap < m:
+                            pruned_capacity += 1
+                            continue
+                        # The class gets a relabelled copy of its component
+                        # list; the undo puts back the list, the key and both
+                        # capacities.
+                        saved = (compc, orders[c], caps[c], total_cap)
+                        comps[c] = compc = compc[:]
+                        rest = joined
+                        while rest:
+                            b = rest & -rest
+                            rest ^= b
+                            compc[b.bit_length() - 1] = joined
+                        orders[c] = key
+                        caps[c] = cap
+                        total_cap = grown_cap
+                    else:
+                        saved = None
+                    # An undone merge leaves this count and the parts' counts
+                    # in place: no other component can take their masks.
+                    counts[joined] = e
+                    adjc[u] = au | wbit
+                    adjc[w] = aw | ubit
+                    inners[c] = grown
+                    cols[d] = c
+                    stack.append((c, used, au, aw, inner, saved, cu, e))
+                    if boundary_v is not None:
+                        self.total_cap = total_cap
+                        if self._seen(boundary_v):
+                            # Back at depth d with c set: the top of the loop
+                            # undoes the child at once.
+                            self.pruned_isomorph += 1
+                            break
+                    if c > used:
+                        used = c
+                    d += 1
+                    if d == m:
+                        return self._record_witness()
+                    c = 0
+                    break
                 else:
-                    free = False
-                if not free:
-                    self.pruned_path += 1
-                    continue
-            adjc[u] = au | wbit
-            adjc[w] = aw | ubit
-            inners[c] = grown
-            self.cols[d] = c
-            # Capacity changes only when uw joins two components, and the
-            # total passed the test when it last changed.
-            if merged:
-                saved = (compc, self.orders[c], self.caps[c], self.total_cap)
-                self._merge(c, cu, cw)
-            # An undone merge leaves this count and the parts' counts in
-            # place: no other component can take their masks.
-            counts[joined] = e
-            if merged and cfg.component_bound and self.total_cap < self.m:
-                self.pruned_capacity += 1
-            elif boundary_v is not None and self._seen(boundary_v):
-                self.pruned_isomorph += 1
-            elif self._dfs(d + 1, max(used, c)):
-                return True
-            if merged:
-                comps[c], self.orders[c], self.caps[c], self.total_cap = saved
-            else:
-                counts[cu] = e - 1
-            inners[c] = inner
-            adjc[u] = au
-            adjc[w] = aw
-        return False
-
-    def _merge(self, c: int, cu: int, cw: int) -> None:
-        """Join the components cu and cw of class c by one edge: give the
-        class a relabelled copy of its component list and update its capacity
-        key and capacity. The caller undoes it by putting back the list, the
-        key and both capacities it held before."""
-        joined = cu | cw
-        self.comp[c] = comp = self.comp[c][:]
-        rest = joined
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            comp[b.bit_length() - 1] = joined
-        unit = _ORDER_UNIT
-        self.orders[c] = key = (self.orders[c] + unit[joined.bit_count()]
-                                - unit[cu.bit_count()] - unit[cw.bit_count()])
-        cap = self.cap_of[key]
-        self.total_cap += cap - self.caps[c]
-        self.caps[c] = cap
+                    # Every colour of edge d is done; undo edge d - 1.
+                    if d == d0:
+                        return False
+                    d -= 1
+        finally:
+            self.nodes = nodes
+            self.pruned_path = pruned_path
+            self.pruned_capacity = pruned_capacity
+            self.total_cap = total_cap
+            self.max_depth = max_depth
 
     def _seen(self, v: int) -> bool:
         """Record the coloured K_v that the colours so far complete; True if

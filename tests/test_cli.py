@@ -1,9 +1,14 @@
 """Command-line surface: outputs, file round trips, exit codes."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ramsey_p5
 from ramsey_p5 import designs, ramsey_value
 from ramsey_p5.cli import main
 from ramsey_p5.colouring import (Certificate, EdgeColouring, lift, pair_count,
@@ -449,10 +454,10 @@ def test_witness_from_design_file(capsys, tmp_path):
 
 
 def test_witness_supplied_design_refusals(capsys, tmp_path):
-    """A supplied design is refused with exit 2 for r = 4 and r = 2 (mod 4),
-    which have their own constructions, for a wrong order or class count,
-    and when its colouring has a monochromatic 5-vertex path (here in the
-    leave, colour 3)."""
+    """A supplied design is refused with exit 2 for r = 4, which has its own
+    construction, for a wrong order or class count, and when its colouring
+    has a monochromatic 5-vertex path (here in the leave, colour 3). For
+    r = 6 the design builds the witness for r = 5, which is lifted."""
     b16 = tmp_path / "b16.design"
     run(capsys, "design", "search", "--v", "16", "--mode", "steiner",
         "--classes", "5", "-o", str(b16))
@@ -461,7 +466,6 @@ def test_witness_supplied_design_refusals(capsys, tmp_path):
     mono_leave = tmp_path / "m8.design"
     mono_leave.write_bytes(one_class.read_bytes() + b"P 2\n0 4 5 6\n1 2 3 7\n")
     cases = {("4", b16): "r=4 uses the dedicated 10-point construction",
-             ("6", b16): "r=6 has no design order; lift the witness for r-1",
              ("3", b16): "witness for r=3 needs 8 points, design has 16",
              ("3", one_class): "expected 3 or 2 classes, design has 1",
              ("3", mono_leave): "design colouring contains a monochromatic "
@@ -470,3 +474,35 @@ def test_witness_supplied_design_refusals(capsys, tmp_path):
         code = main(["witness", r, "--design", str(path)])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+    code, out = run(capsys, "witness", "6", "--design", str(b16), "-o",
+                    str(tmp_path / "w6.cert"))
+    assert (code, out) == (0, f"r=6 n=17 file={tmp_path / 'w6.cert'} verified=true\n")
+
+
+def test_witness_lifts_a_supplied_design_past_64_vertices(capsys, tmp_path):
+    """r = 22 lifts the K64 witness that a supplied design gives r = 21."""
+    s64 = tmp_path / "s64.design"
+    code, out = run(capsys, "design", "search", "--v", "64", "--mode", "steiner",
+                    "--classes", "21", "-o", str(s64))
+    assert code == 0 and "nodes=320\n" in out
+    cert = tmp_path / "w22.cert"
+    code, out = run(capsys, "witness", "22", "--design", str(s64), "-o", str(cert))
+    assert (code, out) == (0, f"r=22 n=65 file={cert} verified=true\n")
+    assert b"# source design: s64.design" in cert.read_bytes()
+    code, out = run(capsys, "verify", str(cert))
+    assert code == 0 and "outcome=pass\n" in out
+
+
+def test_closed_stdout_exits_141_without_traceback(tmp_path):
+    """A reader that closes the pipe before the output comes (``| head``)
+    ends the command as a shell reports a writer killed by SIGPIPE, 128 +
+    13, not with a traceback and exit 1, which means a violated claim."""
+    src = str(Path(ramsey_p5.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ramsey_p5", "design", "search", "--v", "64",
+         "--mode", "steiner", "--classes", "21", "-o", str(tmp_path / "s64.design")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src})
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")

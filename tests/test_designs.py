@@ -202,6 +202,23 @@ def test_search_budget_exhaustion_is_reported():
     assert result.nodes >= 1
 
 
+@pytest.mark.parametrize("budget,nodes", [
+    (SearchBudget(nodes=1023), 1024), (SearchBudget(nodes=1024), 1025),
+    (SearchBudget(nodes=1025), 1026), (SearchBudget(nodes=5000, seconds=60), 5001),
+    (SearchBudget(seconds=0.05), None)],
+    ids=["cap-1023", "cap-1024", "cap-1025", "cap-5000-and-60s", "50ms"])
+def test_search_limits_stop_where_the_meter_checks(budget, nodes):
+    """The design search meters its nodes as the edge-colouring search does:
+    it stops at the first node past the cap, the cap checked before the
+    clock, and a deadline alone stops it on a clock poll."""
+    result = search_design(20, "covering", 7, budget)
+    assert (result.outcome, result.design) == ("budget", None)
+    if nodes is None:
+        assert result.nodes > 0 and result.nodes % CLOCK_POLL_NODES == 0
+    else:
+        assert result.nodes == nodes
+
+
 def test_search_time_limit_stops_on_a_clock_poll():
     result = search_design(28, "steiner", 9, SearchBudget(seconds=0.05))
     assert (result.outcome, result.design) == ("budget", None)

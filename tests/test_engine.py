@@ -15,9 +15,9 @@ from oracles import (adj_has_p5, all_pairs, bfs_components, component_sizes,
                      edge_creates_p5)
 from ramsey_p5.colouring import verify_certificate, write_certificate
 from ramsey_p5.engine import (CLOCK_POLL_NODES, OUTCOME_BUDGET, OUTCOME_REFUTED,
-                              OUTCOME_WITNESS, ParameterError, SearchBudget,
-                              SearchConfig, _completion_cap, _Engine,
-                              ramsey_verify)
+                              OUTCOME_WITNESS, NodeMeter, ParameterError,
+                              SearchBudget, SearchConfig, _completion_cap,
+                              _Engine, ramsey_verify)
 from ramsey_p5.pfree import component_is_p5_free
 
 # Searches of minutes run only on request.
@@ -103,29 +103,52 @@ def test_node_counts_pinned():
                 stats.pruned_isomorph) == pruned, n
 
 
-def test_prune_counters_account_for_every_node(monkeypatch):
-    """Each node is cut off by exactly one rule or descended into, and each
-    node at an isomorph boundary is cut off or recorded in the memo."""
-    calls = boundary = 0
-    dfs, seen = _Engine._dfs, _Engine._seen
+def watched_run(eng, watch, budget=None):
+    """Run the search on ``eng`` with a boundary after every edge, so that
+    ``_seen`` sees every child that passes the path and capacity tests, with
+    edge d written in colour ``eng.cols[d]``. At the search's own boundaries
+    the isomorph test still decides, so the tree is the search's own; every
+    other child is descended into. ``watch(eng, d, descend)`` sees each such
+    child. Returns the verdict and the number of visits to the search's own
+    boundaries."""
+    own, test = eng.boundaries, eng._seen
+    eng.boundaries = {d + 1: (d, own.get(d + 1)) for d in range(eng.m)}
+    visits = 0
 
-    def counted(self, d, used):
-        nonlocal calls
-        calls += 1
-        return dfs(self, d, used)
+    def seen(mark):
+        nonlocal visits
+        d, v = mark
+        cut = False
+        if v is not None:
+            visits += 1
+            cut = test(v)
+        watch(eng, d, not cut)
+        return cut
 
-    def counted_seen(self, v):
-        nonlocal boundary
-        boundary += 1
-        return seen(self, v)
+    eng._seen = seen
+    return eng.run(budget), visits
 
-    monkeypatch.setattr(_Engine, "_dfs", counted)
-    monkeypatch.setattr(_Engine, "_seen", counted_seen)
-    stats = ramsey_verify(9, 3).stats
-    pruned = (stats.pruned_path, stats.pruned_capacity, stats.pruned_isomorph)
-    assert all(pruned)
-    assert sum(pruned) + calls - 1 == stats.nodes  # the root call is no descent
-    assert stats.memo + stats.pruned_isomorph == boundary
+
+def test_prune_counters_account_for_every_node():
+    """Each node is cut off by exactly one rule or descended into, except the
+    last node of a budget-exhausted run, which no rule decides; and each node
+    at an isomorph boundary is cut off or recorded in the memo."""
+    for n, r, budget, outcome, nodes, undecided in (
+            (9, 3, None, OUTCOME_REFUTED, 3103, 0),
+            (12, 4, SearchBudget(nodes=30000), OUTCOME_BUDGET, 30001, 1)):
+        descents = 0
+
+        def watch(eng, d, descend):
+            nonlocal descents
+            descents += descend
+
+        verdict, visits = watched_run(_Engine(n, r, SearchConfig()), watch, budget)
+        stats = verdict.stats
+        assert (verdict.outcome, stats.nodes) == (outcome, nodes)
+        pruned = (stats.pruned_path, stats.pruned_capacity, stats.pruned_isomorph)
+        assert all(pruned)
+        assert sum(pruned) + descents + undecided == stats.nodes
+        assert stats.memo + stats.pruned_isomorph == visits
     off = ramsey_verify(8, 3, SearchConfig(component_bound=False,
                                            isomorph=False)).stats
     assert (off.pruned_capacity, off.pruned_isomorph, off.memo) == (0, 0, 0)
@@ -185,6 +208,18 @@ def test_stats_mode_label():
     assert verdict.stats.mode == "node-limit"
     verdict = ramsey_verify(5, 2)
     assert verdict.stats.mode == "unbounded"
+
+
+@pytest.mark.parametrize("budget,nodes", [
+    (SearchBudget(nodes=1023), 1024), (SearchBudget(nodes=1024), 1025),
+    (SearchBudget(nodes=1025), 1026), (SearchBudget(nodes=5000, seconds=60), 5001)],
+    ids=["cap-1023", "cap-1024", "cap-1025", "cap-5000-and-60s"])
+def test_node_limit_stops_right_past_the_cap(budget, nodes):
+    """The node cap is checked at the count the meter names, whether or not
+    it falls on a clock poll, and before the clock."""
+    verdict = ramsey_verify(11, 4, budget=budget)
+    assert (verdict.outcome, verdict.stats.nodes, verdict.stats.mode) == (
+        OUTCOME_BUDGET, nodes, "node-limit")
 
 
 def test_time_limit_stops_on_a_clock_poll():
@@ -407,7 +442,10 @@ def test_catalogue_edge_test_matches_path_oracle(n):
     seen = set()
     for start in START_SHAPES * 3:
         eng = _Engine(n, 1, SearchConfig(component_bound=False, isomorph=False))
-        eng.tick = lambda: None
+        # A boundary after every edge: the step hands each child it takes to
+        # ``_seen``, which runs the test's own child in place of the search
+        # below and cuts the child off.
+        eng.boundaries = {d + 1: d for d in range(eng.m)}
         depth = {edge: d for d, edge in enumerate(eng.edges)}
         adj = eng.adj[1]
         start_cap = eng.total_cap
@@ -417,14 +455,16 @@ def test_catalogue_edge_test_matches_path_oracle(n):
             descent; whether the step took the edge."""
             entered = []
 
-            def descend(d, used):
+            def descend(d):
+                assert d == depth[u, w]
                 assert adj[u] >> w & adj[w] >> u & 1
                 assert_class_records(eng, 1)
                 entered.append(d)
-                return child()
+                child()
+                return True
 
-            eng._dfs = descend
-            _Engine._dfs(eng, depth[u, w], 1)
+            eng._seen = descend
+            assert not eng._search(depth[u, w], 1, NodeMeter(None))
             assert not adj[u] >> w & 1
             assert_class_records(eng, 1)
             return bool(entered)
@@ -440,7 +480,7 @@ def test_catalogue_edge_test_matches_path_oracle(n):
                     continue
                 joined = comp[u] | comp[w]
                 pruned = eng.pruned_path
-                ok = step(u, w, lambda: False)
+                ok = step(u, w, lambda: None)
                 assert eng.pruned_path - pruned == (not ok)
                 adj[u] |= 1 << w
                 adj[w] |= 1 << u
@@ -457,7 +497,6 @@ def test_catalogue_edge_test_matches_path_oracle(n):
                 assert step(*start[placed], grow)
             elif free:
                 assert step(*rng.choice(free), grow)
-            return False
 
         grow()
         assert not any(adj) and eng.total_cap == start_cap
@@ -471,74 +510,102 @@ def test_catalogue_edge_test_matches_path_oracle(n):
     assert seen >= want
 
 
-def test_search_decisions_match_path_oracle(monkeypatch):
+def test_search_decisions_match_path_oracle():
     """During real searches the path test agrees with the path oracle colour
-    by colour. Every node entered has exact records and only path-free
+    by colour. Every child written has exact records and only path-free
     classes, so no edge is taken that makes a 5-vertex path; and in every
-    frame the colours the path test cuts off are exactly the colours whose
-    class the frame's edge would give one, so none is cut off wrongly and
-    the frame's path prune count is the oracle's count."""
-    dfs = _Engine._dfs
-    frames = []  # the open frames, innermost last
-    pending = None  # (frame, colour, path prunes) of the colour last ticked
+    frame each colour tried and not written is one whose class the frame's
+    edge would give a 5-vertex path, or else one that the capacity rule cuts
+    off by a recount, so none is cut off wrongly. Over the finished frames
+    the oracle's cuts add up to the run's prune counts."""
     checked = 0
 
-    def settle(eng):
-        """The colour last ticked was cut off by the path test exactly when
-        the path prune count moved before the next tick, descent or return."""
-        nonlocal pending
-        if pending is not None:
-            frame, c, before = pending
-            assert eng.pruned_path - before in (0, 1)
-            if eng.pruned_path != before:
-                frame.cut.append(c)
-            pending = None
-
-    def checked_dfs(self, d, used):
-        nonlocal pending, checked
-        if d == 0:
-            frames.clear()
-            pending = None
-            meter_tick = self.tick
-
-            def tick():
-                nonlocal pending
-                settle(self)
-                frame = frames[-1]
-                frame.tried += 1
-                pending = (frame, frame.tried, self.pruned_path)
-                meter_tick()
-
-            self.tick = tick
-        settle(self)
-        n = self.n
-        for c in range(1, self.r + 1):
-            assert not adj_has_p5(self.adj[c], n)
-            assert_class_records(self, c)
-        assert self.total_cap == sum(self.caps[1:])
-        if d == self.m:
-            return dfs(self, d, used)
-        u, w = self.edges[d]
-        would = []
-        for c in range(1, self.r + 1):
-            adj = self.adj[c][:]
+    def rules(eng, d):
+        """The rule that cuts off each colour of edge d on the classes as
+        they stand: "path" if the class would gain a 5-vertex path, else
+        "capacity" if the edge joins two components and the recounted
+        capacities fall short of the edge count, else None."""
+        u, w = eng.edges[d]
+        n, r = eng.n, eng.r
+        caps = [_completion_cap(component_sizes(eng.adj[c], n))
+                for c in range(1, r + 1)]
+        out = []
+        for c in range(1, r + 1):
+            adj = eng.adj[c][:]
+            merged = not any(comp >> u & comp >> w & 1
+                             for comp in bfs_components(adj, n))
             adj[u] |= 1 << w
             adj[w] |= 1 << u
-            would.append(adj_has_p5(adj, n))
-        frame = SimpleNamespace(cut=[], tried=0)
-        frames.append(frame)
-        found = dfs(self, d, used)
-        settle(self)
-        frames.pop()
-        assert frame.cut == [c for c in range(1, frame.tried + 1) if would[c - 1]]
-        checked += 1
-        return found
+            grown = sum(caps) - caps[c - 1] + _completion_cap(component_sizes(adj, n))
+            if adj_has_p5(adj, n):
+                out.append("path")
+            elif eng.cfg.component_bound and merged and grown < eng.m:
+                out.append("capacity")
+            else:
+                out.append(None)
+        return out
 
-    monkeypatch.setattr(_Engine, "_dfs", checked_dfs)
-    assert ramsey_verify(8, 3).stats.nodes == 241
-    assert ramsey_verify(9, 3).stats.nodes == 3103
+    def check_search(n, r, cfg, budget, outcome, nodes):
+        nonlocal checked
+        frames = []  # the open frames, innermost last
+        cuts = {"path": 0, "capacity": 0}
+
+        def open_frame(eng, d):
+            used = max(eng.cols[:d], default=0)
+            limit = min(used + 1, r) if cfg.colour_symmetry else r
+            frames.append(SimpleNamespace(d=d, limit=limit, rules=rules(eng, d),
+                                          next=1))
+
+        def cut_before(frame, c):
+            """The frame tried colours frame.next..c-1 and wrote none."""
+            for x in range(frame.next, c):
+                rule = frame.rules[x - 1]
+                assert rule is not None, (frame.d, x)
+                cuts[rule] += 1
+            frame.next = c + 1
+
+        def close(frame):
+            nonlocal checked
+            cut_before(frame, frame.limit + 1)
+            checked += 1
+
+        def watch(eng, d, descend):
+            while frames[-1].d > d:
+                close(frames.pop())
+            frame = frames[-1]
+            assert frame.d == d
+            c = eng.cols[d]
+            assert frame.rules[c - 1] is None, (d, c)
+            cut_before(frame, c)
+            for k in range(1, r + 1):
+                assert not adj_has_p5(eng.adj[k], n)
+                assert_class_records(eng, k)
+            assert eng.total_cap == sum(eng.caps[1:])
+            if descend and d + 1 < eng.m:
+                open_frame(eng, d + 1)
+
+        eng = _Engine(n, r, cfg)
+        open_frame(eng, 0)
+        verdict, _ = watched_run(eng, watch, budget)
+        stats = verdict.stats
+        assert (verdict.outcome, stats.nodes) == (outcome, nodes)
+        if outcome == OUTCOME_REFUTED:
+            while frames:
+                close(frames.pop())
+        # A witness ends every open frame at the colour it descended into;
+        # the frames a budget cuts short tried colours no child showed.
+        found = (cuts["path"], cuts["capacity"])
+        pruned = (stats.pruned_path, stats.pruned_capacity)
+        if outcome == OUTCOME_BUDGET:
+            assert found <= pruned and found[1] <= pruned[1]
+        else:
+            assert found == pruned
+
+    check_search(8, 3, SearchConfig(), None, OUTCOME_WITNESS, 241)
+    check_search(9, 3, SearchConfig(), None, OUTCOME_REFUTED, 3103)
     # With the capacity rule off, (9,3) also meets a hub that is a common
     # neighbour of the edge's ends.
-    assert ramsey_verify(9, 3, SearchConfig(component_bound=False)).stats.nodes == 5182
-    assert ramsey_verify(10, 4, budget=SearchBudget(nodes=3000)).stats.nodes == 3001
+    check_search(9, 3, SearchConfig(component_bound=False), None,
+                 OUTCOME_REFUTED, 5182)
+    check_search(10, 4, SearchConfig(), SearchBudget(nodes=3000), OUTCOME_BUDGET, 3001)
     assert checked > 3500
