@@ -6,6 +6,7 @@ certificate file format.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import Graph, connected_components, find_path
@@ -155,20 +156,24 @@ _K10_CLIQUES: tuple[tuple[tuple[int, ...], ...], ...] = (
 )
 
 
+def _first_cover_colours(n: int,
+                         families: Sequence[Sequence[Sequence[int]]]) -> list[int]:
+    """The colour of each pair of K_n, in pair_index order: the 1-based index
+    of the first family with a block holding both ends, or 0 for a pair in
+    no block."""
+    cols = [0] * pair_count(n)
+    for idx, blocks in enumerate(families, start=1):
+        for block in blocks:
+            for a, b in combinations(block, 2):
+                p = pair_index(n, a, b)
+                if cols[p] == 0:
+                    cols[p] = idx
+    return cols
+
+
 def witness_k10() -> EdgeColouring:
     """The 4-colouring of K_10 with no monochromatic 5-vertex path."""
-    n = 10
-    cols = [0] * pair_count(n)
-    for idx, cliques in enumerate(_K10_CLIQUES, start=1):
-        for clique in cliques:
-            for a in range(len(clique)):
-                for b in range(a + 1, len(clique)):
-                    p = pair_index(n, clique[a], clique[b])
-                    if cols[p] == 0:
-                        cols[p] = idx
-    if 0 in cols:
-        raise AssertionError("clique families fail to cover K_10")
-    return EdgeColouring(n, 4, cols)
+    return EdgeColouring(10, 4, _first_cover_colours(10, _K10_CLIQUES))
 
 
 def witness(r: int, design=None, budget=None) -> EdgeColouring:
@@ -188,15 +193,19 @@ def witness(r: int, design=None, budget=None) -> EdgeColouring:
     from .engine import SearchBudget
 
     n = ramsey_value(r) - 1
-    if r == 4:
-        if design is not None:
+    if design is not None:
+        if r == 4:
             raise ValueError("r=4 uses the dedicated 10-point construction")
+        # r = 2 (mod 4) lifts the witness that the design gives r - 1.
+        points = n - (r % 4 == 2)
+        if design.v != points:
+            raise ValueError(f"witness for r={r} needs {points} points, "
+                             f"design has {design.v}")
+    if r == 4:
         built = witness_k10()
     elif r % 4 == 2:
         built = lift(witness(r - 1, design=design, budget=budget))
     elif design is not None:
-        if design.v != n:
-            raise ValueError(f"witness for r={r} needs {n} points, design has {design.v}")
         if not design.resolved:
             raise designs.MissingResolution("witness designs must be resolvable")
         ncl = design.class_count

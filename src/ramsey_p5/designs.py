@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from heapq import merge
 from itertools import combinations, islice
 
-from .colouring import (EdgeColouring, ParseError, _file_lines, _strict_int,
-                        pair_count, pair_index, pair_list)
+from .colouring import (EdgeColouring, ParseError, _file_lines,
+                        _first_cover_colours, _strict_int, pair_count, pair_list)
 from .engine import BudgetExhausted, NodeMeter, SearchBudget
 from .graphs import _bits
 
@@ -165,13 +165,7 @@ def design_to_colouring(d: Design, leave_colour: int | None = None) -> EdgeColou
     if not res.ok:
         raise ValueError(f"resolution invalid: {res.violations[:3]}")
     ncl = len(d.classes)
-    cols = [0] * pair_count(d.v)
-    for cno, cls in enumerate(d.classes, start=1):
-        for blk in cls:
-            for a, b in combinations(blk, 2):
-                p = pair_index(d.v, a, b)
-                if cols[p] == 0:
-                    cols[p] = cno
+    cols = _first_cover_colours(d.v, d.classes)
     uncoloured = [k for k, c in enumerate(cols) if c == 0]
     if uncoloured:
         if leave_colour is None:

@@ -17,8 +17,9 @@ colouring of some K_w. Pruning:
 * the summed completion capacity of all classes must reach the edge count,
   where a class capacity is the largest edge count any supergraph of its
   current components can have while staying free of 5-vertex paths. It
-  depends only on the multiset of component orders, which changes only when
-  an edge joins two components. The engine keeps that multiset as one
+  depends only on the multiset of component orders, and
+  ``pfree.completion_cap`` gives it in closed form. The multiset changes
+  only when an edge joins two components. The engine keeps it as one
   integer, 4 bits per order, and looks its capacity up in a table filled on
   first use. A child that joins two components is tested before its edge is
   written, after the path test;
@@ -42,11 +43,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .canon import coloured_key
 from .colouring import Certificate, pair_index, verify_certificate
-from .pfree import _max_conn_edges
+from .pfree import completion_cap
 
 MAX_ORDER = 12
 MAX_COLOURS = 4
@@ -162,43 +162,19 @@ class Verdict:
     stats: SearchStats
 
 
-@lru_cache(maxsize=None)
-def _completion_cap(sizes: tuple[int, ...]) -> int:
-    """Max edges of any P5-path-free graph whose components refine the given
-    component sizes (components may merge, never split)."""
-    if not sizes:
-        return 0
-    first = sizes[0]
-    rest = sizes[1:]
-    m = len(rest)
-    best = 0
-    for sub in range(1 << m):
-        total = first
-        remaining = []
-        for i in range(m):
-            if sub >> i & 1:
-                total += rest[i]
-            else:
-                remaining.append(rest[i])
-        val = _max_conn_edges(total) + _completion_cap(tuple(remaining))
-        if val > best:
-            best = val
-    return best
-
-
 # A class's component orders as one integer, its capacity key: 4 bits count
 # the components of each order, and no count passes MAX_ORDER.
 _ORDER_UNIT = tuple(1 << 4 * k for k in range(MAX_ORDER + 1))
 
 
 class _Capacities(dict):
-    """Class capacity by capacity key, filled from ``_completion_cap`` on
-    first use."""
+    """Class capacity by capacity key, filled from ``pfree.completion_cap``
+    on first use."""
 
     def __missing__(self, key: int) -> int:
         orders = tuple(k for k in range(1, MAX_ORDER + 1)
                        for _ in range(key >> 4 * k & 15))
-        cap = self[key] = _completion_cap(orders)
+        cap = self[key] = completion_cap(orders)
         return cap
 
 

@@ -11,7 +11,9 @@ edge count, the number of vertices of degree at least 2 and whether some
 vertex is adjacent to all others. ``component_is_p5_free`` counts them from
 the degrees; the search engine keeps them up to date edge by edge and
 applies the same rule inline, since a call per edge slows the search, and
-its tests check the two against a path oracle. The test suite validates
+its tests check the two against a path oracle. ``completion_cap``, the
+capacity rule the engine prunes with, sums the catalogue's edge caps over
+the best merging of components, in closed form. The test suite validates
 the classification against raw enumeration for small orders instead of
 taking it on faith. Arbitrary graphs without a 5-vertex path are
 exactly the disjoint unions of catalogue members, which is what
@@ -76,12 +78,30 @@ def component_catalogue(s: int, e: int) -> tuple[Graph, ...]:
     return tuple(found)
 
 
-@lru_cache(maxsize=None)
-def _max_conn_edges(s: int) -> int:
-    """Most edges of a connected graph on s vertices with no 5-vertex path:
-    the largest e with a catalogue member, searched from s(s-1)/2 down."""
-    return next(e for e in range(s * (s - 1) // 2, -1, -1)
-                if component_catalogue(s, e))
+def completion_cap(orders: tuple[int, ...]) -> int:
+    """Most edges of a graph with no 5-vertex path whose components are
+    unions of components of the given orders: the capacity of a colour
+    class, whose components may merge but never split.
+
+    By the catalogue, a connected graph on t vertices has at most C(t, 2)
+    edges for t <= 4 and t for t >= 5: one edge per vertex, two more for a
+    group of exactly four (K4) and one less for a group of one or two. So
+    the best grouping makes the most groups of four from the components of
+    order <= 4: each 4, then 3+1 (a 3 has no other partner), then 2+2, then
+    an odd 2 with two 1s, then the 1s in fours, each step spending the
+    fewest 1s it can. A grouping with fewer loses 2 per group, more than
+    the 1 that the ``left`` vertices can cost: they join a component of
+    order >= 5 at no loss, or else form one group, which loses 1 when it
+    has one or two vertices, as some group of every grouping with the most
+    groups of four then does. For (1,) * n this is ex(n, P5).
+    """
+    small = [s for s in orders if s <= 4]
+    ones, twos, threes, fours = (small.count(k) for k in (1, 2, 3, 4))
+    paired = min(threes, ones)
+    odd = twos % 2 == 1 and ones - paired >= 2  # a 2 with two 1s
+    fours += paired + twos // 2 + odd + (ones - paired - 2 * odd) // 4
+    left = sum(small) - 4 * fours
+    return sum(orders) + 2 * fours - (len(small) == len(orders) and 0 < left < 3)
 
 
 def shape_is_p5_free(s: int, e: int, inner: int, hub: bool) -> bool:

@@ -2,7 +2,9 @@
 
 Everything here recomputes answers from first principles (raw enumeration,
 permutation search, Prüfer-free tree growth) without going through the code
-paths under test.
+paths under test. The capacity oracle builds on the connected catalogue,
+which the pfree tests check against raw enumeration, and not on the closed
+form it is compared with.
 """
 
 from __future__ import annotations
@@ -271,6 +273,33 @@ def bfs_components(adj: list[int], n: int) -> list[int]:
 def component_sizes(adj: list[int], n: int) -> tuple[int, ...]:
     """Sorted component orders, from bfs_components."""
     return tuple(sorted(c.bit_count() for c in bfs_components(adj, n)))
+
+
+def connected_edge_cap(s: int) -> int:
+    """Most edges of a connected graph on s vertices with no 5-vertex path:
+    the largest e with a member of ``pfree.component_catalogue``, which the
+    pfree tests check against raw enumeration."""
+    from ramsey_p5.pfree import component_catalogue
+
+    return next(e for e in range(s * (s - 1) // 2, -1, -1)
+                if component_catalogue(s, e))
+
+
+@lru_cache(maxsize=None)
+def grouping_cap(sizes: tuple[int, ...]) -> int:
+    """Most edges of a graph with no 5-vertex path whose components are
+    unions of components of the given orders: the best ``connected_edge_cap``
+    sum over every grouping, tried by recursion on the group of the first
+    component."""
+    if not sizes:
+        return 0
+    first, rest = sizes[0], sizes[1:]
+    best = 0
+    for sub in range(1 << len(rest)):
+        total = first + sum(s for i, s in enumerate(rest) if sub >> i & 1)
+        remaining = tuple(s for i, s in enumerate(rest) if not sub >> i & 1)
+        best = max(best, connected_edge_cap(total) + grouping_cap(remaining))
+    return best
 
 
 def naive_has_mono_p5(col: EdgeColouring) -> bool:

@@ -457,7 +457,8 @@ def test_witness_supplied_design_refusals(capsys, tmp_path):
     """A supplied design is refused with exit 2 for r = 4, which has its own
     construction, for a wrong order or class count, and when its colouring
     has a monochromatic 5-vertex path (here in the leave, colour 3). For
-    r = 6 the design builds the witness for r = 5, which is lifted."""
+    r = 6 the design builds the witness for r = 5, which is lifted, and for
+    r = 10 and 22 the refusal names the r asked for."""
     b16 = tmp_path / "b16.design"
     run(capsys, "design", "search", "--v", "16", "--mode", "steiner",
         "--classes", "5", "-o", str(b16))
@@ -467,6 +468,8 @@ def test_witness_supplied_design_refusals(capsys, tmp_path):
     mono_leave.write_bytes(one_class.read_bytes() + b"P 2\n0 4 5 6\n1 2 3 7\n")
     cases = {("4", b16): "r=4 uses the dedicated 10-point construction",
              ("3", b16): "witness for r=3 needs 8 points, design has 16",
+             ("22", b16): "witness for r=22 needs 64 points, design has 16",
+             ("10", b16): "witness for r=10 needs 28 points, design has 16",
              ("3", one_class): "expected 3 or 2 classes, design has 1",
              ("3", mono_leave): "design colouring contains a monochromatic "
                                 "5-path: MonoPath(colour=3, path=(1, 4, 2, 5, 3))"}

@@ -12,13 +12,13 @@ import pytest
 
 import ramsey_p5
 from oracles import (adj_has_p5, all_pairs, bfs_components, component_sizes,
-                     edge_creates_p5)
+                     edge_creates_p5, grouping_cap)
 from ramsey_p5.colouring import verify_certificate, write_certificate
 from ramsey_p5.engine import (CLOCK_POLL_NODES, OUTCOME_BUDGET, OUTCOME_REFUTED,
                               OUTCOME_WITNESS, NodeMeter, ParameterError,
-                              SearchBudget, SearchConfig, _completion_cap,
-                              _Engine, ramsey_verify)
-from ramsey_p5.pfree import component_is_p5_free
+                              SearchBudget, SearchConfig, _Engine,
+                              ramsey_verify)
+from ramsey_p5.pfree import completion_cap, component_is_p5_free
 
 # Searches of minutes run only on request.
 SLOW = pytest.mark.skipif(os.environ.get("RAMSEY_P5_SLOW") != "1",
@@ -299,7 +299,6 @@ def test_connected_edge_cap_small_orders():
     enumeration: connected path-free graphs have at most s edges (s >= 5),
     and complete graphs below that."""
     from oracles import mask_is_connected, p5_free_masks
-    from ramsey_p5.pfree import _max_conn_edges
 
     for s in range(1, 8):
         pairs = all_pairs(s)
@@ -307,7 +306,7 @@ def test_connected_edge_cap_small_orders():
         for mask in p5_free_masks(s):
             if mask.bit_count() > best and mask_is_connected(mask, pairs, s):
                 best = mask.bit_count()
-        assert best == _max_conn_edges(s)
+        assert best == completion_cap((s,))
 
 
 def test_connected_edge_cap_at_search_order():
@@ -320,8 +319,6 @@ def test_connected_edge_cap_at_search_order():
     path-freeness passes to subgraphs. A path-free tree has diameter at most
     3, so up to relabelling it is the star or a double star with 1+6, 2+5
     or 3+4 leaves. None of these stays path-free with any two extra edges."""
-    from ramsey_p5.pfree import _max_conn_edges
-
     s = 9
 
     def graph(edges):
@@ -353,12 +350,25 @@ def test_connected_edge_cap_at_search_order():
     # The star plus one edge between two leaves reaches 9 edges.
     adj = graph([(0, v) for v in range(1, s)] + [(1, 2)])
     assert not adj_has_p5(adj, s) and len(bfs_components(adj, s)) == 1
-    assert _max_conn_edges(s) == 9
+    assert completion_cap((s,)) == 9
+
+
+def test_empty_class_capacity_is_turan_number():
+    """ex(n, P5), the capacity of n isolated vertices and the edge count of
+    aK4 + K_b agree for n = 0..40, and every class of a fresh search starts
+    at that capacity: the Turan number that Lemma 1 counts with."""
+    from ramsey_p5.graphs import ex_p5, extremal_p5
+
+    for n in range(41):
+        assert ex_p5(n) == completion_cap((1,) * n) == extremal_p5(n).edge_count()
+    for n in range(13):
+        eng = _Engine(n, 3, SearchConfig())
+        assert eng.caps == [ex_p5(n)] * 4 and eng.total_cap == 3 * ex_p5(n)
 
 
 def test_completion_cap_is_sound_upper_bound():
-    """The grouping bound never undercounts the best path-free supergraph,
-    which is what refutation soundness rests on."""
+    """The closed-form capacity never undercounts the best path-free
+    supergraph, which is what refutation soundness rests on."""
     from oracles import adj_of_mask
 
     rng = random.Random(420)
@@ -378,7 +388,7 @@ def test_completion_cap_is_sound_upper_bound():
             else:
                 adj[i] &= ~(1 << j)
                 adj[j] &= ~(1 << i)
-        cap = _completion_cap(component_sizes(adj, n))
+        cap = completion_cap(component_sizes(adj, n))
         # brute-force best completion over all supergraphs
         free = [k for k in range(len(pairs)) if not base >> k & 1]
         best = 0
@@ -413,7 +423,7 @@ def assert_class_records(eng, c):
     assert eng.inner[c] == inner_mask(adj)
     orders = component_sizes(adj, eng.n)
     assert eng.orders[c] == sum(16 ** k for k in orders)
-    assert eng.caps[c] == _completion_cap(orders)
+    assert eng.caps[c] == grouping_cap(orders)
 
 
 def free_shape(adj, comp):
@@ -527,7 +537,7 @@ def test_search_decisions_match_path_oracle():
         capacities fall short of the edge count, else None."""
         u, w = eng.edges[d]
         n, r = eng.n, eng.r
-        caps = [_completion_cap(component_sizes(eng.adj[c], n))
+        caps = [grouping_cap(component_sizes(eng.adj[c], n))
                 for c in range(1, r + 1)]
         out = []
         for c in range(1, r + 1):
@@ -536,7 +546,7 @@ def test_search_decisions_match_path_oracle():
                              for comp in bfs_components(adj, n))
             adj[u] |= 1 << w
             adj[w] |= 1 << u
-            grown = sum(caps) - caps[c - 1] + _completion_cap(component_sizes(adj, n))
+            grown = sum(caps) - caps[c - 1] + grouping_cap(component_sizes(adj, n))
             if adj_has_p5(adj, n):
                 out.append("path")
             elif eng.cfg.component_bound and merged and grown < eng.m:

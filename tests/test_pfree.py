@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from oracles import all_pairs, mask_is_connected, p5_free_masks
+from oracles import all_pairs, grouping_cap, mask_is_connected, p5_free_masks
 from ramsey_p5.canon import OrderTooLarge, canonical_key
 from ramsey_p5.graphs import (Graph, complete, contains_path, disjoint_union,
                               ex_p5, extremal_p5, is_connected, path_graph)
-from ramsey_p5.pfree import (component_catalogue, component_is_p5_free,
-                             enumerate_p5_free)
+from ramsey_p5.pfree import (completion_cap, component_catalogue,
+                             component_is_p5_free, enumerate_p5_free)
 
 
 def test_catalogue_pinned_examples():
@@ -93,6 +93,27 @@ def test_degree_test_matches_catalogue():
             edges |= set(rng.sample(pairs, rng.randrange(3)))
             found += agrees(Graph(s, sorted(edges)))
         assert 0 < found < 400
+
+
+def order_multisets(total, most):
+    """Every multiset of positive orders with sum ``total`` and parts at most
+    ``most``, as an ascending tuple."""
+    if total == 0:
+        yield ()
+        return
+    for k in range(min(total, most), 0, -1):
+        for rest in order_multisets(total - k, k):
+            yield rest + (k,)
+
+
+def test_completion_cap_matches_grouping_oracle():
+    """The closed-form capacity equals the grouping recursion over the
+    catalogue on every multiset of component orders a search class can have:
+    the 272 with sum at most 12, the engine's largest order."""
+    multisets = [m for total in range(13) for m in order_multisets(total, total)]
+    assert len(multisets) == 272
+    for orders in multisets:
+        assert completion_cap(orders) == grouping_cap(orders), orders
 
 
 def test_enumerate_pinned_counts():
