@@ -23,18 +23,31 @@ colouring of some K_w. Pruning:
   integer, 4 bits per order, and looks its capacity up in a table filled on
   first use. A child that joins two components is tested before its edge is
   written, after the path test;
+* a path verdict is remembered. When edge d in colour c closes a path, the
+  search records the node that wrote the last edge of colour c, and while
+  that node stays on the search path, edge d in colour c is cut off without
+  the test. This is exact: below that node class c only gains edges, a
+  supergraph of a graph with a 5-vertex path has one too, and the inline
+  rule decides exactly whether the class plus the edge has such a path, so
+  the test would cut the child off as well. The prune counts and the tree
+  are those of the test alone; only verdicts on classes the same call grew
+  are recorded. Nothing else is remembered: "free" is not monotone, and
+  neither is the capacity rule;
 * colour relabelling is broken by first-use order, and coloured prefixes on
   the first few vertices are deduplicated by ``canon.coloured_key``.
 
 A refuted verdict therefore means every colouring was covered, up to the
 symmetries above. Budget exhaustion is an ordinary outcome, not an error.
-``SearchStats`` counts the nodes each rule cut off; every other node is a
-descent, except the last node of a budget-exhausted run, which no rule
-decides.
+``SearchStats`` counts the nodes each rule cut off, and how many of the path
+prunes a remembered verdict decided; every other node is a descent, except
+the last node of a budget-exhausted run, which no rule decides.
 
 The search is one loop, not a recursion: each descended edge leaves one
 undo record on an explicit stack, and the node and prune counts stay in
-locals until the loop stops. The loop asks ``NodeMeter.check`` about the
+locals until the loop stops. The path verdicts live in locals of the same
+call: per colour the depth of its last edge, which each undo record puts
+back, and per depth a stamp of the node there, its node count above its
+depth, written at each descent. The loop asks ``NodeMeter.check`` about the
 budget only at the node counts the meter names.
 """
 
@@ -145,6 +158,7 @@ class SearchStats:
     pruned_capacity: int = 0
     pruned_isomorph: int = 0
     memo: int = 0  # canonical prefixes recorded by the isomorph rule
+    path_memo: int = 0  # path prunes decided by a recorded verdict
 
     def lines(self) -> list[str]:
         return [f"nodes={self.nodes}", f"depth={self.max_depth}",
@@ -152,7 +166,7 @@ class SearchStats:
                 f"pruned_path={self.pruned_path}",
                 f"pruned_capacity={self.pruned_capacity}",
                 f"pruned_isomorph={self.pruned_isomorph}",
-                f"memo={self.memo}"]
+                f"memo={self.memo}", f"path_memo={self.path_memo}"]
 
 
 @dataclass(frozen=True)
@@ -178,6 +192,20 @@ class _Capacities(dict):
         return cap
 
 
+class _BitIndices(dict):
+    """The indices of the set bits of a vertex mask, filled on first use."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        bits = self[mask] = tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+        return bits
+
+
+# A node stamp is its node count above a depth field wide enough for every
+# edge of K_MAX_ORDER. Node counts only grow, so a stamp names one node.
+_DEPTH_BITS = (MAX_ORDER * (MAX_ORDER - 1) // 2).bit_length()
+_DEPTH_MASK = (1 << _DEPTH_BITS) - 1
+
+
 class _Engine:
     def __init__(self, n: int, r: int, cfg: SearchConfig):
         self.n = n
@@ -193,6 +221,7 @@ class _Engine:
         self.edge_counts = [{1 << v: 0 for v in range(n)} for _ in range(r + 1)]
         self.inner = [0] * (r + 1)
         self.cap_of = _Capacities()
+        self.bit_indices = _BitIndices()
         self.orders = [n * _ORDER_UNIT[1]] * (r + 1)
         empty_cap = self.cap_of[self.orders[0]]
         self.caps = [empty_cap] * (r + 1)
@@ -200,6 +229,7 @@ class _Engine:
         self.cols = [0] * self.m
         self.nodes = self.max_depth = 0
         self.pruned_path = self.pruned_capacity = self.pruned_isomorph = 0
+        self.path_tested = 0  # path prunes the test decided, not the memo
         self.memo: set[tuple] = set()
         # Edge count of K_v -> v: the isomorph test runs on each child that
         # writes the last edge of K_v.
@@ -218,7 +248,7 @@ class _Engine:
         stats = SearchStats(self.nodes, self.max_depth, meter.seconds(),
                             meter.budget.mode, self.pruned_path,
                             self.pruned_capacity, self.pruned_isomorph,
-                            len(self.memo))
+                            len(self.memo), self.pruned_path - self.path_tested)
         if outcome == OUTCOME_WITNESS and not verify_certificate(self.witness).ok:
             raise AssertionError("search witness fails re-verification")
         return Verdict(outcome, self.witness, stats)
@@ -237,10 +267,21 @@ class _Engine:
         # Per count of colours in use: the last colour edge d may take.
         limits = [min(k + 1, r) if self.cfg.colour_symmetry else r
                   for k in range(r + 1)]
-        # Per depth: the ends of its edge, their bits, the edge's mask and the
-        # order of the K_v it completes at an isomorph boundary.
-        steps = [(u, w, 1 << u, 1 << w, 1 << u | 1 << w, self.boundaries.get(k + 1))
+        # Per depth: the ends of its edge, their bits, the edge's mask, the
+        # order of the K_v it completes at an isomorph boundary and its path
+        # verdicts by colour.
+        steps = [(u, w, 1 << u, 1 << w, 1 << u | 1 << w, self.boundaries.get(k + 1),
+                  [0] * (r + 1))
                  for k, (u, w) in enumerate(self.edges)]
+        # The path-verdict memo, for classes this call grew: per colour the
+        # depth of its last edge (-1 for none), and per depth the stamp of the
+        # node there. A verdict holds the stamp of the node at the depth of
+        # its colour's last edge. Stamps start at -1, so the verdict 0 that
+        # every step starts with names no node.
+        last = [-1] * (r + 1)
+        stamps = [-1] * m
+        depth_bits = _DEPTH_BITS
+        depth_mask = _DEPTH_MASK
         comps = self.comp
         ecounts = self.edge_counts
         adjs = self.adj
@@ -249,20 +290,22 @@ class _Engine:
         caps = self.caps
         cap_of = self.cap_of
         cols = self.cols
+        bits = self.bit_indices
         stack = []
         nodes = self.nodes
         stop = meter.check(nodes)
         pruned_path = self.pruned_path
+        path_tested = self.path_tested
         pruned_capacity = self.pruned_capacity
         total_cap = self.total_cap
         max_depth = self.max_depth
         c = 0  # the colour of edge d tried last; 0 on entering depth d
         try:
             while True:
-                u, w, ubit, wbit, uw, boundary_v = steps[d]
+                u, w, ubit, wbit, uw, boundary_v, dead = steps[d]
                 if c:
                     # Back at depth d: undo its edge in colour c.
-                    c, used, au, aw, inner, saved, cu, e = stack.pop()
+                    c, used, au, aw, inner, saved, cu, e, last[c] = stack.pop()
                     adjc = adjs[c]
                     adjc[u] = au
                     adjc[w] = aw
@@ -279,6 +322,12 @@ class _Engine:
                     nodes += 1
                     if nodes == stop:
                         stop = meter.check(nodes)
+                    # Edge d closed a path in colour c on a subset of the
+                    # class: the node its verdict names is still live.
+                    x = dead[c]
+                    if stamps[x & depth_mask] == x:
+                        pruned_path += 1
+                        continue
                     compc = comps[c]
                     counts = ecounts[c]
                     cu = compc[u]
@@ -290,24 +339,22 @@ class _Engine:
                     else:
                         joined = cu
                         e = counts[cu] + 1
+                    s = joined.bit_count()
                     adjc = adjs[c]
                     au = adjc[u]
                     aw = adjc[w]
-                    inner = inners[c]
-                    # u and w have degree >= 2 with uw unless it is their
-                    # first edge.
-                    grown = inner | (ubit if au else 0) | (wbit if aw else 0)
                     # The class has no 5-vertex path, so a path that uw makes
                     # runs through uw, inside the component ``joined`` of s
                     # vertices and e edges. The rule of pfree.shape_is_p5_free,
                     # decided before uw is written: past four vertices, a tree
                     # with at most two non-leaves, or e = s with a vertex
                     # adjacent to all others, which is u, w or a common
-                    # neighbour of both.
-                    s = joined.bit_count()
+                    # neighbour of both. u and w have degree >= 2 with uw
+                    # unless it is their first edge.
                     if s > 4:
                         if e == s - 1:
-                            free = (grown & joined).bit_count() <= 2
+                            free = ((inners[c] | (ubit if au else 0) | (wbit if aw else 0))
+                                    & joined).bit_count() <= 2
                         elif e == s:
                             free = au | uw == joined or aw | uw == joined
                             rest = au & aw
@@ -319,6 +366,9 @@ class _Engine:
                             free = False
                         if not free:
                             pruned_path += 1
+                            path_tested += 1
+                            if last[c] >= 0:
+                                dead[c] = stamps[last[c]]
                             continue
                     # Capacity changes only when uw joins two components, and
                     # the total passed the test when it last changed.
@@ -335,11 +385,8 @@ class _Engine:
                         # capacities.
                         saved = (compc, orders[c], caps[c], total_cap)
                         comps[c] = compc = compc[:]
-                        rest = joined
-                        while rest:
-                            b = rest & -rest
-                            rest ^= b
-                            compc[b.bit_length() - 1] = joined
+                        for v in bits[joined]:
+                            compc[v] = joined
                         orders[c] = key
                         caps[c] = cap
                         total_cap = grown_cap
@@ -350,9 +397,11 @@ class _Engine:
                     counts[joined] = e
                     adjc[u] = au | wbit
                     adjc[w] = aw | ubit
-                    inners[c] = grown
+                    inner = inners[c]
+                    inners[c] = inner | (ubit if au else 0) | (wbit if aw else 0)
                     cols[d] = c
-                    stack.append((c, used, au, aw, inner, saved, cu, e))
+                    stack.append((c, used, au, aw, inner, saved, cu, e, last[c]))
+                    last[c] = d
                     if boundary_v is not None:
                         self.total_cap = total_cap
                         if self._seen(boundary_v):
@@ -362,6 +411,7 @@ class _Engine:
                             break
                     if c > used:
                         used = c
+                    stamps[d] = nodes << depth_bits | d
                     d += 1
                     if d == m:
                         return self._record_witness()
@@ -375,6 +425,7 @@ class _Engine:
         finally:
             self.nodes = nodes
             self.pruned_path = pruned_path
+            self.path_tested = path_tested
             self.pruned_capacity = pruned_capacity
             self.total_cap = total_cap
             self.max_depth = max_depth

@@ -271,7 +271,7 @@ def test_search_budget_exit(capsys):
     assert "outcome=budget-exhausted" in out
     keys = [line.partition("=")[0] for line in out.splitlines()]
     assert keys == ["outcome", "nodes", "depth", "seconds", "mode", "pruned_path",
-                    "pruned_capacity", "pruned_isomorph", "memo"]
+                    "pruned_capacity", "pruned_isomorph", "memo", "path_memo"]
     # both limits reach the engine; the node cap decides the mode
     code, out = run(capsys, "search", "--n", "9", "--r", "3", "--nodes", "5",
                     "--budget", "60")

@@ -92,15 +92,18 @@ def test_node_counts_pinned():
     assert (verdict.outcome, verdict.stats.nodes, verdict.stats.max_depth) == (
         OUTCOME_REFUTED, 3103, 28)
     assert verdict.stats.memo == 57
+    assert verdict.stats.path_memo == 644
     # The capped runs pin the whole tree: nodes, depth, the three prune
-    # counts and the memo.
-    for n, pruned, memo in ((11, (21390, 1099, 0), 11), (12, (20608, 1839, 40), 14)):
+    # counts and the memo; and the path prunes the path memo decided.
+    for n, pruned, memo, path_memo in ((11, (21390, 1099, 0), 11, 13252),
+                                       (12, (20608, 1839, 40), 14, 11602)):
         verdict = ramsey_verify(n, 4, budget=SearchBudget(nodes=30000))
         stats = verdict.stats
         assert (verdict.outcome, stats.nodes, stats.max_depth, stats.memo) == (
             OUTCOME_BUDGET, 30001, 37, memo), n
         assert (stats.pruned_path, stats.pruned_capacity,
                 stats.pruned_isomorph) == pruned, n
+        assert stats.path_memo == path_memo, n
 
 
 def watched_run(eng, watch, budget=None):
@@ -527,7 +530,9 @@ def test_search_decisions_match_path_oracle():
     frame each colour tried and not written is one whose class the frame's
     edge would give a 5-vertex path, or else one that the capacity rule cuts
     off by a recount, so none is cut off wrongly. Over the finished frames
-    the oracle's cuts add up to the run's prune counts."""
+    the oracle's cuts add up to the run's prune counts. Every run has path
+    prunes that a remembered verdict decided, so the oracle checks those
+    too."""
     checked = 0
 
     def rules(eng, d):
@@ -599,6 +604,7 @@ def test_search_decisions_match_path_oracle():
         verdict, _ = watched_run(eng, watch, budget)
         stats = verdict.stats
         assert (verdict.outcome, stats.nodes) == (outcome, nodes)
+        assert stats.path_memo > 0
         if outcome == OUTCOME_REFUTED:
             while frames:
                 close(frames.pop())
@@ -619,3 +625,50 @@ def test_search_decisions_match_path_oracle():
                  OUTCOME_REFUTED, 5182)
     check_search(10, 4, SearchConfig(), SearchBudget(nodes=3000), OUTCOME_BUDGET, 3001)
     assert checked > 3500
+
+
+def test_search_entered_below_the_root_takes_the_same_children():
+    """``_search`` entered below the root, on classes that an earlier call
+    wrote, writes the same children as the whole search writes below the
+    same node. Its path memo records no verdict on a class it has not
+    grown, since it owns no node to pin one to, yet it still answers path
+    prunes from verdicts on classes it grows."""
+    eng = _Engine(9, 3, SearchConfig())
+    first = 15  # the first edge past K6, the last isomorph boundary of (9,3)
+    assert max(eng.boundaries) <= first
+    own, test = eng.boundaries, eng._seen
+    eng.boundaries = {**own, **{d + 1: ("written", d) for d in range(first, eng.m)}}
+    outer, inner = [], []
+    entered = False
+    entries = 0
+    totals = None
+
+    def seen(mark):
+        """The isomorph test at the search's own boundaries; past edge
+        ``first``, note the child and descend. At each child written at edge
+        ``first``, search the subtree below it by a second call first."""
+        nonlocal entered, entries, totals
+        if not isinstance(mark, tuple):
+            return test(mark)
+        d = mark[1]
+        if entered or d > first:
+            (inner if entered else outer).append((d, eng.cols[d]))
+            return False
+        entered = True
+        found = eng._search(first + 1, max(eng.cols[:first + 1]), NodeMeter(None))
+        entered = False
+        assert not found
+        entries += 1
+        # The inner calls add to the engine's counters, which the outer call
+        # writes back only when it ends.
+        totals = (eng.nodes, eng.pruned_path, eng.path_tested, eng.pruned_capacity)
+        return False
+
+    eng._seen = seen
+    verdict = eng.run(None)
+    assert (verdict.outcome, verdict.stats.nodes) == (OUTCOME_REFUTED, 3103)
+    assert entries > 10 and len(inner) > 100
+    assert inner == outer
+    nodes, pruned_path, path_tested, pruned_capacity = totals
+    assert nodes == len(inner) + pruned_path + pruned_capacity
+    assert pruned_path > path_tested > 0
