@@ -194,13 +194,16 @@ class DesignSearchResult:
     # the spare slots, and completed classes cut by a point's coverage deficit.
     pruned_waste: int = 0
     rejected_classes: int = 0
+    # The most blocks on the search path at once, the pinned first class
+    # included: classes * v/4 in a found run.
+    depth: int = 0
 
     def lines(self) -> list[str]:
         label = {"found": "found", "exhausted": "exhausted-space",
                  "budget": "budget-exhausted"}[self.outcome]
         return [f"outcome={label}", f"nodes={self.nodes}",
                 f"seconds={self.seconds:.3f}", f"pruned_waste={self.pruned_waste}",
-                f"rejected_classes={self.rejected_classes}"]
+                f"rejected_classes={self.rejected_classes}", f"depth={self.depth}"]
 
 
 def _check_feasible(v: int, mode: str, classes: int) -> None:
@@ -258,6 +261,7 @@ def search_design(v: int, mode: str, classes: int,
     # natural first class is placed.
     unc = [points ^ 15 << (a & ~3) for a in range(v)]
     waste = pruned_waste = rejected_classes = 0
+    depth = per_class
     natural = tuple(tuple(range(4 * i, 4 * i + 4)) for i in range(per_class))
     solution: list[tuple[Block, ...]] = [natural]
     # a covering may repeat only slots - pairs pair slots in total; steiner
@@ -287,7 +291,7 @@ def search_design(v: int, mode: str, classes: int,
         """Extend the class under construction, whose blocks are done and
         whose free points are remaining; tight while done equals the start
         of the previous class, which is solution[-1]."""
-        nonlocal nodes, stop, waste, pruned_waste, rejected_classes
+        nonlocal nodes, stop, waste, pruned_waste, rejected_classes, depth
         if remaining == 0:
             classes_left = classes - len(solution) - 1
             if covering and not covering_viable(classes_left):
@@ -325,6 +329,7 @@ def search_design(v: int, mode: str, classes: int,
                 pruned_waste += 1
             else:
                 done.append(blk)
+                depth = max(depth, per_class * len(solution) + len(done))
                 if place(done, remaining ^ bm, tight and blk == floor_blk):
                     return True
                 done.pop()
@@ -343,7 +348,7 @@ def search_design(v: int, mode: str, classes: int,
     seconds = meter.seconds()
     if not found:
         return DesignSearchResult(None, outcome, nodes, seconds,
-                                  pruned_waste, rejected_classes)
+                                  pruned_waste, rejected_classes, depth)
 
     design = Design(v, tuple(solution))
     if not verify_design(design, mode).ok:
@@ -351,7 +356,7 @@ def search_design(v: int, mode: str, classes: int,
     if not verify_resolution(design).ok:
         raise AssertionError("search_design built an invalid resolution")
     return DesignSearchResult(design, "found", nodes, seconds,
-                              pruned_waste, rejected_classes)
+                              pruned_waste, rejected_classes, depth)
 
 
 # ---------------------------------------------------------------------------

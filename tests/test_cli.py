@@ -206,7 +206,7 @@ def test_design_search_and_verify(capsys, tmp_path):
                     "--classes", "3", "-o", str(path))
     assert code == 0
     assert out.splitlines() == ["outcome=found", "nodes=323", out.splitlines()[2],
-                                "pruned_waste=250", "rejected_classes=0",
+                                "pruned_waste=250", "rejected_classes=0", "depth=6",
                                 f"file={path}"]
     code, out = run(capsys, "design", "verify", str(path))
     assert code == 0

@@ -202,21 +202,30 @@ def test_search_budget_exhaustion_is_reported():
     assert result.nodes >= 1
 
 
-@pytest.mark.parametrize("budget,nodes", [
-    (SearchBudget(nodes=1023), 1024), (SearchBudget(nodes=1024), 1025),
-    (SearchBudget(nodes=1025), 1026), (SearchBudget(nodes=5000, seconds=60), 5001),
-    (SearchBudget(seconds=0.05), None)],
-    ids=["cap-1023", "cap-1024", "cap-1025", "cap-5000-and-60s", "50ms"])
-def test_search_limits_stop_where_the_meter_checks(budget, nodes):
+@pytest.mark.parametrize("budget,nodes,counts", [
+    (SearchBudget(nodes=1023), 1024, None), (SearchBudget(nodes=1024), 1025, None),
+    (SearchBudget(nodes=1025), 1026, None),
+    (SearchBudget(nodes=1400), 1401, (10, 118, 579)),
+    (SearchBudget(nodes=1600), 1601, (10, 118, 678)),
+    (SearchBudget(nodes=5000, seconds=60), 5001, None),
+    (SearchBudget(seconds=0.05), None, None)],
+    ids=["cap-1023", "cap-1024", "cap-1025", "cap-1400-forced-block",
+         "cap-1600-after-rejected-class", "cap-5000-and-60s", "50ms"])
+def test_search_limits_stop_where_the_meter_checks(budget, nodes, counts):
     """The design search meters its nodes as the edge-colouring search does:
     it stops at the first node past the cap, the cap checked before the
-    clock, and a deadline alone stops it on a clock poll."""
+    clock, and a deadline alone stops it on a clock poll. Node 1401 is the
+    forced last block of a class and node 1601 the first node after a class
+    the coverage deficits reject; counts are (depth, pruned_waste,
+    rejected_classes) at the stop."""
     result = search_design(20, "covering", 7, budget)
     assert (result.outcome, result.design) == ("budget", None)
     if nodes is None:
         assert result.nodes > 0 and result.nodes % CLOCK_POLL_NODES == 0
     else:
         assert result.nodes == nodes
+    if counts is not None:
+        assert (result.depth, result.pruned_waste, result.rejected_classes) == counts
 
 
 def test_search_time_limit_stops_on_a_clock_poll():
@@ -274,7 +283,7 @@ def test_search_results_always_verify():
         assert result.outcome == "found"
         assert verify_design(result.design, mode).ok
         assert verify_resolution(result.design).ok
-        assert len(result.design.blocks) == classes * v // 4
+        assert len(result.design.blocks) == result.depth == classes * v // 4
 
 
 def test_search_is_deterministic():
@@ -381,7 +390,15 @@ FOUND_PINS = {
         36447, "f19603e91f083d96ce3933708de9c05e33e85b77028988ddd4119dddcbda0f53"),
 }
 EXHAUSTED_PINS = ((8, "packing", 2), (12, "packing", 3))
-CAPPED_PINS = ((20, "covering", 7), (24, "covering", 8), (28, "steiner", 9))
+# (v, mode, classes) -> cap -> (nodes, depth, pruned_waste, rejected_classes)
+CAPPED_PINS = {
+    (20, "covering", 7): {2000: (2001, 10, 120, 873), 6000: (6001, 10, 182, 2783),
+                          20000: (20001, 10, 235, 9631)},
+    (24, "covering", 8): {2000: (2001, 12, 1418, 272), 6000: (6001, 12, 4037, 920),
+                          20000: (20001, 12, 13162, 3209)},
+    (28, "steiner", 9): {2000: (2001, 13, 0, 0), 6000: (6001, 13, 0, 0),
+                         20000: (20001, 13, 0, 0)},
+}
 
 
 def test_search_tree_pinned():
@@ -393,11 +410,12 @@ def test_search_tree_pinned():
     for v, mode, classes in EXHAUSTED_PINS:
         result = search_design(v, mode, classes)
         assert (result.outcome, result.nodes, result.design) == ("exhausted", 0, None)
-    for v, mode, classes in CAPPED_PINS:
-        for cap in (2000, 6000):
+    for (v, mode, classes), by_cap in CAPPED_PINS.items():
+        for cap, counts in by_cap.items():
             result = search_design(v, mode, classes, SearchBudget(nodes=cap))
-            assert (result.outcome, result.nodes, result.design) == (
-                "budget", cap + 1, None), (v, mode, classes, cap)
+            assert (result.outcome, result.design) == ("budget", None)
+            assert (result.nodes, result.depth, result.pruned_waste,
+                    result.rejected_classes) == counts, (v, mode, classes, cap)
 
 
 def test_search_counters():
@@ -411,8 +429,10 @@ def test_search_counters():
     assert (capped.pruned_waste, capped.rejected_classes) == (0, 0)
     result = search_design(8, "covering", 3)
     assert (result.pruned_waste, result.rejected_classes) == (250, 0)
-    for (v, classes), counts in {(20, 7): (120, 873), (24, 8): (1418, 272)}.items():
+    for (v, classes), counts in {(20, 7): (120, 873, 10),
+                                 (24, 8): (1418, 272, 12)}.items():
         result = search_design(v, "covering", classes, SearchBudget(nodes=2000))
-        assert (result.pruned_waste, result.rejected_classes) == counts, v
+        assert (result.pruned_waste, result.rejected_classes, result.depth) == counts, v
         assert result.lines()[3:] == [f"pruned_waste={counts[0]}",
-                                      f"rejected_classes={counts[1]}"]
+                                      f"rejected_classes={counts[1]}",
+                                      f"depth={counts[2]}"]
