@@ -13,15 +13,15 @@ from itertools import combinations, islice
 from .colouring import (EdgeColouring, ParseError, _file_lines,
                         _first_cover_colours, _strict_int, pair_count, pair_list)
 from .engine import BudgetExhausted, NodeMeter, SearchBudget
-from .graphs import _bits
 
 BLOCK_SIZE = 4
 
 MODES = ("steiner", "covering", "packing")
 
-# search_design keeps v masks of v bits and recurses once per block and once
-# per class, so it refuses runs that place more blocks (classes * v/4) than
-# this: at v = 4 that is 800 frames, under CPython's default limit of 1,000.
+# search_design keeps v masks of v bits and one stack record per placed
+# block, so it refuses runs that place more blocks (classes * v/4) than
+# this: a run has at least one class, so v stays at most 1,600 and the
+# masks under 1,600^2 bits.
 SEARCH_MAX_BLOCKS = 400
 
 
@@ -245,6 +245,16 @@ def search_design(v: int, mode: str, classes: int,
     each further block point from the intersection of those masks, so they
     never repeat a pair; covering runs take every trio and prune on the
     repeated pair slots and on each point's coverage deficit.
+
+    The search is one loop over an explicit stack with one record per
+    placed block: the candidate iterator of its level, the level's free
+    points and floor, the block, the four masks it overwrote and its
+    waste. A block that leaves four points forces the class's last block,
+    and the loop decides that block in the same step: it counts and meters
+    its node, then runs the waste test and, for coverings, each point's
+    coverage deficit. Only a class that passes pushes its records. Steiner
+    and packing runs count a forced block as a node only when its six
+    pairs are uncovered, as they count any other block.
     """
     _check_feasible(v, mode, classes)
     per_class = v // 4
@@ -280,69 +290,141 @@ def search_design(v: int, mode: str, classes: int,
                 rb = rs & -rs
                 rs ^= rb
                 r = rb.bit_length() - 1
-                for s in _bits(rs & unc[r]):
-                    yield q, r, s
+                ss = rs & unc[r]
+                while ss:
+                    sb = ss & -ss
+                    ss ^= sb
+                    yield q, r, sb.bit_length() - 1
 
-    def covering_viable(classes_left: int) -> bool:
-        cap = 3 * classes_left
-        return all(u.bit_count() <= cap for u in unc)
-
-    def place(done: list[Block], remaining: int, tight: bool) -> bool:
-        """Extend the class under construction, whose blocks are done and
-        whose free points are remaining; tight while done equals the start
-        of the previous class, which is solution[-1]."""
-        nonlocal nodes, stop, waste, pruned_waste, rejected_classes, depth
-        if remaining == 0:
-            classes_left = classes - len(solution) - 1
-            if covering and not covering_viable(classes_left):
-                rejected_classes += 1
-                return False
-            solution.append(tuple(done))
-            if classes_left == 0 or place([], points, True):
-                return True
-            solution.pop()
-            return False
-        low = remaining & -remaining
-        p = low.bit_length() - 1
-        rest = remaining ^ low
-        floor_blk = solution[-1][len(done)] if tight else None
-        # A list, not the generator: copying a generator means resizing a
-        # tuple, and the resized tuples fill CPython's tuple free lists
-        # (0.3 MB more peak memory on a v=20 covering run).
-        trios = (combinations(list(_bits(rest)), 3) if covering
-                 else fresh_trios(rest & unc[p]))
-        for q, r, s in trios:
-            blk: Block = (p, q, r, s)
-            if floor_blk is not None and blk < floor_blk:
-                continue
-            nodes += 1
-            if nodes == stop:
-                stop = meter.check(nodes)
-            bm = low | 1 << q | 1 << r | 1 << s
-            up, uq, ur, us = unc[p], unc[q], unc[r], unc[s]
-            fresh = ((up & bm).bit_count() + (uq & bm).bit_count()
-                     + (ur & bm).bit_count() + (us & bm).bit_count()) // 2
-            keep = ~bm
-            unc[p], unc[q], unc[r], unc[s] = up & keep, uq & keep, ur & keep, us & keep
-            waste += 6 - fresh
-            if waste > max_waste:
-                pruned_waste += 1
-            else:
-                done.append(blk)
-                depth = max(depth, per_class * len(solution) + len(done))
-                if place(done, remaining ^ bm, tight and blk == floor_blk):
-                    return True
-                done.pop()
-            unc[p], unc[q], unc[r], unc[s] = up, uq, ur, us
-            waste -= 6 - fresh
-        return False
-
-    # _check_feasible leaves enough slots, so the natural class always passes
-    # covering_viable, and covering_viable(0) leaves no pair uncovered.
-    found = False
+    stack: list[tuple] = []
+    push = stack.append
+    # The records of the completed classes sit at the bottom of the stack.
+    closed = 0
+    # The level under construction: its free points, its floor (the block
+    # of the previous class at this level while the class so far repeats
+    # that class, else None) and its candidates, made on entry when None.
+    rem = points
+    floor: Block | None = natural[0]
+    it = None
+    found = classes == 1
     outcome = "exhausted"
     try:
-        found = classes == 1 or place([], points, True)
+        while not found:
+            if it is None:
+                low = rem & -rem
+                p = low.bit_length() - 1
+                rest = rem ^ low
+                # A list, not a generator: copying a generator means
+                # resizing a tuple, and the resized tuples fill CPython's
+                # tuple free lists (0.3 MB more peak memory on a v=20
+                # covering run).
+                it = (combinations([x for x in range(p + 1, v) if rest >> x & 1], 3)
+                      if covering else fresh_trios(rest & unc[p]))
+                here = per_class + len(stack) + 1
+                spare = None
+            for q, r, s in it:
+                if floor is not None and (p, q, r, s) < floor:
+                    continue
+                nodes += 1
+                if nodes == stop:
+                    stop = meter.check(nodes)
+                bm = low | 1 << q | 1 << r | 1 << s
+                up, uq, ur, us = unc[p], unc[q], unc[r], unc[s]
+                w = 6 - ((up & bm).bit_count() + (uq & bm).bit_count()
+                         + (ur & bm).bit_count() + (us & bm).bit_count()) // 2
+                if waste + w > max_waste:
+                    pruned_waste += 1
+                    continue
+                if here > depth:
+                    depth = here
+                left = rem ^ bm
+                if left.bit_count() > 4:
+                    keep = ~bm
+                    unc[p], unc[q], unc[r], unc[s] = up & keep, uq & keep, ur & keep, us & keep
+                    blk = (p, q, r, s)
+                    push((it, rem, floor, blk, up, uq, ur, us, w))
+                    waste += w
+                    floor = solution[-1][len(stack) - closed] if blk == floor else None
+                    rem = left
+                    it = None
+                    break
+                if left:
+                    # The class's last block is forced: its points are left.
+                    # While the class repeats the previous one, left is that
+                    # class's last block, so the floor passes it.
+                    x = left
+                    ab = x & -x
+                    x ^= ab
+                    bb = x & -x
+                    x ^= bb
+                    cb = x & -x
+                    a = ab.bit_length() - 1
+                    b = bb.bit_length() - 1
+                    c = cb.bit_length() - 1
+                    d = (x ^ cb).bit_length() - 1
+                    ua, ub, uc, ud = unc[a], unc[b], unc[c], unc[d]
+                    wf = 6 - ((ua & left).bit_count() + (ub & left).bit_count()
+                              + (uc & left).bit_count() + (ud & left).bit_count()) // 2
+                    if wf and not covering:
+                        continue  # a repeated pair: no candidate, no node
+                    nodes += 1
+                    if nodes == stop:
+                        stop = meter.check(nodes)
+                    if waste + w + wf > max_waste:
+                        pruned_waste += 1
+                        continue
+                    if here >= depth:
+                        depth = here + 1
+                keep = ~bm
+                if covering:
+                    # Every point may keep at most spare uncovered partners:
+                    # the classes left cover three of them each. The points
+                    # outside this level keep their masks in every class it
+                    # completes, so they are checked once per level, and
+                    # spare < 0 marks a level where one of them fails.
+                    if spare is None:
+                        spare = 3 * (classes - len(solution) - 1)
+                        if any(u.bit_count() > spare
+                               for x, u in enumerate(unc) if not rem >> x & 1):
+                            spare = -1
+                    if (spare < 0 or (up & keep).bit_count() > spare
+                            or (uq & keep).bit_count() > spare
+                            or (ur & keep).bit_count() > spare
+                            or (us & keep).bit_count() > spare
+                            or left and ((ua & ~left).bit_count() > spare
+                                         or (ub & ~left).bit_count() > spare
+                                         or (uc & ~left).bit_count() > spare
+                                         or (ud & ~left).bit_count() > spare)):
+                        rejected_classes += 1
+                        continue
+                unc[p], unc[q], unc[r], unc[s] = up & keep, uq & keep, ur & keep, us & keep
+                push((it, rem, floor, (p, q, r, s), up, uq, ur, us, w))
+                waste += w
+                if left:
+                    keep = ~left
+                    unc[a], unc[b], unc[c], unc[d] = ua & keep, ub & keep, uc & keep, ud & keep
+                    push(((), left, None, (a, b, c, d), ua, ub, uc, ud, wf))
+                    waste += wf
+                solution.append(tuple(rec[3] for rec in stack[closed:]))
+                closed = len(stack)
+                found = len(solution) == classes
+                rem = points
+                floor = solution[-1][0]
+                it = None
+                break
+            else:
+                # The level's candidates are done: take back the block below.
+                if not stack:
+                    break
+                it, rem, floor, (p, q, r, s), up, uq, ur, us, w = stack.pop()
+                unc[p], unc[q], unc[r], unc[s] = up, uq, ur, us
+                waste -= w
+                low = 1 << p
+                here = per_class + len(stack) + 1
+                spare = None
+                if len(stack) < closed:
+                    solution.pop()
+                    closed -= per_class
     except BudgetExhausted:
         outcome = "budget"
     seconds = meter.seconds()

@@ -429,8 +429,9 @@ def test_witness_design_header_claiming_a_million_points(capsys, tmp_path):
     (16000, "packing", 1)])
 def test_design_search_beyond_block_limit_is_usage_error(capsys, v, mode, classes):
     """Runs that would place more blocks than the search supports are refused
-    before they start: exit 2 with one line, not a RecursionError (exit 1)
-    or masks that grow as v^2."""
+    before they start: exit 2 with one line, before any mask of v bits is
+    made, so neither the point count nor the classes can grow the search's
+    memory past the limit."""
     code = main(["design", "search", "--v", str(v), "--mode", mode,
                  "--classes", str(classes)])
     captured = capsys.readouterr()

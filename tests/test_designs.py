@@ -249,8 +249,14 @@ def test_search_infeasible_parameters():
 
 def test_search_block_limit():
     """The deepest run the limit allows, one block per class on 4 points,
-    completes; one more class is refused before any search."""
-    result = search_design(4, "covering", SEARCH_MAX_BLOCKS)
+    completes, and under a recursion limit far below its depth, since the
+    search does not recurse; one more class is refused before any search."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        result = search_design(4, "covering", SEARCH_MAX_BLOCKS)
+    finally:
+        sys.setrecursionlimit(limit)
     assert result.outcome == "found"
     assert len(result.design.classes) == SEARCH_MAX_BLOCKS
     for v, mode, classes in ((4, "covering", SEARCH_MAX_BLOCKS + 1),
