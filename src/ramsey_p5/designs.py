@@ -320,6 +320,7 @@ def search_design(v: int, mode: str, classes: int,
                 # covering run).
                 it = (combinations([x for x in range(p + 1, v) if rest >> x & 1], 3)
                       if covering else fresh_trios(rest & unc[p]))
+                # the blocks on the search path once this level's is placed
                 here = per_class + len(stack) + 1
                 spare = None
             for q, r, s in it:
@@ -382,6 +383,9 @@ def search_design(v: int, mode: str, classes: int,
                     # outside this level keep their masks in every class it
                     # completes, so they are checked once per level, and
                     # spare < 0 marks a level where one of them fails.
+                    # _check_feasible leaves enough slots for the natural
+                    # class, and spare = 0 in the last class leaves no pair
+                    # uncovered.
                     if spare is None:
                         spare = 3 * (classes - len(solution) - 1)
                         if any(u.bit_count() > spare
