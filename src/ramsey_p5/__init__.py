@@ -10,9 +10,8 @@ from .checks import (Claim1Report, Lemma1Report, Lemma3Report, claim1_check,
 from .colouring import (Certificate, CertificateError, CertificateReport,
                         EdgeColouring, MonoPath, UnsupportedWitness,
                         WitnessBudgetExhausted, find_mono_p5, lift,
-                        max_mono_component_order, ramsey_value,
-                        read_certificate, verify_certificate, witness,
-                        write_certificate)
+                        ramsey_value, read_certificate, verify_certificate,
+                        witness, write_certificate)
 from .designs import (Design, DesignParseError, DesignSearchResult,
                       DesignVerdict, InfeasibleParameters, ResolutionVerdict,
                       design_to_colouring, pair_coverage,
@@ -20,9 +19,9 @@ from .designs import (Design, DesignParseError, DesignSearchResult,
                       verify_resolution, write_design)
 from .engine import (ParameterError, SearchBudget, SearchConfig, SearchStats,
                      Verdict, ramsey_verify)
-from .graphs import (Graph, complete, connected_components, contains_path,
-                     cycle_graph, disjoint_union, ex_p5, extremal_p5, find_path,
-                     is_connected, path_graph, star_graph)
+from .graphs import (Graph, complete, connected_components, cycle_graph,
+                     disjoint_union, ex_p5, extremal_p5, find_path, path_graph,
+                     star_graph)
 from .pfree import ENUM_MAX_ORDER, component_catalogue, enumerate_p5_free
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
-from .graphs import Graph, connected_components, find_path
+from .graphs import Graph, find_path
 
 CERT_HEADER = "RAMSEY-P5 v1"
 CLAIM_MONO_P5_FREE = "mono-p5-free"
@@ -73,9 +73,6 @@ class EdgeColouring:
     def __hash__(self) -> int:
         return hash((self.n, self.r, self.colours))
 
-    def colour(self, i: int, j: int) -> int:
-        return self.colours[pair_index(self.n, i, j)]
-
     def colour_classes(self) -> Iterator[tuple[int, Graph]]:
         """Each colour that occurs, ascending, with its class. One pass over
         the pairs buckets the edges, so the cost follows the edges and not
@@ -101,16 +98,6 @@ def find_mono_p5(c: EdgeColouring) -> MonoPath | None:
         if path is not None:
             return MonoPath(colour, path)
     return None
-
-
-def max_mono_component_order(c: EdgeColouring) -> int:
-    """Largest vertex count of a component of any colour class."""
-    best = 0
-    for _colour, g in c.colour_classes():
-        for comp in connected_components(g):
-            if comp.bit_count() > 1:
-                best = max(best, comp.bit_count())
-    return best
 
 
 def lift(c: EdgeColouring) -> EdgeColouring:
@@ -208,7 +195,7 @@ def witness(r: int, design=None, budget=None) -> EdgeColouring:
     elif design is not None:
         if not design.resolved:
             raise designs.MissingResolution("witness designs must be resolvable")
-        ncl = design.class_count
+        ncl = len(design.classes)
         if ncl not in (r, r - 1):
             raise ValueError(f"expected {r} or {r - 1} classes, design has {ncl}")
         built = designs.design_to_colouring(design, leave_colour=None if ncl == r else r)

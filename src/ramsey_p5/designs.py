@@ -75,10 +75,6 @@ class Design:
     def blocks(self) -> tuple[Block, ...]:
         return tuple(blk for cls in self.classes for blk in cls)
 
-    @property
-    def class_count(self) -> int:
-        return len(self.classes) if self.resolved else 0
-
 
 def pair_coverage(d: Design) -> dict[tuple[int, int], int]:
     """Multiplicity of each pair (i, j), i < j, that some block covers;

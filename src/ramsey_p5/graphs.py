@@ -44,15 +44,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def degrees(self) -> list[int]:
-        return [row.bit_count() for row in self.adj]
-
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
@@ -122,10 +113,6 @@ def connected_components(g: Graph) -> list[int]:
     return comps
 
 
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
-
-
 def find_path(g: Graph, t: int) -> tuple[int, ...] | None:
     """An ordered t-vertex path in g as a subgraph, or None.
 
@@ -168,10 +155,6 @@ def find_path(g: Graph, t: int) -> tuple[int, ...] | None:
         if adj[s] and extend(s, 1 << s):
             return tuple(path)
     return None
-
-
-def contains_path(g: Graph, t: int) -> bool:
-    return find_path(g, t) is not None
 
 
 # ---------------------------------------------------------------------------

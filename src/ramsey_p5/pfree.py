@@ -8,10 +8,10 @@ A connected graph contains no 5-vertex path exactly when it is one of:
 
 ``shape_is_p5_free`` decides membership from four numbers: the order, the
 edge count, the number of vertices of degree at least 2 and whether some
-vertex is adjacent to all others. ``component_is_p5_free`` counts them from
-the degrees; the search engine keeps them up to date edge by edge and
-applies the same rule inline, since a call per edge slows the search, and
-its tests check the two against a path oracle. ``completion_cap``, the
+vertex is adjacent to all others. The search engine keeps them up to date
+edge by edge and applies the same rule inline, since a call per edge slows
+the search; the tests count them from the degrees and check the rule and
+the engine against a path oracle. ``completion_cap``, the
 capacity rule the engine prunes with, sums the catalogue's edge caps over
 the best merging of components, in closed form. The test suite validates
 the classification against raw enumeration for small orders instead of
@@ -115,25 +115,6 @@ def shape_is_p5_free(s: int, e: int, inner: int, hub: bool) -> bool:
     if e == s - 1:
         return inner <= 2
     return e == s and hub
-
-
-def component_is_p5_free(adj: list[int], comp: int) -> bool:
-    """Whether the connected graph on the vertex mask ``comp`` (a whole
-    component of the graph with neighbour masks ``adj``) has no 5-vertex
-    path: ``shape_is_p5_free`` on the shape counted from its degrees."""
-    s = comp.bit_count()
-    twice_e = inner = 0
-    hub = False
-    while comp:
-        b = comp & -comp
-        comp ^= b
-        deg = adj[b.bit_length() - 1].bit_count()
-        twice_e += deg
-        if deg > 1:
-            inner += 1
-            if deg == s - 1:
-                hub = True
-    return shape_is_p5_free(s, twice_e // 2, inner, hub)
 
 
 def _component_options(n: int, m: int) -> list[tuple[int, int, Graph]]:

@@ -4,7 +4,9 @@ Everything here recomputes answers from first principles (raw enumeration,
 permutation search, Prüfer-free tree growth) without going through the code
 paths under test. The capacity oracle builds on the connected catalogue,
 which the pfree tests check against raw enumeration, and not on the closed
-form it is compared with.
+form it is compared with. ``shape_counts`` counts the four numbers that
+``pfree.shape_is_p5_free`` decides from, so the tests can apply that rule to
+any component directly.
 """
 
 from __future__ import annotations
@@ -273,6 +275,16 @@ def bfs_components(adj: list[int], n: int) -> list[int]:
 def component_sizes(adj: list[int], n: int) -> tuple[int, ...]:
     """Sorted component orders, from bfs_components."""
     return tuple(sorted(c.bit_count() for c in bfs_components(adj, n)))
+
+
+def shape_counts(adj: list[int], comp: int) -> tuple[int, int, int, bool]:
+    """The order s, edge count e, number of vertices of degree at least 2
+    and whether some vertex is adjacent to all others, of the connected
+    graph on the vertex mask ``comp`` (a whole component of the graph with
+    neighbour masks ``adj``), counted from the degrees."""
+    degrees = [adj[v].bit_count() for v in range(len(adj)) if comp >> v & 1]
+    s = len(degrees)
+    return s, sum(degrees) // 2, sum(d > 1 for d in degrees), s - 1 in degrees
 
 
 def connected_edge_cap(s: int) -> int:

@@ -9,13 +9,12 @@ from pathlib import Path
 import pytest
 
 import ramsey_p5
-from oracles import naive_has_mono_p5, random_mono_free_colouring
+from oracles import component_sizes, naive_has_mono_p5, random_mono_free_colouring
 from ramsey_p5 import designs
 from ramsey_p5.colouring import (Certificate, CertificateError, EdgeColouring,
                                  UnsupportedWitness, WitnessBudgetExhausted,
-                                 find_mono_p5, lift, max_mono_component_order,
-                                 pair_count, pair_index, pair_list,
-                                 ramsey_value, read_certificate,
+                                 find_mono_p5, lift, pair_count, pair_index,
+                                 pair_list, ramsey_value, read_certificate,
                                  verify_certificate, witness, witness_k10,
                                  write_certificate)
 from ramsey_p5.engine import SearchBudget
@@ -53,7 +52,7 @@ def test_classes_partition_edge_set():
         assert sorted(classes) == sorted(set(c.colours))
         for k, g in classes.items():
             assert g.edge_count() == c.colours.count(k)
-            assert all(c.colour(i, j) == k for i, j in g.edges())
+            assert all(c.colours[pair_index(n, i, j)] == k for i, j in g.edges())
         assert sum(g.edge_count() for g in classes.values()) == pair_count(n)
 
 
@@ -76,7 +75,7 @@ def test_find_mono_p5_witness_is_valid_path():
         colour, path = mono
         assert len(set(path)) == 5
         for k in range(4):
-            assert c.colour(path[k], path[k + 1]) == colour
+            assert c.colours[pair_index(c.n, path[k], path[k + 1])] == colour
 
 
 def test_two_colouring_with_clique_pattern_class():
@@ -109,7 +108,7 @@ def test_lift_of_single_colour_k4():
     assert c.n == 5 and c.r == 2
     star = dict(c.colour_classes())[2]
     assert star.edge_count() == 4
-    assert star.degree(4) == 4
+    assert star.adj[4].bit_count() == 4
     assert find_mono_p5(c) is None
 
 
@@ -171,7 +170,8 @@ def test_verify_cost_follows_the_colours_used(monkeypatch):
         assert (passes, len(builds)) == ([cert.n], classes)
         passes.clear()
         builds.clear()
-        assert max_mono_component_order(cert.colouring()) == 2
+        assert max(component_sizes(g.adj, g.n)[-1]
+                   for _, g in cert.colouring().colour_classes()) == 2
         assert (passes, len(builds)) == ([cert.n], classes)
 
 
@@ -179,10 +179,10 @@ def test_k10_witness():
     c = witness_k10()
     assert c.n == 10 and c.r == 4
     assert find_mono_p5(c) is None
-    assert max_mono_component_order(c) <= 4
+    assert max(component_sizes(g.adj, g.n)[-1] for _, g in c.colour_classes()) <= 4
     # overlapped pairs resolved to the smallest colour index
-    assert c.colour(2, 3) == 1
-    assert c.colour(6, 7) == 1
+    assert c.colours[pair_index(10, 2, 3)] == 1
+    assert c.colours[pair_index(10, 6, 7)] == 1
 
 
 def test_k10_class_components():
@@ -311,7 +311,7 @@ def test_witness_monotone_orders():
 def test_witness_r3_comes_from_covering_design():
     c = witness(3)
     assert c.n == 8 and c.r == 3
-    assert max_mono_component_order(c) <= 4
+    assert max(component_sizes(g.adj, g.n)[-1] for _, g in c.colour_classes()) <= 4
 
 
 def test_witness_unsupported():
@@ -369,7 +369,8 @@ def test_certificate_verify_pass_and_fail():
     assert not report.ok
     colour, path = report.violation
     c = bad.colouring()
-    assert all(c.colour(path[k], path[k + 1]) == colour for k in range(4))
+    assert all(c.colours[pair_index(10, path[k], path[k + 1])] == colour
+               for k in range(4))
 
 
 def test_certificate_vacuous_orders():

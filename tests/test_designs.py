@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import ramsey_p5
-from ramsey_p5.colouring import find_mono_p5, max_mono_component_order
+from oracles import component_sizes
+from ramsey_p5.colouring import find_mono_p5
 from ramsey_p5.designs import (SEARCH_MAX_BLOCKS, Design, DesignParseError,
                                InfeasibleParameters, MissingResolution,
                                SearchBudget, UncolouredPair,
@@ -55,7 +56,7 @@ def test_unresolved_design_holds_one_block_list():
         Design(8, (((0, 1, 2, 3),), ((4, 5, 6, 7),)), resolved=False)
     d = Design(8, (((0, 1, 2, 3), (4, 5, 6, 7)),), resolved=False)
     assert d.blocks == ((0, 1, 2, 3), (4, 5, 6, 7))
-    assert d.class_count == 0
+    assert not d.resolved and len(d.classes) == 1
 
 
 def test_single_block_is_steiner():
@@ -88,7 +89,7 @@ def test_pair_coverage_totals():
 def test_b4_16_shape():
     d = the_b4_16()
     assert len(d.blocks) == 20
-    assert d.class_count == 5  # (16 - 1) / 3
+    assert len(d.classes) == 5  # (16 - 1) / 3
     assert verify_design(d, "steiner").ok
     assert verify_resolution(d).ok
     assert leave_edges(d) == 0
@@ -134,7 +135,7 @@ def test_design_to_colouring_b4_16():
     c = design_to_colouring(the_b4_16())
     assert c.n == 16 and c.r == 5
     assert find_mono_p5(c) is None
-    assert max_mono_component_order(c) <= 4
+    assert max(component_sizes(g.adj, g.n)[-1] for _, g in c.colour_classes()) <= 4
     classes = dict(c.colour_classes())
     assert sorted(classes) == [1, 2, 3, 4, 5]
     for g in classes.values():
@@ -143,14 +144,14 @@ def test_design_to_colouring_b4_16():
         # exact-cover classes split into true cliques
         for m in comps:
             pts = [p for p in range(16) if m >> p & 1]
-            assert all(g.has_edge(a, b) for a in pts for b in pts if a < b)
+            assert all(g.adj[a] >> b & 1 for a in pts for b in pts if a < b)
 
 
 def test_design_to_colouring_v8_covering():
     c = design_to_colouring(the_v8_covering())
     assert c.n == 8 and c.r == 3
     assert find_mono_p5(c) is None
-    assert max_mono_component_order(c) <= 4
+    assert max(component_sizes(g.adj, g.n)[-1] for _, g in c.colour_classes()) <= 4
 
 
 def test_design_to_colouring_leave_route():
@@ -163,7 +164,7 @@ def test_design_to_colouring_leave_route():
     c = design_to_colouring(packing, leave_colour=5)
     assert c.r == 5
     assert find_mono_p5(c) is None
-    assert max_mono_component_order(c) <= 4
+    assert max(component_sizes(g.adj, g.n)[-1] for _, g in c.colour_classes()) <= 4
     # ignore the leave colour when nothing is left over
     full = design_to_colouring(d, leave_colour=6)
     assert full.r == 5

@@ -12,13 +12,13 @@ import pytest
 
 import ramsey_p5
 from oracles import (adj_has_p5, all_pairs, bfs_components, component_sizes,
-                     edge_creates_p5, grouping_cap)
+                     edge_creates_p5, grouping_cap, shape_counts)
 from ramsey_p5.colouring import verify_certificate, write_certificate
 from ramsey_p5.engine import (CLOCK_POLL_NODES, OUTCOME_BUDGET, OUTCOME_REFUTED,
                               OUTCOME_WITNESS, NodeMeter, ParameterError,
                               SearchBudget, SearchConfig, _Engine,
                               ramsey_verify)
-from ramsey_p5.pfree import completion_cap, component_is_p5_free
+from ramsey_p5.pfree import completion_cap, shape_is_p5_free
 
 # Searches of minutes run only on request.
 SLOW = pytest.mark.skipif(os.environ.get("RAMSEY_P5_SLOW") != "1",
@@ -497,7 +497,7 @@ def test_catalogue_edge_test_matches_path_oracle(n):
                 assert eng.pruned_path - pruned == (not ok)
                 adj[u] |= 1 << w
                 adj[w] |= 1 << u
-                assert ok == component_is_p5_free(adj, joined), (adj, u, w)
+                assert ok == shape_is_p5_free(*shape_counts(adj, joined)), (adj, u, w)
                 assert ok == (not edge_creates_p5(adj, u, w)), (adj, u, w)
                 if joined.bit_count() > 4:
                     seen.add((comp[u] == comp[w], ok and free_shape(adj, joined)))

@@ -6,12 +6,12 @@ from itertools import combinations
 
 import pytest
 
-from oracles import (all_pairs, brute_force_ex_p5, perm_has_path, unlabelled_trees,
-                     unpruned_find_path)
-from ramsey_p5.graphs import (Graph, complete, connected_components, contains_path,
-                              cycle_graph, disjoint_union, ex_p5, extremal_p5,
-                              find_path, is_connected, path_graph, star_graph)
-from ramsey_p5.pfree import component_is_p5_free
+from oracles import (all_pairs, brute_force_ex_p5, perm_has_path, shape_counts,
+                     unlabelled_trees, unpruned_find_path)
+from ramsey_p5.graphs import (Graph, complete, connected_components, cycle_graph,
+                              disjoint_union, ex_p5, extremal_p5, find_path,
+                              path_graph, star_graph)
+from ramsey_p5.pfree import shape_is_p5_free
 
 
 def test_graph_validation():
@@ -26,26 +26,26 @@ def test_graph_validation():
 
 def test_adjacency_symmetric_and_edge_count():
     g = Graph(5, [(0, 1), (1, 2), (3, 4)])
-    assert g.has_edge(1, 0) and g.has_edge(0, 1)
+    assert g.adj[1] >> 0 & 1 and g.adj[0] >> 1 & 1
     assert g.edge_count() == 3
-    assert sum(g.degrees()) == 2 * g.edge_count()
+    assert sum(row.bit_count() for row in g.adj) == 2 * g.edge_count()
     assert g.edges() == [(0, 1), (1, 2), (3, 4)]
 
 
 def test_contains_path_examples():
-    assert not contains_path(complete(4), 5)
-    assert not contains_path(extremal_p5(11), 5)  # K4 + K4 + K3
-    assert contains_path(cycle_graph(5), 5)
-    assert not contains_path(star_graph(5), 5)
+    assert find_path(complete(4), 5) is None
+    assert find_path(extremal_p5(11), 5) is None  # K4 + K4 + K3
+    assert find_path(cycle_graph(5), 5) is not None
+    assert find_path(star_graph(5), 5) is None
 
 
 def test_contains_path_small_orders():
-    assert contains_path(Graph(1), 1)
-    assert not contains_path(Graph(0), 1)
-    assert contains_path(Graph(2, [(0, 1)]), 2)
-    assert not contains_path(Graph(2), 2)
+    assert find_path(Graph(1), 1) is not None
+    assert find_path(Graph(0), 1) is None
+    assert find_path(Graph(2, [(0, 1)]), 2) is not None
+    assert find_path(Graph(2), 2) is None
     with pytest.raises(ValueError):
-        contains_path(Graph(2), 0)
+        find_path(Graph(2), 0)
 
 
 def test_contains_path_matches_permutation_oracle():
@@ -56,14 +56,14 @@ def test_contains_path_matches_permutation_oracle():
         edges = {p for p in pairs if rng.random() < 0.4}
         g = Graph(n, edges)
         for t in (2, 3, 4, 5):
-            assert contains_path(g, t) == perm_has_path(edges, n, t)
+            assert (find_path(g, t) is not None) == perm_has_path(edges, n, t)
 
 
 def test_find_path_returns_real_path():
     g = cycle_graph(6)
     path = find_path(g, 5)
     assert path is not None and len(set(path)) == 5
-    assert all(g.has_edge(path[k], path[k + 1]) for k in range(4))
+    assert all(g.adj[path[k]] >> path[k + 1] & 1 for k in range(4))
 
 
 def _same_first_path(g: Graph) -> None:
@@ -127,7 +127,7 @@ def test_extremal_edge_count_matches_formula():
         g = extremal_p5(n)
         assert g.edge_count() == ex_p5(n)
         if n <= 12:
-            assert not contains_path(g, 5)
+            assert find_path(g, 5) is None
 
 
 def test_complement_of_extremal_11_is_k4_free():
@@ -138,7 +138,7 @@ def test_complement_of_extremal_11_is_k4_free():
     quads = list(combinations(range(11), 4))
     assert len(quads) == 330
     assert not [quad for quad in quads
-                if not any(g.has_edge(a, b) for a, b in combinations(quad, 2))]
+                if not any(g.adj[a] >> b & 1 for a, b in combinations(quad, 2))]
 
 
 def test_graph_algebra():
@@ -156,8 +156,8 @@ def test_tree_has_p5_iff_diameter_at_least_4():
         free = 0
         for tree in level:
             full = (1 << tree.n) - 1
-            is_free = component_is_p5_free(list(tree.adj), full)
-            assert contains_path(tree, 5) != is_free, tree.edges()
+            is_free = shape_is_p5_free(*shape_counts(tree.adj, full))
+            assert (find_path(tree, 5) is not None) != is_free, tree.edges()
             free += is_free
         free_counts.append(free)
     assert free_counts == [1, 1, 1, 2, 2, 3, 3, 4, 4]
@@ -165,7 +165,7 @@ def test_tree_has_p5_iff_diameter_at_least_4():
 
 def test_connectivity_helpers():
     g = disjoint_union(complete(3), complete(2))
-    assert not is_connected(g)
+    assert len(connected_components(g)) != 1
     assert [c.bit_count() for c in connected_components(g)] == [3, 2]
-    assert is_connected(path_graph(5))
+    assert len(connected_components(path_graph(5))) == 1
 

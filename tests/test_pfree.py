@@ -4,12 +4,14 @@ import random
 
 import pytest
 
-from oracles import all_pairs, grouping_cap, mask_is_connected, p5_free_masks
+from oracles import (all_pairs, grouping_cap, mask_is_connected, p5_free_masks,
+                     shape_counts)
 from ramsey_p5.canon import OrderTooLarge, canonical_key
-from ramsey_p5.graphs import (Graph, complete, contains_path, disjoint_union,
-                              ex_p5, extremal_p5, is_connected, path_graph)
+from ramsey_p5.graphs import (Graph, complete, connected_components,
+                              disjoint_union, ex_p5, extremal_p5, find_path,
+                              path_graph)
 from ramsey_p5.pfree import (completion_cap, component_catalogue,
-                             component_is_p5_free, enumerate_p5_free)
+                             enumerate_p5_free, shape_is_p5_free)
 
 
 def test_catalogue_pinned_examples():
@@ -26,8 +28,8 @@ def test_catalogue_members_are_what_they_claim():
         for e in range(0, s * (s - 1) // 2 + 1):
             for g in component_catalogue(s, e):
                 assert g.n == s and g.edge_count() == e
-                assert is_connected(g)
-                assert not contains_path(g, 5)
+                assert len(connected_components(g)) == 1
+                assert find_path(g, 5) is None
 
 
 def brute_connected_p5_free(s):
@@ -61,10 +63,10 @@ def test_catalogue_complete_at_8_vertices():
 
 
 def test_degree_test_matches_catalogue():
-    """component_is_p5_free on a connected graph is membership in
-    component_catalogue(s, e): every labelled connected graph up to 6
-    vertices, then random connected graphs and relabelled catalogue members
-    up to 9."""
+    """shape_is_p5_free on the shape counted from the degrees of a connected
+    graph is membership in component_catalogue(s, e): every labelled
+    connected graph up to 6 vertices, then random connected graphs and
+    relabelled catalogue members up to 9."""
     keys = {}
 
     def agrees(g):
@@ -72,7 +74,8 @@ def test_degree_test_matches_catalogue():
         if (s, e) not in keys:
             keys[s, e] = {canonical_key(h) for h in component_catalogue(s, e)}
         expect = bool(keys[s, e]) and canonical_key(g) in keys[s, e]
-        assert component_is_p5_free(list(g.adj), (1 << g.n) - 1) == expect, g.edges()
+        shape = shape_counts(g.adj, (1 << g.n) - 1)
+        assert shape_is_p5_free(*shape) == expect, g.edges()
         return expect
 
     for s in range(1, 7):
@@ -93,6 +96,26 @@ def test_degree_test_matches_catalogue():
             edges |= set(rng.sample(pairs, rng.randrange(3)))
             found += agrees(Graph(s, sorted(edges)))
         assert 0 < found < 400
+
+
+def test_shape_rule_reads_hub_only_when_e_equals_s():
+    """shape_is_p5_free holds on the shape of every catalogue member up to
+    order 9, and it reads ``hub`` only when e = s: flipping it changes no
+    verdict on any other (s, e, inner) of a connected graph up to order 12,
+    and past four vertices with e = s it alone decides the verdict."""
+    for s in range(1, 10):
+        for e in range(s * (s - 1) // 2 + 1):
+            for g in component_catalogue(s, e):
+                assert shape_is_p5_free(*shape_counts(g.adj, (1 << s) - 1)), g.edges()
+    for s in range(1, 13):
+        for e in range(s - 1, s * (s - 1) // 2 + 1):
+            for inner in range(s + 1):
+                with_hub = shape_is_p5_free(s, e, inner, True)
+                without = shape_is_p5_free(s, e, inner, False)
+                if e != s:
+                    assert with_hub == without, (s, e, inner)
+                elif s > 4:
+                    assert with_hub and not without, (s, e, inner)
 
 
 def order_multisets(total, most):
@@ -139,7 +162,7 @@ def test_enumerate_members_are_p5_free_with_right_size():
     for n, m in ((7, 8), (9, 12), (10, 11)):
         for g in enumerate_p5_free(n, m):
             assert g.n == n and g.edge_count() == m
-            assert not contains_path(g, 5)
+            assert find_path(g, 5) is None
 
 
 def test_enumerate_nonempty_iff_below_turan():
@@ -177,7 +200,7 @@ def test_cross_oracle_equivalence_up_to_7():
         # and conversely every enumerated graph is path-free
         for m, keys in enum_keys.items():
             for g in enumerate_p5_free(n, m):
-                assert not contains_path(g, 5)
+                assert find_path(g, 5) is None
 
 
 def test_enumeration_lists_each_graph_once():

@@ -1,7 +1,9 @@
 """The public names of the package, pinned: adding or removing one is a
 deliberate change to this list."""
 
+import os
 import types
+from pathlib import Path
 
 import ramsey_p5
 
@@ -14,8 +16,8 @@ PUBLIC_NAMES = {
     # colouring
     "Certificate", "CertificateError", "CertificateReport", "EdgeColouring",
     "MonoPath", "UnsupportedWitness", "WitnessBudgetExhausted", "find_mono_p5",
-    "lift", "max_mono_component_order", "ramsey_value", "read_certificate",
-    "verify_certificate", "witness", "write_certificate",
+    "lift", "ramsey_value", "read_certificate", "verify_certificate",
+    "witness", "write_certificate",
     # designs
     "Design", "DesignParseError", "DesignSearchResult", "DesignVerdict",
     "InfeasibleParameters", "ResolutionVerdict", "design_to_colouring",
@@ -25,9 +27,9 @@ PUBLIC_NAMES = {
     "ParameterError", "SearchBudget", "SearchConfig", "SearchStats", "Verdict",
     "ramsey_verify",
     # graphs
-    "Graph", "complete", "connected_components", "contains_path",
-    "cycle_graph", "disjoint_union", "ex_p5", "extremal_p5", "find_path",
-    "is_connected", "path_graph", "star_graph",
+    "Graph", "complete", "connected_components", "cycle_graph",
+    "disjoint_union", "ex_p5", "extremal_p5", "find_path", "path_graph",
+    "star_graph",
     # pfree
     "ENUM_MAX_ORDER", "component_catalogue", "enumerate_p5_free",
 }
@@ -41,3 +43,14 @@ def test_public_names_are_pinned():
                 and not isinstance(value, types.ModuleType)}
     assert exported - PUBLIC_NAMES == set(), "unlisted public name"
     assert PUBLIC_NAMES - exported == set(), "listed name no longer exported"
+
+
+def test_package_comes_from_pythonpath():
+    """The suite tests the tree that PYTHONPATH names: the package is
+    imported from the first PYTHONPATH entry that holds one, and with none
+    from this checkout's src, which conftest.py appends to sys.path."""
+    entries = [Path(os.path.abspath(p))
+               for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    holding = [p for p in entries if (p / "ramsey_p5" / "__init__.py").is_file()]
+    root = holding[0] if holding else Path(__file__).resolve().parents[1] / "src"
+    assert Path(ramsey_p5.__file__).resolve().is_relative_to(root.resolve())
