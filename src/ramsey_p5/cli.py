@@ -61,7 +61,9 @@ def _cmd_witness(args) -> int:
     if args.design is not None:
         with open(args.design, "rb") as fh:
             design, _mode = designs.read_design(fh.read())
-        notes.append(f"# source design: {os.path.basename(args.design)}")
+        # a certificate note is one ASCII line, so the name is escaped
+        name = os.path.basename(args.design).encode("ascii", "backslashreplace")
+        notes.append("# source design: " + name.decode().replace("\n", "\\n"))
     try:
         col = colouring.witness(r, design=design, budget=_budget_from(args))
     except colouring.WitnessBudgetExhausted as exc:
@@ -70,8 +72,7 @@ def _cmd_witness(args) -> int:
     except colouring.UnsupportedWitness as exc:
         _say(str(exc))
         return EXIT_VIOLATION
-    if r == 4:
-        notes.append("# overlapped pairs resolved to the smallest colour index")
+    notes.extend(colouring.WITNESS_NOTES.get(r, ()))
     cert = colouring.Certificate.from_colouring(col, notes)
     data = colouring.write_certificate(cert)
     if args.out:

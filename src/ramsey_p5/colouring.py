@@ -141,6 +141,8 @@ _K10_CLIQUES: tuple[tuple[tuple[int, ...], ...], ...] = (
     ((0, 6, 7, 5), (1, 2, 3, 9), (8, 4)),
     ((0, 4, 9), (1, 5, 8), (2, 3, 6, 7)),
 )
+# Certificate notes by r, for a witness that settles a choice its colours hide.
+WITNESS_NOTES = {4: ("# overlapped pairs resolved to the smallest colour index",)}
 
 
 def _first_cover_colours(n: int,
@@ -297,8 +299,8 @@ def write_certificate(cert: Certificate) -> bytes:
         raise ValueError("colour table does not match order")
     lines.extend(f"{i} {j} {c}" for (i, j), c in zip(pairs, cert.colours))
     for note in cert.notes:
-        if not note.startswith("#"):
-            raise ValueError("certificate notes must start with '#'")
+        if not note.startswith("#") or "\n" in note or not note.isascii():
+            raise ValueError(f"certificate note is not one ASCII '#' line: {note!r}")
         lines.append(note)
     return ("\n".join(lines) + "\n").encode("ascii")
 

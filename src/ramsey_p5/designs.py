@@ -19,9 +19,9 @@ BLOCK_SIZE = 4
 MODES = ("steiner", "covering", "packing")
 
 # search_design keeps v masks of v bits and one stack record per placed
-# block, so it refuses runs that place more blocks (classes * v/4) than
-# this: a run has at least one class, so v stays at most 1,600 and the
-# masks under 1,600^2 bits.
+# block, the pinned first class's included, so it refuses runs that place
+# more blocks (classes * v/4) than this: a run has at least one class, so
+# v stays at most 1,600 and the masks under 1,600^2 bits.
 SEARCH_MAX_BLOCKS = 400
 
 
@@ -242,20 +242,22 @@ def search_design(v: int, mode: str, classes: int,
     never repeat a pair; covering runs take every trio and prune on the
     repeated pair slots and on each point's coverage deficit.
 
-    The search is one loop over an explicit stack with one record per
-    placed block: the candidate iterator of its level, the level's free
-    points and floor, the block, the four masks it overwrote and its
-    waste. A block that leaves four points forces the class's last block,
-    and the loop decides that block in the same step: it counts and meters
-    its node, then runs the waste test and, for coverings, each point's
-    coverage deficit. Only a class that passes pushes its records. Steiner
-    and packing runs count a forced block as a node only when its six
-    pairs are uncovered, as they count any other block.
+    The search is one loop over an explicit stack with one record per placed
+    block: the candidate iterator of its level, the level's free points and
+    floor, the block, the four masks it overwrote and its waste. The pinned
+    class's records sit at the bottom, never popped. A block that leaves
+    four points forces the class's last block, and the loop decides that
+    block in the same step: it counts and meters its node, then runs the
+    waste test and, for coverings, each point's coverage deficit. Only a
+    class that passes pushes its records. Steiner and packing runs count a
+    forced block as a node only when its six pairs are uncovered, as they
+    count any other block.
     """
     _check_feasible(v, mode, classes)
     per_class = v // 4
-    if classes * per_class > SEARCH_MAX_BLOCKS:
-        raise ValueError(f"v={v} and classes={classes} place {classes * per_class} "
+    goal = classes * per_class
+    if goal > SEARCH_MAX_BLOCKS:
+        raise ValueError(f"v={v} and classes={classes} place {goal} "
                          f"blocks, over the search limit of {SEARCH_MAX_BLOCKS}")
     meter = NodeMeter(budget)
     nodes = 0
@@ -268,11 +270,9 @@ def search_design(v: int, mode: str, classes: int,
     unc = [points ^ 15 << (a & ~3) for a in range(v)]
     waste = pruned_waste = rejected_classes = 0
     depth = per_class
-    natural = tuple(tuple(range(4 * i, 4 * i + 4)) for i in range(per_class))
-    solution: list[tuple[Block, ...]] = [natural]
     # a covering may repeat only slots - pairs pair slots in total; steiner
     # and packing runs never repeat one, so their waste stays zero
-    max_waste = classes * per_class * 6 - pair_count(v) if covering else 0
+    max_waste = goal * 6 - pair_count(v) if covering else 0
 
     def fresh_trios(qs: int):
         """Trios q < r < s of qs whose three pairs are uncovered; qs holds
@@ -292,20 +292,20 @@ def search_design(v: int, mode: str, classes: int,
                     ss ^= sb
                     yield q, r, sb.bit_length() - 1
 
-    stack: list[tuple] = []
+    # The pinned class, the completed classes, the open class: the previous
+    # class's record at the next level is stack[-per_class].
+    stack: list[tuple] = [((), 0, None, (a, a + 1, a + 2, a + 3), 0, 0, 0, 0, 0)
+                          for a in range(0, v, 4)]
     push = stack.append
-    # The records of the completed classes sit at the bottom of the stack.
-    closed = 0
     # The level under construction: its free points, its floor (the block
     # of the previous class at this level while the class so far repeats
     # that class, else None) and its candidates, made on entry when None.
     rem = points
-    floor: Block | None = natural[0]
+    floor: Block | None = stack[0][3]
     it = None
-    found = classes == 1
     outcome = "exhausted"
     try:
-        while not found:
+        while len(stack) < goal:
             if it is None:
                 low = rem & -rem
                 p = low.bit_length() - 1
@@ -317,7 +317,7 @@ def search_design(v: int, mode: str, classes: int,
                 it = (combinations([x for x in range(p + 1, v) if rest >> x & 1], 3)
                       if covering else fresh_trios(rest & unc[p]))
                 # the blocks on the search path once this level's is placed
-                here = per_class + len(stack) + 1
+                here = len(stack) + 1
                 spare = None
             for q, r, s in it:
                 if floor is not None and (p, q, r, s) < floor:
@@ -341,7 +341,7 @@ def search_design(v: int, mode: str, classes: int,
                     blk = (p, q, r, s)
                     push((it, rem, floor, blk, up, uq, ur, us, w))
                     waste += w
-                    floor = solution[-1][len(stack) - closed] if blk == floor else None
+                    floor = stack[-per_class][3] if blk == floor else None
                     rem = left
                     it = None
                     break
@@ -383,7 +383,7 @@ def search_design(v: int, mode: str, classes: int,
                     # class, and spare = 0 in the last class leaves no pair
                     # uncovered.
                     if spare is None:
-                        spare = 3 * (classes - len(solution) - 1)
+                        spare = 3 * (classes - len(stack) // per_class - 1)
                         if any(u.bit_count() > spare
                                for x, u in enumerate(unc) if not rem >> x & 1):
                             spare = -1
@@ -405,34 +405,29 @@ def search_design(v: int, mode: str, classes: int,
                     unc[a], unc[b], unc[c], unc[d] = ua & keep, ub & keep, uc & keep, ud & keep
                     push(((), left, None, (a, b, c, d), ua, ub, uc, ud, wf))
                     waste += wf
-                solution.append(tuple(rec[3] for rec in stack[closed:]))
-                closed = len(stack)
-                found = len(solution) == classes
                 rem = points
-                floor = solution[-1][0]
+                floor = stack[-per_class][3]
                 it = None
                 break
             else:
                 # The level's candidates are done: take back the block below.
-                if not stack:
+                if len(stack) == per_class:
                     break
                 it, rem, floor, (p, q, r, s), up, uq, ur, us, w = stack.pop()
                 unc[p], unc[q], unc[r], unc[s] = up, uq, ur, us
                 waste -= w
                 low = 1 << p
-                here = per_class + len(stack) + 1
+                here = len(stack) + 1
                 spare = None
-                if len(stack) < closed:
-                    solution.pop()
-                    closed -= per_class
     except BudgetExhausted:
         outcome = "budget"
     seconds = meter.seconds()
-    if not found:
+    if len(stack) < goal:
         return DesignSearchResult(None, outcome, nodes, seconds,
                                   pruned_waste, rejected_classes, depth)
 
-    design = Design(v, tuple(solution))
+    design = Design(v, tuple(tuple(rec[3] for rec in stack[i:i + per_class])
+                             for i in range(0, goal, per_class)))
     if not verify_design(design, mode).ok:
         raise AssertionError(f"search_design built an invalid {mode} design")
     if not verify_resolution(design).ok:

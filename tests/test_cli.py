@@ -454,6 +454,25 @@ def test_witness_from_design_file(capsys, tmp_path):
     assert b"# source design: b16.design" in cert.read_bytes()
 
 
+def test_witness_escapes_the_design_file_name(capsys, tmp_path):
+    """A design file name with a newline or a non-ASCII letter is escaped
+    in the certificate's source note, so the note stays one ASCII line and
+    the certificate verifies."""
+    b16 = tmp_path / "b16.design"
+    run(capsys, "design", "search", "--v", "16", "--mode", "steiner",
+        "--classes", "5", "-o", str(b16))
+    for name, note in (("a\nb.design", b"# source design: a\\nb.design\n"),
+                       ("\u00e9.design", b"# source design: \\xe9.design\n")):
+        path = tmp_path / name
+        path.write_bytes(b16.read_bytes())
+        cert = tmp_path / "w5.cert"
+        code, _ = run(capsys, "witness", "5", "--design", str(path), "-o", str(cert))
+        assert code == 0, name
+        assert cert.read_bytes().endswith(note)
+        code, out = run(capsys, "verify", str(cert))
+        assert (code, out.splitlines()[0]) == (0, "outcome=pass"), name
+
+
 def test_witness_supplied_design_refusals(capsys, tmp_path):
     """A supplied design is refused with exit 2 for r = 4, which has its own
     construction, for a wrong order or class count, and when its colouring

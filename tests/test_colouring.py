@@ -373,6 +373,17 @@ def test_certificate_verify_pass_and_fail():
                for k in range(4))
 
 
+def test_certificate_notes_are_single_ascii_lines():
+    """A note that would split into two lines or leave ASCII is refused on
+    writing, so no written certificate fails to read back."""
+    c = witness_k10()
+    for note in ("# a\nb", "# \u00e9", "no hash"):
+        with pytest.raises(ValueError, match="certificate note is not"):
+            write_certificate(Certificate(c.n, c.r, tuple(c.colours), (note,)))
+    cert = Certificate.from_colouring(c, ["# a\\nb", "# \\xe9"])
+    assert read_certificate(write_certificate(cert)) == cert
+
+
 def test_certificate_vacuous_orders():
     for n in (0, 1):
         cert = Certificate.from_colouring(EdgeColouring(n, 1, []))

@@ -10,7 +10,7 @@ import pytest
 
 import ramsey_p5
 from oracles import component_sizes
-from ramsey_p5.colouring import find_mono_p5
+from ramsey_p5.colouring import find_mono_p5, ramsey_value
 from ramsey_p5.designs import (SEARCH_MAX_BLOCKS, Design, DesignParseError,
                                InfeasibleParameters, MissingResolution,
                                SearchBudget, UncolouredPair,
@@ -417,12 +417,25 @@ def test_search_tree_pinned():
     for v, mode, classes in EXHAUSTED_PINS:
         result = search_design(v, mode, classes)
         assert (result.outcome, result.nodes, result.design) == ("exhausted", 0, None)
+        assert (result.depth, result.pruned_waste, result.rejected_classes) == (
+            v // 4, 0, 0), (v, mode, classes)
     for (v, mode, classes), by_cap in CAPPED_PINS.items():
         for cap, counts in by_cap.items():
             result = search_design(v, mode, classes, SearchBudget(nodes=cap))
             assert (result.outcome, result.design) == ("budget", None)
             assert (result.nodes, result.depth, result.pruned_waste,
                     result.rejected_classes) == counts, (v, mode, classes, cap)
+
+
+def test_search_exhausts_a_covering_that_cannot_exist():
+    """A resolvable 4-class covering of K12 would 4-colour K12 with no
+    monochromatic 5-vertex path, against R_4(P5) = 11. The search proves
+    there is none: it backtracks all the way to the pinned class."""
+    assert ramsey_value(4) == 11
+    result = search_design(12, "covering", 4)
+    assert (result.outcome, result.design) == ("exhausted", None)
+    assert (result.nodes, result.pruned_waste, result.rejected_classes,
+            result.depth) == (5017522, 4740117, 2592, 9)
 
 
 def test_search_counters():
