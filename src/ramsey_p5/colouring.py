@@ -5,7 +5,7 @@ certificate file format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
@@ -14,8 +14,8 @@ from .graphs import Graph, find_path
 CERT_HEADER = "RAMSEY-P5 v1"
 CLAIM_MONO_P5_FREE = "mono-p5-free"
 
-# Witnesses for r <= 9 are built or searched natively; beyond that the
-# design must be supplied.
+# Witnesses whose design has at most 9 classes (r <= 10) are built or
+# searched natively; beyond that the design must be supplied.
 WITNESS_ATTEMPT_MAX = 9
 
 
@@ -44,34 +44,28 @@ def pair_list(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+@dataclass(frozen=True)
 class EdgeColouring:
-    """Total colouring of the edges of K_n with colours 1..r, immutable."""
+    """Total colouring of the edges of K_n with colours 1..r, immutable.
+    ``colours`` may be any sequence; it is checked and stored as a tuple."""
 
-    __slots__ = ("n", "r", "colours")
+    n: int
+    r: int
+    colours: tuple[int, ...]
 
-    def __init__(self, n: int, r: int, colours: Sequence[int]):
-        if n < 0:
+    def __post_init__(self):
+        if self.n < 0:
             raise ValueError("order must be non-negative")
-        if r < 1:
+        if self.r < 1:
             raise ValueError("need at least one colour")
-        cols = tuple(colours)
-        if len(cols) != pair_count(n):
+        cols = tuple(self.colours)
+        if len(cols) != pair_count(self.n):
             raise ValueError(
-                f"expected {pair_count(n)} colour entries, got {len(cols)}")
+                f"expected {pair_count(self.n)} colour entries, got {len(cols)}")
         for c in cols:
-            if not 1 <= c <= r:
-                raise ValueError(f"colour {c} outside 1..{r}")
-        self.n: int = n
-        self.r: int = r
-        self.colours: tuple[int, ...] = cols
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, EdgeColouring):
-            return (self.n, self.r, self.colours) == (other.n, other.r, other.colours)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.r, self.colours))
+            if not 1 <= c <= self.r:
+                raise ValueError(f"colour {c} outside 1..{self.r}")
+        object.__setattr__(self, "colours", cols)
 
     def colour_classes(self) -> Iterator[tuple[int, Graph]]:
         """Each colour that occurs, ascending, with its class. One pass over
@@ -170,55 +164,56 @@ def witness(r: int, design=None, budget=None) -> EdgeColouring:
     less than the r-colour Ramsey number of the 5-vertex path. This is the
     one place that picks the construction for r.
 
-    r = 4 is the hardcoded K_10 colouring, and r = 2 (mod 4) lifts the
-    witness for r - 1, built from ``design`` if one is supplied. Every other
-    r colours K_N from a resolvable block design with r classes, or r - 1
-    classes and the leave as colour r: the supplied ``design``, else one
-    searched for natively up to r = 9. Every route ends in one
-    monochromatic-path re-check, which raises ValueError for a supplied
-    design and AssertionError for a built colouring.
+    r = 4 is the hardcoded K_10 colouring. Every other r colours K_M from a
+    resolvable block design with b classes, or b - 1 classes and the leave
+    as colour b: the supplied ``design``, else one searched for natively
+    when b <= 9. Mostly b = r and M = N; for r = 2 (mod 4), b = r - 1 and
+    M = N - 1, and the colouring is lifted once at the end. Every route
+    ends in one monochromatic-path re-check, which raises ValueError for a
+    supplied design and AssertionError for a built colouring. Every
+    refusal names r.
     """
     from . import designs  # local imports; both build on this module
     from .engine import SearchBudget
 
-    n = ramsey_value(r) - 1
-    if design is not None:
-        if r == 4:
+    lifted = r % 4 == 2
+    base = r - lifted
+    points = ramsey_value(r) - 1 - lifted
+    if r == 4:
+        if design is not None:
             raise ValueError("r=4 uses the dedicated 10-point construction")
-        # r = 2 (mod 4) lifts the witness that the design gives r - 1.
-        points = n - (r % 4 == 2)
+        built = witness_k10()
+    elif design is not None:
         if design.v != points:
             raise ValueError(f"witness for r={r} needs {points} points, "
                              f"design has {design.v}")
-    if r == 4:
-        built = witness_k10()
-    elif r % 4 == 2:
-        built = lift(witness(r - 1, design=design, budget=budget))
-    elif design is not None:
         if not design.resolved:
             raise designs.MissingResolution("witness designs must be resolvable")
         ncl = len(design.classes)
-        if ncl not in (r, r - 1):
-            raise ValueError(f"expected {r} or {r - 1} classes, design has {ncl}")
-        built = designs.design_to_colouring(design, leave_colour=None if ncl == r else r)
-        if built.r != r:
-            raise ValueError(f"design produces {built.r} colours, expected {r}")
-    elif r > WITNESS_ATTEMPT_MAX:
+        if ncl not in (base, base - 1):
+            raise ValueError(f"expected {base} or {base - 1} classes, design has {ncl}")
+        built = designs.design_to_colouring(
+            design, leave_colour=None if ncl == base else base)
+        if built.r != base:
+            raise ValueError(f"design produces {built.r} colours, expected {base}")
+    elif base > WITNESS_ATTEMPT_MAX:
         raise UnsupportedWitness(
             f"no native witness construction for r={r}; supply a design file")
     else:
-        mode = "steiner" if n % 12 == 4 else "covering"
+        mode = "steiner" if points % 12 == 4 else "covering"
         result = designs.search_design(
-            n, mode, r, budget or SearchBudget(nodes=5_000_000))
+            points, mode, base, budget or SearchBudget(nodes=5_000_000))
         if result.outcome == "exhausted":
             raise UnsupportedWitness(
-                f"design search for r={r} (v={n}, {mode}) exhausted its space: "
+                f"design search for r={r} (v={points}, {mode}) exhausted its space: "
                 f"no such resolvable design exists; supply a design file")
         if result.design is None:
             raise WitnessBudgetExhausted(
-                f"design search for r={r} (v={n}, {mode}) exhausted its budget; "
+                f"design search for r={r} (v={points}, {mode}) exhausted its budget; "
                 f"retry with a larger budget or supply a design file")
         built = designs.design_to_colouring(result.design)
+    if lifted:
+        built = lift(built)
     mono = find_mono_p5(built)
     if mono is not None:
         if design is not None:
@@ -232,21 +227,15 @@ def witness(r: int, design=None, budget=None) -> EdgeColouring:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Certificate:
-    """Serialized colouring; its file claims ``CLAIM_MONO_P5_FREE``, the only
-    property the format carries.
+class Certificate(EdgeColouring):
+    """An edge colouring with notes, to serialize; its file claims
+    ``CLAIM_MONO_P5_FREE``, the only property the format carries.
 
     ``notes`` holds trailing comment lines verbatim (each starting with '#'),
     so that serialization round-trips byte for byte.
     """
 
-    n: int
-    r: int
-    colours: tuple[int, ...]
-    notes: tuple[str, ...] = field(default=())
-
-    def colouring(self) -> EdgeColouring:
-        return EdgeColouring(self.n, self.r, self.colours)
+    notes: tuple[str, ...] = ()
 
     @classmethod
     def from_colouring(cls, c: EdgeColouring,
@@ -294,10 +283,7 @@ def _strict_int(token: str, lineno: int, what: str, error: type[ParseError]) -> 
 
 def write_certificate(cert: Certificate) -> bytes:
     lines = [CERT_HEADER, f"n={cert.n} r={cert.r}", f"claim={CLAIM_MONO_P5_FREE}"]
-    pairs = pair_list(cert.n)
-    if len(pairs) != len(cert.colours):
-        raise ValueError("colour table does not match order")
-    lines.extend(f"{i} {j} {c}" for (i, j), c in zip(pairs, cert.colours))
+    lines.extend(f"{i} {j} {c}" for (i, j), c in zip(pair_list(cert.n), cert.colours))
     for note in cert.notes:
         if not note.startswith("#") or "\n" in note or not note.isascii():
             raise ValueError(f"certificate note is not one ASCII '#' line: {note!r}")
@@ -380,5 +366,5 @@ class CertificateReport:
 
 def verify_certificate(cert: Certificate) -> CertificateReport:
     """Re-run the monochromatic path search against the claimed property."""
-    mono = find_mono_p5(cert.colouring())
+    mono = find_mono_p5(cert)
     return CertificateReport(mono is None, mono)

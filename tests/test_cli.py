@@ -335,6 +335,20 @@ def test_witness_unsupported_r_needs_design(capsys):
     assert code == 1
 
 
+def test_witness_errors_name_the_r_asked_for(capsys):
+    """r = 2 (mod 4) lifts a witness for r - 1, but the refusals name the r
+    asked for, with the exit codes of the route that refused."""
+    budget = "exhausted its budget; retry with a larger budget or supply a design file"
+    cases = {("14",): (1, "no native witness construction for r=14; "
+                          "supply a design file"),
+             ("10", "--nodes", "5"): (3, f"design search for r=10 (v=28, steiner) {budget}"),
+             ("6", "--nodes", "3"): (3, f"design search for r=6 (v=16, steiner) {budget}")}
+    for argv, (code, message) in cases.items():
+        got = main(["witness", *argv])
+        captured = capsys.readouterr()
+        assert (got, captured.out, captured.err) == (code, "", message + "\n"), argv
+
+
 def test_design_verify_handles_orders_beyond_graph_capacity(capsys, tmp_path):
     """A resolvable packing on 108 points verifies from a file even though
     108 exceeds the graph capacity; one natural class leaves 5616 pairs."""

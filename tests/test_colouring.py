@@ -171,7 +171,7 @@ def test_verify_cost_follows_the_colours_used(monkeypatch):
         passes.clear()
         builds.clear()
         assert max(component_sizes(g.adj, g.n)[-1]
-                   for _, g in cert.colouring().colour_classes()) == 2
+                   for _, g in cert.colour_classes()) == 2
         assert (passes, len(builds)) == ([cert.n], classes)
 
 
@@ -271,15 +271,23 @@ def test_witness_exhausted_space_is_no_witness(monkeypatch):
         witness(3)
 
 
-def test_witness_lift_and_k10_routes(search_calls):
-    """r = 2 and r = 6 make exactly the search of r - 1 and lift it; r = 4
-    searches nothing."""
+def test_witness_lift_and_k10_routes(search_calls, monkeypatch):
+    """r = 2 and r = 6 make exactly the search of r - 1 and lift it, and
+    re-check only the lifted colouring; r = 4 searches nothing."""
+    import ramsey_p5.colouring as colouring
+
+    checked = []
+    real_check = colouring.find_mono_p5
+    monkeypatch.setattr(colouring, "find_mono_p5",
+                        lambda c: checked.append((c.n, c.r)) or real_check(c))
     for r, params in ((2, (4, "steiner", 1)), (6, (16, "steiner", 5))):
         search_calls.clear()
+        checked.clear()
         c = witness(r)
         assert (c.n, c.r) == (ramsey_value(r) - 1, r)
         assert c.colours.count(r) == c.n - 1  # the lifted star
         assert search_calls == [(*params, SearchBudget(nodes=5_000_000))]
+        assert checked == [(c.n, r)]
     search_calls.clear()
     assert witness(4) == witness_k10()
     assert search_calls == []
@@ -368,8 +376,7 @@ def test_certificate_verify_pass_and_fail():
     report = verify_certificate(bad)
     assert not report.ok
     colour, path = report.violation
-    c = bad.colouring()
-    assert all(c.colours[pair_index(10, path[k], path[k + 1])] == colour
+    assert all(bad.colours[pair_index(10, path[k], path[k + 1])] == colour
                for k in range(4))
 
 
@@ -382,6 +389,25 @@ def test_certificate_notes_are_single_ascii_lines():
             write_certificate(Certificate(c.n, c.r, tuple(c.colours), (note,)))
     cert = Certificate.from_colouring(c, ["# a\\nb", "# \\xe9"])
     assert read_certificate(write_certificate(cert)) == cert
+
+
+def test_certificate_is_a_checked_colouring():
+    """A certificate is an edge colouring with notes: the constructor checks
+    it, find_mono_p5 takes it as it is, and it equals only certificates."""
+    with pytest.raises(ValueError, match="colour 0 outside 1..4"):
+        Certificate(10, 4, (0,) * 45)
+    with pytest.raises(ValueError, match="expected 3 colour entries, got 2"):
+        Certificate(3, 1, (1, 1))
+    assert Certificate(2, 1, [1]).colours == (1,)
+    mono = find_mono_p5(Certificate(5, 1, (1,) * 10))
+    assert mono is not None and mono == find_mono_p5(EdgeColouring(5, 1, [1] * 10))
+    c = witness_k10()
+    cert = Certificate.from_colouring(c, ["k10"])
+    assert find_mono_p5(cert) is None
+    assert Certificate.from_colouring(c) != c and c != Certificate.from_colouring(c)
+    again = read_certificate(write_certificate(cert))
+    assert again == cert and hash(again) == hash(cert)
+    assert again.notes == ("# k10",)
 
 
 def test_certificate_vacuous_orders():
