@@ -4,11 +4,16 @@ Machine-readable key=value lines go to stdout; human summaries go to stderr.
 Exit codes: 0 success or claims hold, 1 claim violated or witness absent,
 2 usage or input-format error, 3 budget exhausted; 141 (128 + SIGPIPE) when
 the reader of stdout closes it early.
+
+``main(argv)`` may be called many times in one process. The parser is built
+on the first call and reused, so each ``_cmd_*`` function is bound at that
+build: to change what a command does, patch the module functions it calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -179,7 +184,10 @@ def _cmd_claims(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call; every caller gets
+    the same object, so none may change it."""
     parser = argparse.ArgumentParser(
         prog="ramsey-p5",
         description="Verification toolkit for the multicolour Ramsey numbers "

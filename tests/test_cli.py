@@ -1,5 +1,6 @@
 """Command-line surface: outputs, file round trips, exit codes."""
 
+import argparse
 import os
 import random
 import subprocess
@@ -198,6 +199,48 @@ def test_bad_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["search", "--n", "6", "--r", "2", "--jobs", "2"])
     assert err.value.code == 2
+
+
+def test_repeated_calls_share_no_state(capsys, tmp_path):
+    """main may run many times in one process: what one call parsed, wrote
+    or refused does not reach the next."""
+    code, out = run(capsys, "search", "--n", "9", "--r", "3", "--nodes", "100")
+    assert code == 3
+    assert "nodes=101" in out.splitlines()
+    code, out = run(capsys, "search", "--n", "9", "--r", "3")
+    assert code == 0
+    assert {"outcome=refuted", "nodes=3103"} <= set(out.splitlines())
+    cert = tmp_path / "w.cert"
+    code, out = run(capsys, "witness", "4", "-o", str(cert))
+    assert (code, out) == (0, f"r=4 n=10 file={cert} verified=true\n")
+    code, out = run(capsys, "witness", "4")
+    assert (code, out.encode()) == (0, cert.read_bytes())
+    for argv, status in ((["search"], 2), (["--help"], 0)):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == status, argv
+    capsys.readouterr()
+    assert run(capsys, "turan", "11") == (0, "ex=15 extremal=2*K4+K3 unique=true\n")
+
+
+def test_later_calls_build_no_parser(capsys, monkeypatch, tmp_path):
+    """The parser is built once per process, so after one call no command
+    constructs an argparse parser again."""
+    cert = tmp_path / "w.cert"
+    assert main(["witness", "4", "-o", str(cert)]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["turan", "11"]) == 0
+    assert main(["table"]) == 0
+    assert main(["verify", str(cert)]) == 0
+    capsys.readouterr()
+    assert built == []
 
 
 def test_design_search_and_verify(capsys, tmp_path):
