@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
-from .graphs import Graph, find_path
+from .graphs import Graph, _from_rows, find_path
 
 CERT_HEADER = "RAMSEY-P5 v1"
 CLAIM_MONO_P5_FREE = "mono-p5-free"
@@ -69,13 +69,22 @@ class EdgeColouring:
 
     def colour_classes(self) -> Iterator[tuple[int, Graph]]:
         """Each colour that occurs, ascending, with its class. One pass over
-        the pairs buckets the edges, so the cost follows the edges and not
-        the colour count."""
-        buckets: dict[int, list[tuple[int, int]]] = {}
-        for p, col in zip(pair_list(self.n), self.colours):
-            buckets.setdefault(col, []).append(p)
-        for col in sorted(buckets):
-            yield col, Graph(self.n, buckets[col])
+        the colour table sets both adjacency bits of each pair in its
+        colour's rows, so the cost follows the edges and not the colour
+        count."""
+        n = self.n
+        rows: dict[int, list[int]] = {}
+        cols = iter(self.colours)
+        for i in range(n):
+            bit_i = 1 << i
+            for j, col in zip(range(i + 1, n), cols):
+                adj = rows.get(col)
+                if adj is None:
+                    adj = rows[col] = [0] * n
+                adj[i] |= 1 << j
+                adj[j] |= bit_i
+        for col in sorted(rows):
+            yield col, _from_rows(rows[col])
 
 
 class MonoPath(NamedTuple):

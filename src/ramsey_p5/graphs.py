@@ -87,11 +87,17 @@ def star_graph(n: int) -> Graph:
     return Graph(n, ((0, i) for i in range(1, n)))
 
 
-def disjoint_union(g: Graph, h: Graph) -> Graph:
+def _from_rows(rows: Iterable[int]) -> Graph:
+    """The graph with these adjacency rows, which the caller guarantees
+    symmetric, loop-free and within range; nothing is re-validated."""
     out = Graph.__new__(Graph)
-    out.n = g.n + h.n
-    out.adj = tuple(list(g.adj) + [row << g.n for row in h.adj])
+    out.adj = tuple(rows)
+    out.n = len(out.adj)
     return out
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    return _from_rows(list(g.adj) + [row << g.n for row in h.adj])
 
 
 def connected_components(g: Graph) -> list[int]:
@@ -116,12 +122,18 @@ def connected_components(g: Graph) -> list[int]:
 def find_path(g: Graph, t: int) -> tuple[int, ...] | None:
     """An ordered t-vertex path in g as a subgraph, or None.
 
-    Exact depth-first search over simple paths; the visited mask prunes
-    revisits and the search stops at the first hit. A path starts at a
-    non-isolated vertex, and its interior vertices (positions 2..t-1) have
-    two path neighbours, so only vertices of degree >= 2 are drawn there.
-    Both cuts drop only branches that cannot complete, so the first path in
-    depth-first order is the same as without them.
+    Exact depth-first search over simple paths from each start vertex in
+    ascending order; the visited mask prunes revisits and the search stops
+    at the first hit. Two cuts fix where it may go. Interior vertices
+    (positions 2..t-1) have two path neighbours, so they are drawn only from
+    vertices of degree >= 2; for t >= 4 the interior is a run of at least two
+    vertices, so each of them also has a neighbour of degree >= 2. A path
+    lies in one component, so the search starts only in components of at
+    least t vertices that, for t >= 3, hold an interior candidate. Both cuts
+    drop only branches that cannot complete, so the first path in
+    depth-first order is the same as without them. A star then costs one
+    pass over its rows, and a class of disjoint K4s one component sweep
+    more, neither with any recursion.
     """
     if t < 1:
         raise ValueError("path order must be >= 1")
@@ -134,6 +146,15 @@ def find_path(g: Graph, t: int) -> tuple[int, ...] | None:
     for v, row in enumerate(adj):
         if row & (row - 1):  # at least two neighbours
             inner |= 1 << v
+    if t >= 4:
+        # one pass suffices: if v keeps w as its neighbour, w keeps v
+        inner = sum(1 << v for v in _bits(inner) if adj[v] & inner)
+    if t >= 3 and not inner:
+        return None
+    starts = 0
+    for comp in connected_components(g):
+        if comp.bit_count() >= t and (t < 3 or comp & inner):
+            starts |= comp
     path: list[int] = []
 
     def extend(v: int, visited: int) -> bool:
@@ -151,8 +172,8 @@ def find_path(g: Graph, t: int) -> tuple[int, ...] | None:
         path.pop()
         return False
 
-    for s in range(g.n):
-        if adj[s] and extend(s, 1 << s):
+    for s in _bits(starts):
+        if extend(s, 1 << s):
             return tuple(path)
     return None
 

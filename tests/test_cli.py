@@ -149,6 +149,15 @@ def _tampered_lift(n: int) -> EdgeColouring:
     return EdgeColouring(n, col.r, cols)
 
 
+def _recoloured_design() -> EdgeColouring:
+    """The K16 design colouring witness(5) with pair 5-9 moved into colour 1,
+    which joins two of that class's K4s into a component holding a path."""
+    col = witness(5)
+    cols = list(col.colours)
+    cols[pair_index(col.n, 5, 9)] = 1
+    return EdgeColouring(col.n, col.r, cols)
+
+
 # The first monochromatic path in depth-first order; a change to the search
 # order of find_path shows here.
 VERIFY_PINS = {
@@ -161,6 +170,8 @@ VERIFY_PINS = {
     "sparse-64-3": (lambda: _sparse_first_colour(64, 3, 13, 32), 1, "1,51,56,60,61"),
     "uniform-64-2": (lambda: _sparse_first_colour(64, 2, 6, 1), 1, "0,3,1,2,4"),
     "lift-30": (lambda: _tampered_lift(30), 19, "0,29,3,7,12"),
+    "lift-64": (lambda: _tampered_lift(64), 53, "0,63,3,7,12"),
+    "design-16-recoloured": (_recoloured_design, 1, "4,5,9,8,10"),
 }
 
 

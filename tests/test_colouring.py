@@ -146,33 +146,41 @@ def test_pigeonhole_examples():
 
 
 def test_verify_cost_follows_the_colours_used(monkeypatch):
-    """The checks bucket the pairs by colour in one pass over pair_list and
-    build one graph per colour that occurs: a one-edge certificate headed
-    r=100000 builds one class, and a 64-vertex certificate that gives each
-    of its 2,016 edges its own colour takes one pass, not one per colour."""
+    """The checks build each colour class's rows in one pass over the colour
+    table and one graph per colour that occurs: a one-edge certificate
+    headed r=100000 builds one class, and a 64-vertex certificate that gives
+    each of its 2,016 edges its own colour takes one pass, not one per
+    colour."""
     import ramsey_p5.colouring as colouring
 
     passes, builds = [], []
-    real_pairs, real_graph = colouring.pair_list, colouring.Graph
-    monkeypatch.setattr(colouring, "pair_list",
-                        lambda n: passes.append(n) or real_pairs(n))
-    monkeypatch.setattr(colouring, "Graph",
-                        lambda n, edges=(): builds.append(n) or real_graph(n, edges))
+
+    class Table(tuple):
+        """A colour table that records each pass over it."""
+
+        def __iter__(self):
+            passes.append(len(self))
+            return super().__iter__()
+
+    real_rows = colouring._from_rows
+    monkeypatch.setattr(colouring, "_from_rows",
+                        lambda rows: builds.append(len(rows)) or real_rows(rows))
     n = 64
     colours = range(1, pair_count(n) + 1)
     many = write_certificate(Certificate(n, pair_count(n), tuple(colours)))
     one = b"RAMSEY-P5 v1\nn=2 r=100000\nclaim=mono-p5-free\n0 1 7\n"
     for data, classes in ((one, 1), (many, pair_count(n))):
         cert = read_certificate(data)
+        object.__setattr__(cert, "colours", Table(cert.colours))
         passes.clear()
         builds.clear()
         assert verify_certificate(cert).ok
-        assert (passes, len(builds)) == ([cert.n], classes)
+        assert (passes, len(builds)) == ([pair_count(cert.n)], classes)
         passes.clear()
         builds.clear()
         assert max(component_sizes(g.adj, g.n)[-1]
                    for _, g in cert.colour_classes()) == 2
-        assert (passes, len(builds)) == ([cert.n], classes)
+        assert (passes, len(builds)) == ([pair_count(cert.n)], classes)
 
 
 def test_k10_witness():

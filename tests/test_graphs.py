@@ -97,6 +97,51 @@ def test_find_path_matches_unpruned_search():
             _same_first_path(Graph(n, edges))
 
 
+def _relabelled(n: int, edges: list[tuple[int, int]], rng: random.Random) -> Graph:
+    label = rng.sample(range(n), n)
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+def test_find_path_cuts_keep_the_first_path():
+    """Graphs where the interior cut (star centres, which have no neighbour
+    of degree >= 2) and the component cut (components too small or holding
+    no interior vertex) fire, against the search without them for t = 1..6:
+    relabelled disjoint unions of K4s, K3s, stars and isolated vertices past
+    64 vertices; spiders with 2-edge legs, whose interior vertices sit next
+    to the centre; a component of exactly t vertices holding P_t after
+    smaller ones; and a 74-vertex double broom, whose every 5-vertex path
+    runs through its one degree-2 vertex."""
+    rng = random.Random(20261019)
+    for _ in range(12):
+        edges, n = [], 0
+        while n <= 64:
+            size = rng.choice((1, 3, 4, 4, 5, 9))
+            if size in (3, 4):
+                edges += [(n + a, n + b) for a, b in combinations(range(size), 2)]
+            else:
+                edges += [(n, n + i) for i in range(1, size)]
+            n += size
+        _same_first_path(_relabelled(n, edges, rng))
+    for legs in range(1, 6):
+        edges = [(0, 2 * i - 1) for i in range(1, legs + 1)]
+        edges += [(2 * i - 1, 2 * i) for i in range(1, legs + 1)]
+        _same_first_path(Graph(2 * legs + 1, edges))
+        _same_first_path(_relabelled(2 * legs + 1, edges, rng))
+    for t in range(2, 7):
+        # K_{t-1} on 0..t-2, then P_t on t-1..2t-2, then an isolated vertex
+        edges = list(combinations(range(t - 1), 2))
+        edges += [(i, i + 1) for i in range(t - 1, 2 * t - 2)]
+        _same_first_path(Graph(2 * t, edges))
+        assert find_path(Graph(2 * t, edges), t) == tuple(range(t - 1, 2 * t - 1))
+    # centres 0 and 1 joined through vertex 2, with 40 and 31 leaves
+    edges = [(0, 2), (1, 2)] + [(0, v) for v in range(3, 43)]
+    edges += [(1, v) for v in range(43, 74)]
+    for g in (Graph(74, edges), _relabelled(74, edges, rng)):
+        _same_first_path(g)
+        path = find_path(g, 5)
+        assert path is not None and g.adj[path[2]].bit_count() == 2
+
+
 def test_ex_p5_values():
     assert ex_p5(11) == 15
     assert ex_p5(0) == 0
