@@ -126,14 +126,10 @@ def _cmd_design_verify(args) -> int:
     verdict = designs.verify_design(design, mode)
     for line in verdict.lines():
         print(line)
-    ok = verdict.ok
-    if design.resolved:
-        res = designs.verify_resolution(design)
-        for line in res.lines():
-            print(line)
-        ok = ok and res.ok
-    else:
-        print("resolution_ok=absent")
+    res = designs.verify_resolution(design)
+    for line in res.lines():
+        print(line)
+    ok = verdict.ok and res.ok
     if mode == "packing" and verdict.ok:
         # the pairs no block covers, counted from the blocks, not from v^2
         covered = len(designs.pair_coverage(design))

@@ -6,7 +6,7 @@ certificate file format.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import Graph, _from_rows, find_path
@@ -109,13 +109,13 @@ def lift(c: EdgeColouring) -> EdgeColouring:
     The new colour class is a star, which has no 4-vertex path, so lifting
     preserves freedom from monochromatic 5-vertex paths.
     """
-    n2 = c.n + 1
-    cols = [0] * pair_count(n2)
-    for (i, j), col in zip(pair_list(c.n), c.colours):
-        cols[pair_index(n2, i, j)] = col
-    for i in range(c.n):
-        cols[pair_index(n2, i, c.n)] = c.r + 1
-    return EdgeColouring(n2, c.r + 1, cols)
+    rows = iter(c.colours)
+    cols: list[int] = []
+    for left in range(c.n - 1, -1, -1):
+        # row i of K_n, its n-1-i pairs (i, j > i), then the new pair (i, n)
+        cols.extend(islice(rows, left))
+        cols.append(c.r + 1)
+    return EdgeColouring(c.n + 1, c.r + 1, cols)
 
 
 def _forced_order(r: int) -> int:
@@ -196,8 +196,6 @@ def witness(r: int, design=None, budget=None) -> EdgeColouring:
         if design.v != points:
             raise ValueError(f"witness for r={r} needs {points} points, "
                              f"design has {design.v}")
-        if not design.resolved:
-            raise designs.MissingResolution("witness designs must be resolvable")
         ncl = len(design.classes)
         if ncl not in (base, base - 1):
             raise ValueError(f"expected {base} or {base - 1} classes, design has {ncl}")

@@ -1,7 +1,7 @@
-"""Pair-balanced block designs with block size 4, held as parallel classes:
-verification of Steiner, covering and packing properties, resolvability, the
-colouring of a resolvable design, and a backtracking search for small
-resolvable instances.
+"""Resolvable block designs with block size 4, held as their parallel
+classes: verification of Steiner, covering and packing properties and of the
+resolution, the colouring of a design, and a backtracking search for small
+instances.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ class InfeasibleParameters(ValueError):
     """Search parameters that cannot yield a design of the requested kind."""
 
 
-class MissingResolution(ValueError):
-    pass
-
-
 class UncolouredPair(ValueError):
     pass
 
@@ -46,23 +42,17 @@ Block = tuple[int, int, int, int]
 
 @dataclass(frozen=True)
 class Design:
-    """Point set 0..v-1 with 4-element blocks, held as parallel classes.
-
-    A resolved design keeps one block list per parallel class; the semantic
-    requirement that each class partitions the points is checked by
-    ``verify_resolution``, not here. An unresolved design keeps all its
-    blocks as exactly one list.
+    """Point set 0..v-1 with 4-element blocks, held as a resolution: one
+    block list per parallel class. The requirement that each class
+    partitions the points is checked by ``verify_resolution``, not here.
     """
 
     v: int
     classes: tuple[tuple[Block, ...], ...]
-    resolved: bool = True
 
     def __post_init__(self) -> None:
         if self.v < 0:
             raise ValueError("point count must be non-negative")
-        if not self.resolved and len(self.classes) != 1:
-            raise ValueError("an unresolved design holds exactly one block list")
         for blk in self.blocks:
             if len(blk) != BLOCK_SIZE or len(set(blk)) != BLOCK_SIZE:
                 raise ValueError(f"block {blk} must have {BLOCK_SIZE} distinct points")
@@ -138,8 +128,6 @@ class ResolutionVerdict:
 
 def verify_resolution(d: Design) -> ResolutionVerdict:
     """Each parallel class must partition the point set."""
-    if not d.resolved:
-        raise MissingResolution("design carries no resolution")
     bad: list[tuple[int, int, str]] = []
     for cno, cls in enumerate(d.classes, start=1):
         seen: set[int] = set()
@@ -447,13 +435,9 @@ def write_design(d: Design, mode: str) -> bytes:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     lines = [DESIGN_HEADER, f"v={d.v} k={BLOCK_SIZE} mode={mode}"]
-    if not d.resolved:
-        lines.append("P 0")
-        lines.extend(" ".join(map(str, blk)) for blk in d.blocks)
-    else:
-        for cno, cls in enumerate(d.classes, start=1):
-            lines.append(f"P {cno}")
-            lines.extend(" ".join(map(str, blk)) for blk in sorted(cls))
+    for cno, cls in enumerate(d.classes, start=1):
+        lines.append(f"P {cno}")
+        lines.extend(" ".join(map(str, blk)) for blk in sorted(cls))
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -472,6 +456,8 @@ def read_design(data: bytes) -> tuple[Design, str]:
     mode = head[2][5:]
     if mode not in MODES:
         raise DesignParseError(2, f"mode must be one of {MODES}")
+    if v % 4:
+        raise DesignParseError(2, "resolvable designs need v = 0 (mod 4)")
     if len(lines) == 2:
         raise DesignParseError(2, "design file has no block sections")
     classes: list[tuple[Block, ...]] = []
@@ -481,20 +467,9 @@ def read_design(data: bytes) -> tuple[Design, str]:
         line = lines[i]
         if not line.startswith("P "):
             raise DesignParseError(lineno, f"expected a 'P <c>' section, got {line!r}")
-        label = line[2:]
         i += 1
-        if label == "0":
-            # the unresolved section runs to the end of the file
-            if classes:
-                raise DesignParseError(lineno, "'P 0' must be the only section")
-            if i == len(lines):
-                raise DesignParseError(lineno, "empty block section")
-            blocks = tuple(_parse_block(lines[j], j + 1, v) for j in range(i, len(lines)))
-            return Design(v, (blocks,), resolved=False), mode
-        if label != str(len(classes) + 1):
+        if line[2:] != str(len(classes) + 1):
             raise DesignParseError(lineno, f"expected 'P {len(classes) + 1}'")
-        if v % 4:
-            raise DesignParseError(lineno, "resolvable sections need v = 0 (mod 4)")
         cls: list[Block] = []
         for _ in range(v // 4):
             if i == len(lines):

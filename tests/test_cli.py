@@ -3,6 +3,8 @@
 import argparse
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -419,19 +421,19 @@ def test_design_verify_handles_orders_beyond_graph_capacity(capsys, tmp_path):
 
 
 def test_design_verify_cost_follows_the_file(capsys, tmp_path):
-    """A 46-byte file naming 2,000 points and one block: the verdict, the
-    20 violation lines and the leave count come out with under 1 MB of
+    """One natural class on 2,000 points, 500 blocks: the verdict, the 20
+    violation lines and the leave count come out with under 1 MB of
     allocation, not a table of all 1,999,000 pairs."""
     import tracemalloc
 
+    natural = "".join(f"{a} {a + 1} {a + 2} {a + 3}\n" for a in range(0, 2000, 4))
     gaps = "".join(f"violation=pair 0 {j} multiplicity=0\n" for j in range(4, 24))
-    want = {"steiner": (1, "mode=steiner ok=false\n" + gaps + "resolution_ok=absent\n"),
-            "packing": (0, "mode=packing ok=true\nresolution_ok=absent\n"
-                           "leave_edges=1998994\n")}
+    want = {"steiner": (1, "mode=steiner ok=false\n" + gaps + "resolution_ok=true\n"),
+            "packing": (0, "mode=packing ok=true\nresolution_ok=true\n"
+                           "leave_edges=1996000\n")}
     for mode, expected in want.items():
         path = tmp_path / f"{mode}.design"
-        path.write_bytes(f"DESIGN v1\nv=2000 k=4 mode={mode}\nP 0\n0 1 2 3\n".encode())
-        assert len(path.read_bytes()) == 46
+        path.write_bytes(f"DESIGN v1\nv=2000 k=4 mode={mode}\nP 1\n{natural}".encode())
         tracemalloc.start()
         try:
             got = run(capsys, "design", "verify", str(path))
@@ -442,22 +444,34 @@ def test_design_verify_cost_follows_the_file(capsys, tmp_path):
         assert peak < 1 << 20, (mode, peak)
 
 
-def test_design_verify_steiner_gaps_walk_lazily(capsys, tmp_path):
-    """A one-block Steiner file naming 10^6 points: the first 20 uncovered
-    pairs are found without a table of the points, under 1 MB."""
+def test_design_verify_steiner_gaps_walk_lazily():
+    """A one-block Steiner design on 10^6 points: the first 20 uncovered
+    pairs, the lines `design verify` prints, are found without a table of
+    the points, under 1 MB. (A file on 10^6 points holds 250,000 blocks a
+    class, so the walk is checked on the design the reader hands on.)"""
     import tracemalloc
 
-    path = tmp_path / "s.design"
-    path.write_bytes(b"DESIGN v1\nv=1000000 k=4 mode=steiner\nP 0\n0 1 2 3\n")
+    d = designs.Design(10**6, (((0, 1, 2, 3),),))
     tracemalloc.start()
     try:
-        code, out = run(capsys, "design", "verify", str(path))
+        lines = designs.verify_design(d, "steiner").lines()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    gaps = "".join(f"violation=pair 0 {j} multiplicity=0\n" for j in range(4, 24))
-    assert (code, out) == (1, "mode=steiner ok=false\n" + gaps + "resolution_ok=absent\n")
+    gaps = [f"violation=pair 0 {j} multiplicity=0" for j in range(4, 24)]
+    assert lines == ["mode=steiner ok=false"] + gaps
     assert peak < 1 << 20, peak
+
+
+def test_design_verify_refuses_an_unlabelled_section(capsys, tmp_path):
+    """Every design is a resolution: a section labelled `P 0` is refused
+    like any other wrong label, exit 2."""
+    path = tmp_path / "p0.design"
+    path.write_bytes(b"DESIGN v1\nv=8 k=4 mode=packing\nP 0\n0 1 2 3\n4 5 6 7\n")
+    code = main(["design", "verify", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        2, "", "input error: line 3: expected 'P 1'\n")
 
 
 def test_witness_checks_designs_beyond_64_points(capsys, tmp_path):
@@ -475,11 +489,12 @@ def test_witness_checks_designs_beyond_64_points(capsys, tmp_path):
 
 def test_witness_design_header_claiming_a_million_points(capsys, tmp_path):
     """witness 333333 needs 10^6 points; a file whose header says so but that
-    holds one unresolved block is refused in constant memory, exit 2."""
+    holds one block is refused as a truncated class in constant memory,
+    exit 2."""
     import tracemalloc
 
     path = tmp_path / "huge.design"
-    path.write_bytes(b"DESIGN v1\nv=1000000 k=4 mode=covering\nP 0\n0 1 2 3\n")
+    path.write_bytes(b"DESIGN v1\nv=1000000 k=4 mode=covering\nP 1\n0 1 2 3\n")
     tracemalloc.start()
     try:
         code = main(["witness", "333333", "--design", str(path)])
@@ -488,7 +503,7 @@ def test_witness_design_header_claiming_a_million_points(capsys, tmp_path):
         tracemalloc.stop()
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (
-        2, "", "error: witness designs must be resolvable\n")
+        2, "", "input error: line 4: truncated parallel class\n")
     assert peak < 1 << 20, peak
 
 
@@ -597,3 +612,19 @@ def test_closed_stdout_exits_141_without_traceback(tmp_path):
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (141, b"")
+
+
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    """Each `ramsey-p5` line of README.md's sh blocks runs, in order, in one
+    directory, exits 0 and prints every key=value its comment names."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    examples = [line.partition("#") for block in blocks
+                for line in block.splitlines() if line.startswith("ramsey-p5 ")]
+    assert len(examples) >= 10
+    monkeypatch.chdir(tmp_path)
+    for command, _, comment in examples:
+        code, out = run(capsys, *shlex.split(command)[1:])
+        assert code == 0, command
+        for pair in re.findall(r"\w+=[^\s,;]+", comment):
+            assert pair in out.split(), (command, pair)

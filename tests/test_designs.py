@@ -12,8 +12,7 @@ import ramsey_p5
 from oracles import component_sizes
 from ramsey_p5.colouring import find_mono_p5, ramsey_value
 from ramsey_p5.designs import (SEARCH_MAX_BLOCKS, Design, DesignParseError,
-                               InfeasibleParameters, MissingResolution,
-                               SearchBudget, UncolouredPair,
+                               InfeasibleParameters, SearchBudget, UncolouredPair,
                                design_to_colouring, pair_coverage, read_design,
                                search_design, verify_design, verify_resolution,
                                write_design)
@@ -47,16 +46,6 @@ def test_design_validation():
         Design(4, (((3, 2, 1, 0),),))
     with pytest.raises(ValueError):
         Design(8, (((0, 1, 2, 3),), ((4, 5, 6, 8),)))
-
-
-def test_unresolved_design_holds_one_block_list():
-    with pytest.raises(ValueError):
-        Design(8, (), resolved=False)
-    with pytest.raises(ValueError):
-        Design(8, (((0, 1, 2, 3),), ((4, 5, 6, 7),)), resolved=False)
-    d = Design(8, (((0, 1, 2, 3), (4, 5, 6, 7)),), resolved=False)
-    assert d.blocks == ((0, 1, 2, 3), (4, 5, 6, 7))
-    assert not d.resolved and len(d.classes) == 1
 
 
 def test_single_block_is_steiner():
@@ -106,16 +95,8 @@ def test_resolution_failure_names_the_point():
     assert (1, 7, "missing") in verdict.violations
 
 
-def test_missing_resolution():
-    d = Design(4, (((0, 1, 2, 3),),), resolved=False)
-    with pytest.raises(MissingResolution):
-        verify_resolution(d)
-    with pytest.raises(MissingResolution):
-        design_to_colouring(d)
-
-
 def test_leave_graph_counts():
-    one_block = Design(8, (((0, 1, 2, 3),),), resolved=False)
+    one_block = Design(8, (((0, 1, 2, 3),),))
     assert leave_edges(one_block) == 28 - 6
     # a covering leaves no pair out, however often it repeats one
     assert leave_edges(the_v8_covering()) == 0
@@ -307,15 +288,6 @@ def test_design_file_round_trip():
         assert write_design(d2, mode2) == data
 
 
-def test_design_file_unresolved_section():
-    d = Design(8, (((0, 1, 2, 3), (2, 4, 5, 6)),), resolved=False)
-    data = write_design(d, "packing")
-    assert b"P 0" in data
-    d2, mode = read_design(data)
-    assert d2 == d and mode == "packing"
-    assert not d2.resolved
-
-
 def test_design_parse_errors():
     good = write_design(the_v8_covering(), "covering").decode()
     lines = good.split("\n")
@@ -340,8 +312,8 @@ def test_design_parse_errors():
     with pytest.raises(DesignParseError):
         read_design("\n".join(bad).encode())
 
-    # v and k are plain decimals, as block points are
-    for head in ("v=1_6 k=4", "v=+8 k=4", "v=016 k=4", "v=8 k=04"):
+    # v and k are plain decimals, as block points are, and v = 0 (mod 4)
+    for head in ("v=1_6 k=4", "v=+8 k=4", "v=016 k=4", "v=8 k=04", "v=10 k=4"):
         bad = lines[:]
         bad[1] = f"{head} mode=covering"
         with pytest.raises(DesignParseError) as err:
