@@ -24,6 +24,41 @@ MODES = ("steiner", "covering", "packing")
 # v stays at most 1,600 and the masks under 1,600^2 bits.
 SEARCH_MAX_BLOCKS = 400
 
+# The 35 ways to split 8 points into a block that holds point 0 and the
+# four points it leaves.
+_SPLITS = tuple(((0, *trio), tuple(x for x in range(1, 8) if x not in trio))
+                for trio in combinations(range(1, 8), 3))
+# Each pair i < j of the 8 points carries 70 five-bit fields: field s is 1
+# when split s's block holds the pair, field 35 + s when either of its parts
+# does. Summed over the covered pairs, the fields count each split's
+# repeated pairs, at most 12, so no field carries into the next.
+_PAIR_FIELDS = tuple(
+    (sum(1 << 5 * s for s, (blk, _) in enumerate(_SPLITS) if {i, j} <= {*blk})
+     + sum(1 << 5 * (35 + s) for s, (blk, left) in enumerate(_SPLITS)
+           if {i, j} <= {*blk} or {i, j} <= {*left}), i, j)
+    for i, j in combinations(range(8), 2))
+_FIELD_ONES = sum(1 << 5 * f for f in range(70))
+
+
+def _split_prunes(unc: list[int], rem: int, pts: list[int], slack: int) -> tuple[int, int]:
+    """Over the 35 splits of the 8 points ``pts`` (their mask ``rem``, the
+    least first) into two blocks, the first holding pts[0]: the number whose
+    first block repeats more than ``slack`` pairs, and the number of the
+    rest whose two blocks together do. ``unc[x]`` holds the partners of x
+    that no placed block pairs it with."""
+    # x is never its own partner, so this is 8 plus twice the covered pairs
+    if slack >= 12 or sum([(rem & ~unc[x]).bit_count() for x in pts]) <= 8 + 2 * slack:
+        return 0, 0
+    acc = 0
+    for fields, i, j in _PAIR_FIELDS:
+        if not unc[pts[i]] >> pts[j] & 1:
+            acc += fields
+    # adding 15 - slack sets bit 4 of exactly the fields above slack
+    over = (acc + (15 - slack) * _FIELD_ONES) & (_FIELD_ONES << 4)
+    both = (over >> 5 * 35).bit_count()
+    first = over.bit_count() - both
+    return first, both - first
+
 
 class InfeasibleParameters(ValueError):
     """Search parameters that cannot yield a design of the requested kind."""
@@ -240,6 +275,18 @@ def search_design(v: int, mode: str, classes: int,
     class that passes pushes its records. Steiner and packing runs count a
     forced block as a node only when its six pairs are uncovered, as they
     count any other block.
+
+    A covering level with 8 free points is decided on entry when a point
+    outside it already has more uncovered partners than the classes left
+    can cover: that point keeps its mask in each of the 35 classes the
+    level can complete, so every candidate fails its deficit. A candidate's
+    fate then depends only on the pairs its block repeats and those its
+    forced block repeats: over the waste with its block, one pruned node;
+    else two nodes, pruned by the waste of both or rejected. So the level
+    is counted from those repeats, not walked, with the same nodes,
+    counters and depth, and no candidate touches the masks. The walk stays
+    where it could end or skip early: under a floor, and when the meter's
+    next check falls inside the level.
     """
     _check_feasible(v, mode, classes)
     per_class = v // 4
@@ -298,15 +345,49 @@ def search_design(v: int, mode: str, classes: int,
                 low = rem & -rem
                 p = low.bit_length() - 1
                 rest = rem ^ low
-                # A list, not a generator: copying a generator means
-                # resizing a tuple, and the resized tuples fill CPython's
-                # tuple free lists (0.3 MB more peak memory on a v=20
-                # covering run).
-                it = (combinations([x for x in range(p + 1, v) if rest >> x & 1], 3)
-                      if covering else fresh_trios(rest & unc[p]))
                 # the blocks on the search path once this level's is placed
                 here = len(stack) + 1
-                spare = None
+                if not covering:
+                    it = fresh_trios(rest & unc[p])
+                else:
+                    # A list, not a generator: copying a generator means
+                    # resizing a tuple, and the resized tuples fill CPython's
+                    # tuple free lists (0.3 MB more peak memory on a v=20
+                    # covering run).
+                    free = [x for x in range(p + 1, v) if rest >> x & 1]
+                    it = combinations(free, 3)
+                    if len(free) <= 7:
+                        # Every candidate completes the class, and each point
+                        # may keep at most spare uncovered partners: the
+                        # classes left cover three of them each. The points
+                        # outside this level keep their masks in every class
+                        # it completes, so they are checked here, and
+                        # spare < 0 marks a level where one of them fails.
+                        # _check_feasible leaves enough slots for the natural
+                        # class, and spare = 0 in the last class leaves no
+                        # pair uncovered.
+                        spare = 3 * (classes - len(stack) // per_class - 1)
+                        if any(u.bit_count() > spare
+                               for x, u in enumerate(unc) if not rem >> x & 1):
+                            spare = -1
+                    if (len(free) == 7 and spare < 0 and floor is None
+                            and nodes + 70 < stop):
+                        # Count the doomed level, whose at most 70 nodes end
+                        # before the meter's next check: each candidate is
+                        # cut by the waste test of its block or of its
+                        # forced block, or else rejected. The loop below
+                        # then takes back the block under the level.
+                        cut, forced_cut = _split_prunes(
+                            unc, rem, [p, *free], max_waste - waste)
+                        rejected = 35 - cut - forced_cut
+                        nodes += 70 - cut
+                        pruned_waste += cut + forced_cut
+                        rejected_classes += rejected
+                        if rejected:
+                            depth = max(depth, here + 1)
+                        elif forced_cut:
+                            depth = max(depth, here)
+                        it = ()
             for q, r, s in it:
                 if floor is not None and (p, q, r, s) < floor:
                     continue
@@ -362,19 +443,6 @@ def search_design(v: int, mode: str, classes: int,
                         depth = here + 1
                 keep = ~bm
                 if covering:
-                    # Every point may keep at most spare uncovered partners:
-                    # the classes left cover three of them each. The points
-                    # outside this level keep their masks in every class it
-                    # completes, so they are checked once per level, and
-                    # spare < 0 marks a level where one of them fails.
-                    # _check_feasible leaves enough slots for the natural
-                    # class, and spare = 0 in the last class leaves no pair
-                    # uncovered.
-                    if spare is None:
-                        spare = 3 * (classes - len(stack) // per_class - 1)
-                        if any(u.bit_count() > spare
-                               for x, u in enumerate(unc) if not rem >> x & 1):
-                            spare = -1
                     if (spare < 0 or (up & keep).bit_count() > spare
                             or (uq & keep).bit_count() > spare
                             or (ur & keep).bit_count() > spare
@@ -406,7 +474,9 @@ def search_design(v: int, mode: str, classes: int,
                 waste -= w
                 low = 1 << p
                 here = len(stack) + 1
-                spare = None
+                # a covering level with a pushed block passed the check of
+                # the points outside it
+                spare = 3 * (classes - len(stack) // per_class - 1)
     except BudgetExhausted:
         outcome = "budget"
     seconds = meter.seconds()

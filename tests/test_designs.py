@@ -2,8 +2,10 @@
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -211,9 +213,12 @@ def test_search_limits_stop_where_the_meter_checks(budget, nodes, counts):
 
 
 def test_search_time_limit_stops_on_a_clock_poll():
-    result = search_design(28, "steiner", 9, SearchBudget(seconds=0.05))
-    assert (result.outcome, result.design) == ("budget", None)
-    assert result.nodes > 0 and result.nodes % CLOCK_POLL_NODES == 0
+    """A deadline alone stops a search on a clock poll, also a covering
+    search that counts whole levels at once."""
+    for v, mode, classes in ((28, "steiner", 9), (24, "covering", 8)):
+        result = search_design(v, mode, classes, SearchBudget(seconds=0.05))
+        assert (result.outcome, result.design) == ("budget", None), (v, mode)
+        assert result.nodes > 0 and result.nodes % CLOCK_POLL_NODES == 0, (v, mode)
 
 
 def test_search_infeasible_parameters():
@@ -397,6 +402,64 @@ def test_search_tree_pinned():
             assert (result.outcome, result.design) == ("budget", None)
             assert (result.nodes, result.depth, result.pruned_waste,
                     result.rejected_classes) == counts, (v, mode, classes, cap)
+
+
+# (v, mode, classes) -> caps. Each consecutive run spans a level of 8 free
+# points whose classes all fail a coverage deficit, from the block before it
+# to the one after it, so the stops fall on every node inside it; the v=12
+# level is the first to reach its depth, with no class past the waste test.
+# The last two caps are the ends of the benchmark's cap band.
+CAP_SWEEPS = {
+    (12, "covering", 4): tuple(range(2330, 2416)),
+    (20, "covering", 7): (*range(1400, 1481), 150000, 156000),
+    (24, "covering", 8): (*range(1436, 1490), 150000, 156000),
+}
+# sha256 of the repr of the list of (v, classes, cap, nodes, depth,
+# pruned_waste, rejected_classes), recorded while every such level was
+# still walked candidate by candidate.
+CAP_SWEEP_DIGEST = "0222b9d6c378c83760c0dadedee8f8e66cc13ba4b24ebb0bf550c323fadc79cd"
+
+
+def test_search_stops_and_counters_at_every_cap_of_a_sweep():
+    rows = []
+    for (v, mode, classes), caps in CAP_SWEEPS.items():
+        for cap in caps:
+            result = search_design(v, mode, classes, SearchBudget(nodes=cap))
+            assert (result.outcome, result.nodes) == ("budget", cap + 1), (v, cap)
+            rows.append((v, classes, cap, result.nodes, result.depth,
+                         result.pruned_waste, result.rejected_classes))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == CAP_SWEEP_DIGEST
+
+
+def test_split_prunes_count_what_the_walk_cuts():
+    """For random masks on random 8-point sets, the counted prunes agree
+    with the waste tests run split by split."""
+    rng = random.Random(5)
+    for _ in range(100):
+        v = rng.choice((8, 12, 20, 24))
+        density = rng.choice((0.2, 0.5, 0.8))
+        unc = [0] * v
+        for a, b in combinations(range(v), 2):
+            if rng.random() < density:
+                unc[a] |= 1 << b
+                unc[b] |= 1 << a
+        pts = sorted(rng.sample(range(v), 8))
+        rem = sum(1 << x for x in pts)
+        # the covered pairs of each split's block and of the four points left
+        repeats = []
+        for trio in combinations(pts[1:], 3):
+            left = [x for x in pts[1:] if x not in trio]
+            repeats.append([sum(not unc[a] >> b & 1 for a, b in combinations(blk, 2))
+                            for blk in ((pts[0], *trio), left)])
+        for slack in range(20):
+            cut = forced_cut = 0
+            for w, wf in repeats:
+                if w > slack:
+                    cut += 1
+                elif w + wf > slack:
+                    forced_cut += 1
+            got = ramsey_p5.designs._split_prunes(unc, rem, pts, slack)
+            assert got == (cut, forced_cut), (pts, slack)
 
 
 def test_search_exhausts_a_covering_that_cannot_exist():
