@@ -24,6 +24,55 @@ MODES = ("steiner", "covering", "packing")
 # v stays at most 1,600 and the masks under 1,600^2 bits.
 SEARCH_MAX_BLOCKS = 400
 
+# search_design remembers, per open class, the counts of its levels of 8
+# free points; a class's memo is emptied when it reaches this many entries,
+# about 1 MB in a Steiner or packing run and 3 MB in a covering run.
+SEARCH_MEMO_LEVELS = 1 << 14
+
+
+def _fresh_trios(unc: list[int], qs: int):
+    """Trios q < r < s of qs whose three pairs are uncovered; qs holds the
+    uncovered partners of the block's first point."""
+    while qs:
+        qb = qs & -qs
+        qs ^= qb
+        q = qb.bit_length() - 1
+        rs = qs & unc[q]
+        while rs:
+            rb = rs & -rs
+            rs ^= rb
+            r = rb.bit_length() - 1
+            ss = rs & unc[r]
+            while ss:
+                sb = ss & -ss
+                ss ^= sb
+                yield q, r, sb.bit_length() - 1
+
+
+def _fresh_blocks(unc: list[int], rem: int) -> int:
+    """Over the 35 splits of the 8 points of ``rem`` into two blocks, the
+    first holding the least point: -1 when some split repeats no pair in
+    either block, else the number whose first block repeats none."""
+    low = rem & -rem
+    rest = rem ^ low
+    n = 0
+    for q, r, s in _fresh_trios(unc, rest & unc[low.bit_length() - 1]):
+        # the four points left are fresh when each is an uncovered partner
+        # of every point before it
+        x = rest ^ (1 << q | 1 << r | 1 << s)
+        a = x & -x
+        x ^= a
+        if unc[a.bit_length() - 1] & x == x:
+            b = x & -x
+            x ^= b
+            if unc[b.bit_length() - 1] & x == x:
+                c = x & -x
+                if unc[c.bit_length() - 1] >> (x ^ c).bit_length() - 1 & 1:
+                    return -1
+        n += 1
+    return n
+
+
 # The 35 ways to split 8 points into a block that holds point 0 and the
 # four points it leaves.
 _SPLITS = tuple(((0, *trio), tuple(x for x in range(1, 8) if x not in trio))
@@ -267,26 +316,44 @@ def search_design(v: int, mode: str, classes: int,
 
     The search is one loop over an explicit stack with one record per placed
     block: the candidate iterator of its level, the level's free points and
-    floor, the block, the four masks it overwrote and its waste. The pinned
-    class's records sit at the bottom, never popped. A block that leaves
-    four points forces the class's last block, and the loop decides that
-    block in the same step: it counts and meters its node, then runs the
-    waste test and, for coverings, each point's coverage deficit. Only a
-    class that passes pushes its records. Steiner and packing runs count a
-    forced block as a node only when its six pairs are uncovered, as they
-    count any other block.
+    floor, the block, the four masks it overwrote, its waste and, for
+    coverings, the most uncovered partners a point of its class placed so
+    far keeps. The pinned class's records sit at the bottom, never popped.
+    A block that leaves four points forces the class's last block, and the
+    loop decides that block in the same step: it counts and meters its
+    node, then runs the waste test and, for coverings, each point's
+    coverage deficit. Only a class that passes pushes its records. Steiner
+    and packing runs count a forced block as a node only when its six pairs
+    are uncovered, as they count any other block.
 
     A covering level with 8 free points is decided on entry when a point
     outside it already has more uncovered partners than the classes left
-    can cover: that point keeps its mask in each of the 35 classes the
-    level can complete, so every candidate fails its deficit. A candidate's
-    fate then depends only on the pairs its block repeats and those its
-    forced block repeats: over the waste with its block, one pruned node;
-    else two nodes, pruned by the waste of both or rejected. So the level
-    is counted from those repeats, not walked, with the same nodes,
-    counters and depth, and no candidate touches the masks. The walk stays
+    can cover. The points outside it are those its class has placed, whose
+    masks stay as they were placed, so the record under the level holds
+    their largest count. Such a point keeps its mask in each of the 35
+    classes the level can complete, so every candidate fails its deficit.
+    A candidate's fate then depends only on the pairs its block repeats and
+    those its forced block repeats: over the waste with its block, one
+    pruned node; else two nodes, pruned by the waste of both or rejected.
+    So the level is counted from those repeats, not walked, with the same
+    nodes, counters and depth, and no candidate touches the masks. The walk stays
     where it could end or skip early: under a floor, and when the meter's
     next check falls inside the level.
+
+    A Steiner or packing level with 8 free points is decided on entry under
+    the same two conditions. Each fresh block through its least point is a
+    node, and the class completes only where the four points left are
+    fresh too. When no split has two fresh blocks, the level adds its fresh
+    blocks to the nodes, with no candidate walked, and the loop takes back
+    the block under it.
+
+    Both counts depend only on the pairs among the level's free points
+    (and, for coverings, on the waste slack, which matters only below 12).
+    The blocks of the open class avoid those points, so only the completed
+    classes cover such pairs, and they stay fixed while the search stays in
+    the class. So each class remembers its levels' counts by their free
+    points, in a memo emptied when the class before it completes and when
+    it reaches SEARCH_MEMO_LEVELS entries, which bounds its memory.
     """
     _check_feasible(v, mode, classes)
     per_class = v // 4
@@ -309,29 +376,18 @@ def search_design(v: int, mode: str, classes: int,
     # and packing runs never repeat one, so their waste stays zero
     max_waste = goal * 6 - pair_count(v) if covering else 0
 
-    def fresh_trios(qs: int):
-        """Trios q < r < s of qs whose three pairs are uncovered; qs holds
-        the uncovered partners of the block's first point."""
-        while qs:
-            qb = qs & -qs
-            qs ^= qb
-            q = qb.bit_length() - 1
-            rs = qs & unc[q]
-            while rs:
-                rb = rs & -rs
-                rs ^= rb
-                r = rb.bit_length() - 1
-                ss = rs & unc[r]
-                while ss:
-                    sb = ss & -ss
-                    ss ^= sb
-                    yield q, r, sb.bit_length() - 1
-
     # The pinned class, the completed classes, the open class: the previous
-    # class's record at the next level is stack[-per_class].
-    stack: list[tuple] = [((), 0, None, (a, a + 1, a + 2, a + 3), 0, 0, 0, 0, 0)
+    # class's record at the next level is stack[-per_class]. A record's last
+    # field is, for coverings, the most uncovered partners a point of its
+    # class placed so far keeps; it is 0 in the blocks that complete a
+    # class, so the next class starts from 0.
+    stack: list[tuple] = [((), 0, None, (a, a + 1, a + 2, a + 3), 0, 0, 0, 0, 0, 0)
                           for a in range(0, v, 4)]
     push = stack.append
+    # memos[k]: the counts of class k's levels of 8 free points, by their
+    # points, while the classes before it stay as they are; emptied when
+    # class k - 1 completes, the last class included.
+    memos: list[dict] = [{} for _ in range(classes + 1)]
     # The level under construction: its free points, its floor (the block
     # of the previous class at this level while the class so far repeats
     # that class, else None) and its candidates, made on entry when None.
@@ -348,7 +404,26 @@ def search_design(v: int, mode: str, classes: int,
                 # the blocks on the search path once this level's is placed
                 here = len(stack) + 1
                 if not covering:
-                    it = fresh_trios(rest & unc[p])
+                    n = -1
+                    if rest.bit_count() == 7 and floor is None and nodes + 70 < stop:
+                        # Count a level of 8 free points that no block
+                        # completes: its nodes are its fresh blocks, none
+                        # with a fresh block left, so the loop below takes
+                        # back the block under it. The memo is exact: only
+                        # the completed classes cover pairs among rem.
+                        memo = memos[len(stack) // per_class]
+                        n = memo.get(rem)
+                        if n is None:
+                            if len(memo) == SEARCH_MEMO_LEVELS:
+                                memo.clear()
+                            n = memo[rem] = _fresh_blocks(unc, rem)
+                    if n < 0:
+                        it = _fresh_trios(unc, rest & unc[p])
+                    else:
+                        nodes += n
+                        if n and here > depth:
+                            depth = here
+                        it = ()
                 else:
                     # A list, not a generator: copying a generator means
                     # resizing a tuple, and the resized tuples fill CPython's
@@ -367,8 +442,7 @@ def search_design(v: int, mode: str, classes: int,
                         # class, and spare = 0 in the last class leaves no
                         # pair uncovered.
                         spare = 3 * (classes - len(stack) // per_class - 1)
-                        if any(u.bit_count() > spare
-                               for x, u in enumerate(unc) if not rem >> x & 1):
+                        if stack[-1][9] > spare:
                             spare = -1
                     if (len(free) == 7 and spare < 0 and floor is None
                             and nodes + 70 < stop):
@@ -376,9 +450,19 @@ def search_design(v: int, mode: str, classes: int,
                         # before the meter's next check: each candidate is
                         # cut by the waste test of its block or of its
                         # forced block, or else rejected. The loop below
-                        # then takes back the block under the level.
-                        cut, forced_cut = _split_prunes(
-                            unc, rem, [p, *free], max_waste - waste)
+                        # then takes back the block under the level. The
+                        # count depends on the pairs among rem, which only
+                        # the completed classes cover, and on the slack, but
+                        # not past 12.
+                        slack = min(max_waste - waste, 12)
+                        memo = memos[len(stack) // per_class]
+                        cuts = memo.get((rem, slack))
+                        if cuts is None:
+                            if len(memo) == SEARCH_MEMO_LEVELS:
+                                memo.clear()
+                            cuts = memo[rem, slack] = _split_prunes(
+                                unc, rem, [p, *free], slack)
+                        cut, forced_cut = cuts
                         rejected = 35 - cut - forced_cut
                         nodes += 70 - cut
                         pruned_waste += cut + forced_cut
@@ -406,9 +490,12 @@ def search_design(v: int, mode: str, classes: int,
                 left = rem ^ bm
                 if left.bit_count() > 4:
                     keep = ~bm
-                    unc[p], unc[q], unc[r], unc[s] = up & keep, uq & keep, ur & keep, us & keep
+                    unc[p], unc[q], unc[r], unc[s] = (
+                        mp, mq, mr, ms) = up & keep, uq & keep, ur & keep, us & keep
                     blk = (p, q, r, s)
-                    push((it, rem, floor, blk, up, uq, ur, us, w))
+                    push((it, rem, floor, blk, up, uq, ur, us, w,
+                          max(stack[-1][9], mp.bit_count(), mq.bit_count(),
+                              mr.bit_count(), ms.bit_count()) if covering else 0))
                     waste += w
                     floor = stack[-per_class][3] if blk == floor else None
                     rem = left
@@ -454,13 +541,14 @@ def search_design(v: int, mode: str, classes: int,
                         rejected_classes += 1
                         continue
                 unc[p], unc[q], unc[r], unc[s] = up & keep, uq & keep, ur & keep, us & keep
-                push((it, rem, floor, (p, q, r, s), up, uq, ur, us, w))
+                push((it, rem, floor, (p, q, r, s), up, uq, ur, us, w, 0))
                 waste += w
                 if left:
                     keep = ~left
                     unc[a], unc[b], unc[c], unc[d] = ua & keep, ub & keep, uc & keep, ud & keep
-                    push(((), left, None, (a, b, c, d), ua, ub, uc, ud, wf))
+                    push(((), left, None, (a, b, c, d), ua, ub, uc, ud, wf, 0))
                     waste += wf
+                memos[len(stack) // per_class] = {}
                 rem = points
                 floor = stack[-per_class][3]
                 it = None
@@ -469,7 +557,7 @@ def search_design(v: int, mode: str, classes: int,
                 # The level's candidates are done: take back the block below.
                 if len(stack) == per_class:
                     break
-                it, rem, floor, (p, q, r, s), up, uq, ur, us, w = stack.pop()
+                it, rem, floor, (p, q, r, s), up, uq, ur, us, w, _ = stack.pop()
                 unc[p], unc[q], unc[r], unc[s] = up, uq, ur, us
                 waste -= w
                 low = 1 << p

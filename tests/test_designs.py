@@ -381,7 +381,7 @@ CAPPED_PINS = {
     (24, "covering", 8): {2000: (2001, 12, 1418, 272), 6000: (6001, 12, 4037, 920),
                           20000: (20001, 12, 13162, 3209)},
     (28, "steiner", 9): {2000: (2001, 13, 0, 0), 6000: (6001, 13, 0, 0),
-                         20000: (20001, 13, 0, 0)},
+                         20000: (20001, 13, 0, 0), 200000: (200001, 43, 0, 0)},
 }
 
 
@@ -431,6 +431,35 @@ def test_search_stops_and_counters_at_every_cap_of_a_sweep():
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == CAP_SWEEP_DIGEST
 
 
+# (v, mode, classes) -> caps for Steiner and packing runs. The v=28 caps
+# step through levels of 8 free points with no fresh trio, then through
+# three levels of 12 fresh blocks each, none of which completes its class;
+# at cap 25,600 the last such level is over 300 nodes back, so only counted
+# levels reach depth 13; the last two caps are the benchmark's. The packing
+# caps step through such levels of 13 and 17 blocks and through the first
+# level that completes a class.
+FRESH_SWEEPS = {
+    (28, "steiner", 9): (*range(1, 40), *range(1212, 1244), 25600,
+                         *range(39994, 40009), 41600),
+    (20, "packing", 5): (*range(1, 104), *range(3140, 3175)),
+}
+# sha256 of the repr of the list of (v, mode, cap, nodes, depth,
+# pruned_waste, rejected_classes), recorded while every such level was
+# still walked candidate by candidate.
+FRESH_SWEEP_DIGEST = "db1fef4c65a221e7acbd1cb7a67ff3b21eaf906947c370380277d706c05e789c"
+
+
+def test_fresh_search_stops_and_counters_at_every_cap_of_a_sweep():
+    rows = []
+    for (v, mode, classes), caps in FRESH_SWEEPS.items():
+        for cap in caps:
+            result = search_design(v, mode, classes, SearchBudget(nodes=cap))
+            assert (result.outcome, result.nodes) == ("budget", cap + 1), (v, cap)
+            rows.append((v, mode, cap, result.nodes, result.depth,
+                         result.pruned_waste, result.rejected_classes))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == FRESH_SWEEP_DIGEST
+
+
 def test_split_prunes_count_what_the_walk_cuts():
     """For random masks on random 8-point sets, the counted prunes agree
     with the waste tests run split by split."""
@@ -460,6 +489,33 @@ def test_split_prunes_count_what_the_walk_cuts():
                     forced_cut += 1
             got = ramsey_p5.designs._split_prunes(unc, rem, pts, slack)
             assert got == (cut, forced_cut), (pts, slack)
+
+
+def test_fresh_blocks_count_what_the_walk_counts():
+    """For random masks on random 8-point sets, the count of a Steiner or
+    packing level agrees with its 35 splits tried one by one: -1 when one
+    of them has two fresh blocks, else the splits with a fresh first
+    block, each of which is one node of the walk."""
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(400):
+        v = rng.choice((8, 12, 20, 28))
+        density = rng.choice((0.5, 0.7, 0.85, 0.95))
+        unc = [0] * v
+        for a, b in combinations(range(v), 2):
+            if rng.random() < density:
+                unc[a] |= 1 << b
+                unc[b] |= 1 << a
+        pts = sorted(rng.sample(range(v), 8))
+        fresh = [all(unc[a] >> b & 1 for a, b in combinations(blk, 2))
+                 for trio in combinations(pts[1:], 3)
+                 for blk in ((pts[0], *trio), [x for x in pts[1:] if x not in trio])]
+        blocks, lefts = fresh[::2], fresh[1::2]
+        want = -1 if any(map(all, zip(blocks, lefts))) else sum(blocks)
+        got = ramsey_p5.designs._fresh_blocks(unc, sum(1 << x for x in pts))
+        assert got == want, (unc, pts)
+        seen.add(min(want, 1))
+    assert seen == {-1, 0, 1}
 
 
 def test_search_exhausts_a_covering_that_cannot_exist():
