@@ -420,15 +420,20 @@ CAP_SWEEPS = {
 CAP_SWEEP_DIGEST = "0222b9d6c378c83760c0dadedee8f8e66cc13ba4b24ebb0bf550c323fadc79cd"
 
 
-def test_search_stops_and_counters_at_every_cap_of_a_sweep():
+def sweep_digest(sweeps):
+    """The digest of a sweep's rows; each run stops one node past its cap."""
     rows = []
-    for (v, mode, classes), caps in CAP_SWEEPS.items():
+    for (v, mode, classes), caps in sweeps.items():
         for cap in caps:
             result = search_design(v, mode, classes, SearchBudget(nodes=cap))
             assert (result.outcome, result.nodes) == ("budget", cap + 1), (v, cap)
             rows.append((v, classes, cap, result.nodes, result.depth,
                          result.pruned_waste, result.rejected_classes))
-    assert hashlib.sha256(repr(rows).encode()).hexdigest() == CAP_SWEEP_DIGEST
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_search_stops_and_counters_at_every_cap_of_a_sweep():
+    assert sweep_digest(CAP_SWEEPS) == CAP_SWEEP_DIGEST
 
 
 # (v, mode, classes) -> caps for Steiner and packing runs. The v=28 caps
@@ -443,21 +448,13 @@ FRESH_SWEEPS = {
                          *range(39994, 40009), 41600),
     (20, "packing", 5): (*range(1, 104), *range(3140, 3175)),
 }
-# sha256 of the repr of the list of (v, mode, cap, nodes, depth,
-# pruned_waste, rejected_classes), recorded while every such level was
+# The same digest as CAP_SWEEP_DIGEST, recorded while every such level was
 # still walked candidate by candidate.
-FRESH_SWEEP_DIGEST = "db1fef4c65a221e7acbd1cb7a67ff3b21eaf906947c370380277d706c05e789c"
+FRESH_SWEEP_DIGEST = "fc4d1c98161b6fd71c40b32dbb2c0002ac49e849ddf2b3d95210ea0f77ae6b52"
 
 
 def test_fresh_search_stops_and_counters_at_every_cap_of_a_sweep():
-    rows = []
-    for (v, mode, classes), caps in FRESH_SWEEPS.items():
-        for cap in caps:
-            result = search_design(v, mode, classes, SearchBudget(nodes=cap))
-            assert (result.outcome, result.nodes) == ("budget", cap + 1), (v, cap)
-            rows.append((v, mode, cap, result.nodes, result.depth,
-                         result.pruned_waste, result.rejected_classes))
-    assert hashlib.sha256(repr(rows).encode()).hexdigest() == FRESH_SWEEP_DIGEST
+    assert sweep_digest(FRESH_SWEEPS) == FRESH_SWEEP_DIGEST
 
 
 def test_split_prunes_count_what_the_walk_cuts():
