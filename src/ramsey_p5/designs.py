@@ -319,12 +319,13 @@ def search_design(v: int, mode: str, classes: int,
     floor, the block, the four masks it overwrote, its waste and, for
     coverings, the most uncovered partners a point of its class placed so
     far keeps. The pinned class's records sit at the bottom, never popped.
-    A block that leaves four points forces the class's last block, and the
-    loop decides that block in the same step: it counts and meters its
-    node, then runs the waste test and, for coverings, each point's
-    coverage deficit. Only a class that passes pushes its records. Steiner
-    and packing runs count a forced block as a node only when its six pairs
-    are uncovered, as they count any other block.
+    A block that leaves four points is pushed like any other, and the
+    class's last block is the one candidate of an ordinary level: the trio
+    of its three free points after the least for coverings, and for Steiner
+    and packing runs that block only when its six pairs are uncovered, so a
+    repeated last block is no node there. The push that completes a
+    covering class runs each point's coverage deficit: the four new points
+    are counted, and the record under it holds the count of the others.
 
     A covering level with 8 free points is decided on entry when a point
     outside it already has more uncovered partners than the classes left
@@ -333,10 +334,10 @@ def search_design(v: int, mode: str, classes: int,
     their largest count. Such a point keeps its mask in each of the 35
     classes the level can complete, so every candidate fails its deficit.
     A candidate's fate then depends only on the pairs its block repeats and
-    those its forced block repeats: over the waste with its block, one
-    pruned node; else two nodes, pruned by the waste of both or rejected.
-    So the level is counted from those repeats, not walked, with the same
-    nodes, counters and depth, and no candidate touches the masks. The walk stays
+    those the last block repeats: over the waste with its block, one pruned
+    node; else two nodes, pruned by the waste of both or rejected. So the
+    level is counted from those repeats, not walked, with the same nodes,
+    counters and depth, and no candidate touches the masks. The walk stays
     where it could end or skip early: under a floor, and when the meter's
     next check falls inside the level.
 
@@ -431,29 +432,18 @@ def search_design(v: int, mode: str, classes: int,
                     # covering run).
                     free = [x for x in range(p + 1, v) if rest >> x & 1]
                     it = combinations(free, 3)
-                    if len(free) <= 7:
-                        # Every candidate completes the class, and each point
-                        # may keep at most spare uncovered partners: the
-                        # classes left cover three of them each. The points
-                        # outside this level keep their masks in every class
-                        # it completes, so they are checked here, and
-                        # spare < 0 marks a level where one of them fails.
-                        # _check_feasible leaves enough slots for the natural
-                        # class, and spare = 0 in the last class leaves no
-                        # pair uncovered.
-                        spare = 3 * (classes - len(stack) // per_class - 1)
-                        if stack[-1][9] > spare:
-                            spare = -1
-                    if (len(free) == 7 and spare < 0 and floor is None
-                            and nodes + 70 < stop):
-                        # Count the doomed level, whose at most 70 nodes end
-                        # before the meter's next check: each candidate is
-                        # cut by the waste test of its block or of its
-                        # forced block, or else rejected. The loop below
-                        # then takes back the block under the level. The
-                        # count depends on the pairs among rem, which only
-                        # the completed classes cover, and on the slack, but
-                        # not past 12.
+                    if (len(free) == 7 and floor is None and nodes + 70 < stop
+                            and stack[-1][9] > 3 * (classes - len(stack) // per_class - 1)):
+                        # Count a doomed level: a point its class has placed
+                        # keeps more uncovered partners than the classes left
+                        # can cover, and it keeps its mask in every class the
+                        # level completes, so each candidate is cut by the
+                        # waste test of its block or of the last block, or
+                        # else rejected. Its at most 70 nodes end before the
+                        # meter's next check, and the loop below then takes
+                        # back the block under the level. The count depends
+                        # on the pairs among rem, which only the completed
+                        # classes cover, and on the slack, but not past 12.
                         slack = min(max_waste - waste, 12)
                         memo = memos[len(stack) // per_class]
                         cuts = memo.get((rem, slack))
@@ -476,7 +466,7 @@ def search_design(v: int, mode: str, classes: int,
                 if floor is not None and (p, q, r, s) < floor:
                     continue
                 nodes += 1
-                if nodes == stop:
+                if nodes >= stop:
                     stop = meter.check(nodes)
                 bm = low | 1 << q | 1 << r | 1 << s
                 up, uq, ur, us = unc[p], unc[q], unc[r], unc[s]
@@ -487,70 +477,34 @@ def search_design(v: int, mode: str, classes: int,
                     continue
                 if here > depth:
                     depth = here
-                left = rem ^ bm
-                if left.bit_count() > 4:
-                    keep = ~bm
-                    unc[p], unc[q], unc[r], unc[s] = (
-                        mp, mq, mr, ms) = up & keep, uq & keep, ur & keep, us & keep
-                    blk = (p, q, r, s)
-                    push((it, rem, floor, blk, up, uq, ur, us, w,
-                          max(stack[-1][9], mp.bit_count(), mq.bit_count(),
-                              mr.bit_count(), ms.bit_count()) if covering else 0))
-                    waste += w
-                    floor = stack[-per_class][3] if blk == floor else None
-                    rem = left
-                    it = None
-                    break
-                if left:
-                    # The class's last block is forced: its points are left.
-                    # While the class repeats the previous one, left is that
-                    # class's last block, so the floor passes it.
-                    x = left
-                    ab = x & -x
-                    x ^= ab
-                    bb = x & -x
-                    x ^= bb
-                    cb = x & -x
-                    a = ab.bit_length() - 1
-                    b = bb.bit_length() - 1
-                    c = cb.bit_length() - 1
-                    d = (x ^ cb).bit_length() - 1
-                    ua, ub, uc, ud = unc[a], unc[b], unc[c], unc[d]
-                    wf = 6 - ((ua & left).bit_count() + (ub & left).bit_count()
-                              + (uc & left).bit_count() + (ud & left).bit_count()) // 2
-                    if wf and not covering:
-                        continue  # a repeated pair: no candidate, no node
-                    nodes += 1
-                    if nodes == stop:
-                        stop = meter.check(nodes)
-                    if waste + w + wf > max_waste:
-                        pruned_waste += 1
-                        continue
-                    if here >= depth:
-                        depth = here + 1
                 keep = ~bm
+                mp, mq, mr, ms = up & keep, uq & keep, ur & keep, us & keep
+                left = rem ^ bm
+                top = 0
                 if covering:
-                    if (spare < 0 or (up & keep).bit_count() > spare
-                            or (uq & keep).bit_count() > spare
-                            or (ur & keep).bit_count() > spare
-                            or (us & keep).bit_count() > spare
-                            or left and ((ua & ~left).bit_count() > spare
-                                         or (ub & ~left).bit_count() > spare
-                                         or (uc & ~left).bit_count() > spare
-                                         or (ud & ~left).bit_count() > spare)):
-                        rejected_classes += 1
-                        continue
-                unc[p], unc[q], unc[r], unc[s] = up & keep, uq & keep, ur & keep, us & keep
-                push((it, rem, floor, (p, q, r, s), up, uq, ur, us, w, 0))
+                    top = max(stack[-1][9], mp.bit_count(), mq.bit_count(),
+                              mr.bit_count(), ms.bit_count())
+                    if not left:
+                        # The class is complete, and each of its points may
+                        # keep as many uncovered partners as the classes
+                        # left cover, three each. _check_feasible leaves
+                        # enough slots for the natural class, and the last
+                        # class leaves no pair uncovered.
+                        if top > 3 * (classes - len(stack) // per_class - 1):
+                            rejected_classes += 1
+                            continue
+                        top = 0
+                unc[p], unc[q], unc[r], unc[s] = mp, mq, mr, ms
+                blk = (p, q, r, s)
+                push((it, rem, floor, blk, up, uq, ur, us, w, top))
                 waste += w
                 if left:
-                    keep = ~left
-                    unc[a], unc[b], unc[c], unc[d] = ua & keep, ub & keep, uc & keep, ud & keep
-                    push(((), left, None, (a, b, c, d), ua, ub, uc, ud, wf, 0))
-                    waste += wf
-                memos[len(stack) // per_class] = {}
-                rem = points
-                floor = stack[-per_class][3]
+                    floor = stack[-per_class][3] if blk == floor else None
+                    rem = left
+                else:
+                    memos[len(stack) // per_class] = {}
+                    rem = points
+                    floor = stack[-per_class][3]
                 it = None
                 break
             else:
@@ -562,9 +516,6 @@ def search_design(v: int, mode: str, classes: int,
                 waste -= w
                 low = 1 << p
                 here = len(stack) + 1
-                # a covering level with a pushed block passed the check of
-                # the points outside it
-                spare = 3 * (classes - len(stack) // per_class - 1)
     except BudgetExhausted:
         outcome = "budget"
     seconds = meter.seconds()

@@ -457,6 +457,25 @@ def test_fresh_search_stops_and_counters_at_every_cap_of_a_sweep():
     assert sweep_digest(FRESH_SWEEPS) == FRESH_SWEEP_DIGEST
 
 
+# (v, mode, classes) -> caps that stop a found run at each of its nodes; the
+# (20, packing, 5) caps cover its last 96 nodes, in which its last three
+# classes complete. So the stops fall on each class's last block and on the
+# first block after it.
+COMPLETION_SWEEPS = {
+    (8, "covering", 3): tuple(range(1, 323)),
+    (16, "steiner", 5): tuple(range(1, 16)),
+    (16, "packing", 4): tuple(range(1, 12)),
+    (20, "packing", 5): tuple(range(5300, 5396)),
+}
+# The same digest as CAP_SWEEP_DIGEST, recorded while each class's last
+# block was still decided in the step of the block before it.
+COMPLETION_SWEEP_DIGEST = "57339d1f6b1a1037c659946c58c9d6aa908f6f6e88892c101691bf112f3a78e2"
+
+
+def test_search_stops_and_counters_at_every_cap_of_a_found_run():
+    assert sweep_digest(COMPLETION_SWEEPS) == COMPLETION_SWEEP_DIGEST
+
+
 def test_split_prunes_count_what_the_walk_cuts():
     """For random masks on random 8-point sets, the counted prunes agree
     with the waste tests run split by split."""
