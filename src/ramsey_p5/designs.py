@@ -24,9 +24,10 @@ MODES = ("steiner", "covering", "packing")
 # v stays at most 1,600 and the masks under 1,600^2 bits.
 SEARCH_MAX_BLOCKS = 400
 
-# search_design remembers, per open class, the counts of its levels of 8
+# search_design remembers, per open class, the effects of its levels of 8
 # free points; a class's memo is emptied when it reaches this many entries,
-# about 1 MB in a Steiner or packing run and 3 MB in a covering run.
+# about 1.1 MB in a Steiner or packing run, whose effects are shared, and
+# at most 2.3 MB in a covering run.
 SEARCH_MEMO_LEVELS = 1 << 14
 
 
@@ -49,10 +50,20 @@ def _fresh_trios(unc: list[int], qs: int):
                 yield q, r, sb.bit_length() - 1
 
 
-def _fresh_blocks(unc: list[int], rem: int) -> int:
-    """Over the 35 splits of the 8 points of ``rem`` into two blocks, the
-    first holding the least point: -1 when some split repeats no pair in
-    either block, else the number whose first block repeats none."""
+# A counted level's effect is what walking it adds to search_design's
+# counters: (nodes, waste prunes, rejected classes, the most blocks it
+# pushes at once). A Steiner or packing level whose splits have n fresh
+# first blocks and no fresh second one has n nodes and pushes one block at
+# a time when n > 0.
+_FRESH_EFFECTS = tuple((n, 0, 0, min(n, 1)) for n in range(36))
+
+
+def _fresh_blocks(unc: list[int], rem: int) -> tuple[int, int, int, int] | tuple[()]:
+    """The effect of a Steiner or packing level on the 8 points of ``rem``,
+    from its 35 splits into two blocks, the first holding the least point:
+    () when some split repeats no pair in either block, so the level must
+    be walked, else its entry of _FRESH_EFFECTS by the number of splits
+    whose first block repeats none."""
     low = rem & -rem
     rest = rem ^ low
     n = 0
@@ -68,9 +79,9 @@ def _fresh_blocks(unc: list[int], rem: int) -> int:
             if unc[b.bit_length() - 1] & x == x:
                 c = x & -x
                 if unc[c.bit_length() - 1] >> (x ^ c).bit_length() - 1 & 1:
-                    return -1
+                    return ()
         n += 1
-    return n
+    return _FRESH_EFFECTS[n]
 
 
 # The 35 ways to split 8 points into a block that holds point 0 and the
@@ -89,15 +100,19 @@ _PAIR_FIELDS = tuple(
 _FIELD_ONES = sum(1 << 5 * f for f in range(70))
 
 
-def _split_prunes(unc: list[int], rem: int, pts: list[int], slack: int) -> tuple[int, int]:
-    """Over the 35 splits of the 8 points ``pts`` (their mask ``rem``, the
-    least first) into two blocks, the first holding pts[0]: the number whose
-    first block repeats more than ``slack`` pairs, and the number of the
-    rest whose two blocks together do. ``unc[x]`` holds the partners of x
-    that no placed block pairs it with."""
+def _split_prunes(unc: list[int], rem: int, pts: list[int],
+                  slack: int) -> tuple[int, int, int, int]:
+    """The effect of a covering level on the 8 points ``pts`` (their mask
+    ``rem``, the least first) whose every completed class fails a coverage
+    deficit, from its 35 splits into two blocks, the first holding pts[0].
+    A split whose first block repeats more than ``slack`` pairs is one node
+    cut by waste; else two nodes, the second cut by waste when the two
+    blocks together repeat more than ``slack`` pairs, else its class is
+    rejected. ``unc[x]`` holds the partners of x that no placed block pairs
+    it with."""
     # x is never its own partner, so this is 8 plus twice the covered pairs
     if slack >= 12 or sum([(rem & ~unc[x]).bit_count() for x in pts]) <= 8 + 2 * slack:
-        return 0, 0
+        return 70, 0, 35, 2
     acc = 0
     for fields, i, j in _PAIR_FIELDS:
         if not unc[pts[i]] >> pts[j] & 1:
@@ -106,7 +121,7 @@ def _split_prunes(unc: list[int], rem: int, pts: list[int], slack: int) -> tuple
     over = (acc + (15 - slack) * _FIELD_ONES) & (_FIELD_ONES << 4)
     both = (over >> 5 * 35).bit_count()
     first = over.bit_count() - both
-    return first, both - first
+    return 70 - first, both, 35 - both, 2 if both < 35 else 1 if first < 35 else 0
 
 
 class InfeasibleParameters(ValueError):
@@ -327,34 +342,24 @@ def search_design(v: int, mode: str, classes: int,
     covering class runs each point's coverage deficit: the four new points
     are counted, and the record under it holds the count of the others.
 
-    A covering level with 8 free points is decided on entry when a point
-    outside it already has more uncovered partners than the classes left
-    can cover. The points outside it are those its class has placed, whose
-    masks stay as they were placed, so the record under the level holds
-    their largest count. Such a point keeps its mask in each of the 35
-    classes the level can complete, so every candidate fails its deficit.
-    A candidate's fate then depends only on the pairs its block repeats and
-    those the last block repeats: over the waste with its block, one pruned
-    node; else two nodes, pruned by the waste of both or rejected. So the
-    level is counted from those repeats, not walked, with the same nodes,
-    counters and depth, and no candidate touches the masks. The walk stays
-    where it could end or skip early: under a floor, and when the meter's
-    next check falls inside the level.
-
-    A Steiner or packing level with 8 free points is decided on entry under
-    the same two conditions. Each fresh block through its least point is a
-    node, and the class completes only where the four points left are
-    fresh too. When no split has two fresh blocks, the level adds its fresh
-    blocks to the nodes, with no candidate walked, and the loop takes back
-    the block under it.
-
-    Both counts depend only on the pairs among the level's free points
-    (and, for coverings, on the waste slack, which matters only below 12).
-    The blocks of the open class avoid those points, so only the completed
-    classes cover such pairs, and they stay fixed while the search stays in
-    the class. So each class remembers its levels' counts by their free
-    points, in a memo emptied when the class before it completes and when
-    it reaches SEARCH_MEMO_LEVELS entries, which bounds its memory.
+    A level with 8 free points is counted on entry, not walked, when its
+    end is known: in a covering run when it is doomed, that is when a point
+    its class has placed (the record under the level holds their largest
+    count) keeps more uncovered partners than the classes left can cover,
+    so every class the level completes fails that point's deficit; in a
+    Steiner or packing run when no split of its points has two fresh
+    blocks, so no class completes. _split_prunes or _fresh_blocks then
+    returns the level's effect, the nodes, waste prunes and rejected
+    classes its walk would add and the most blocks it would push at once,
+    and the loop takes back the block under it. The walk stays where it
+    could end or skip early: under a floor, and when the meter's next check
+    falls inside the level. An effect depends only on the pairs among the
+    level's free points, which only the completed classes cover, since the
+    open class's blocks avoid them, and on the waste slack, which matters
+    only below 12 and is 0 in Steiner and packing runs. So each class
+    remembers its levels' effects by their free points and slack, in a
+    memo emptied when the class before it completes and when it reaches
+    SEARCH_MEMO_LEVELS entries, which bounds its memory.
     """
     _check_feasible(v, mode, classes)
     per_class = v // 4
@@ -385,9 +390,9 @@ def search_design(v: int, mode: str, classes: int,
     stack: list[tuple] = [((), 0, None, (a, a + 1, a + 2, a + 3), 0, 0, 0, 0, 0, 0)
                           for a in range(0, v, 4)]
     push = stack.append
-    # memos[k]: the counts of class k's levels of 8 free points, by their
-    # points, while the classes before it stay as they are; emptied when
-    # class k - 1 completes, the last class included.
+    # memos[k]: the effects of class k's levels of 8 free points, by their
+    # points and slack, while the classes before it stay as they are;
+    # emptied when class k - 1 completes, the last class included.
     memos: list[dict] = [{} for _ in range(classes + 1)]
     # The level under construction: its free points, its floor (the block
     # of the previous class at this level while the class so far repeats
@@ -404,64 +409,45 @@ def search_design(v: int, mode: str, classes: int,
                 rest = rem ^ low
                 # the blocks on the search path once this level's is placed
                 here = len(stack) + 1
-                if not covering:
-                    n = -1
-                    if rest.bit_count() == 7 and floor is None and nodes + 70 < stop:
-                        # Count a level of 8 free points that no block
-                        # completes: its nodes are its fresh blocks, none
-                        # with a fresh block left, so the loop below takes
-                        # back the block under it. The memo is exact: only
-                        # the completed classes cover pairs among rem.
-                        memo = memos[len(stack) // per_class]
-                        n = memo.get(rem)
-                        if n is None:
-                            if len(memo) == SEARCH_MEMO_LEVELS:
-                                memo.clear()
-                            n = memo[rem] = _fresh_blocks(unc, rem)
-                    if n < 0:
-                        it = _fresh_trios(unc, rest & unc[p])
-                    else:
-                        nodes += n
-                        if n and here > depth:
-                            depth = here
-                        it = ()
-                else:
+                if covering:
                     # A list, not a generator: copying a generator means
                     # resizing a tuple, and the resized tuples fill CPython's
                     # tuple free lists (0.3 MB more peak memory on a v=20
                     # covering run).
                     free = [x for x in range(p + 1, v) if rest >> x & 1]
                     it = combinations(free, 3)
-                    if (len(free) == 7 and floor is None and nodes + 70 < stop
-                            and stack[-1][9] > 3 * (classes - len(stack) // per_class - 1)):
-                        # Count a doomed level: a point its class has placed
-                        # keeps more uncovered partners than the classes left
-                        # can cover, and it keeps its mask in every class the
-                        # level completes, so each candidate is cut by the
-                        # waste test of its block or of the last block, or
-                        # else rejected. Its at most 70 nodes end before the
-                        # meter's next check, and the loop below then takes
-                        # back the block under the level. The count depends
-                        # on the pairs among rem, which only the completed
-                        # classes cover, and on the slack, but not past 12.
-                        slack = min(max_waste - waste, 12)
-                        memo = memos[len(stack) // per_class]
-                        cuts = memo.get((rem, slack))
-                        if cuts is None:
-                            if len(memo) == SEARCH_MEMO_LEVELS:
-                                memo.clear()
-                            cuts = memo[rem, slack] = _split_prunes(
-                                unc, rem, [p, *free], slack)
-                        cut, forced_cut = cuts
-                        rejected = 35 - cut - forced_cut
-                        nodes += 70 - cut
-                        pruned_waste += cut + forced_cut
+                    # doomed: a point its class has placed keeps more
+                    # uncovered partners than the classes left can cover
+                    count = len(free) == 7 and stack[-1][9] > 3 * (
+                        classes - len(stack) // per_class - 1)
+                else:
+                    count = rest.bit_count() == 7
+                if count and floor is None and nodes + 70 < stop:
+                    # Count a level of 8 free points: its at most 70 nodes
+                    # end before the meter's next check, and the loop below
+                    # then takes back the block under it. A Steiner or
+                    # packing slack is 0, so its key is rem, which no
+                    # covering key with slack equals.
+                    slack = max_waste - waste
+                    key = rem << 4 | min(slack, 12) if slack else rem
+                    memo = memos[len(stack) // per_class]
+                    effect = memo.get(key)
+                    if effect is None:
+                        if len(memo) == SEARCH_MEMO_LEVELS:
+                            memo.clear()
+                        effect = memo[key] = (
+                            _split_prunes(unc, rem, [p, *free], slack) if covering
+                            else _fresh_blocks(unc, rem))
+                    if effect:
+                        n, cut, rejected, pushed = effect
+                        nodes += n
+                        pruned_waste += cut
                         rejected_classes += rejected
-                        if rejected:
-                            depth = max(depth, here + 1)
-                        elif forced_cut:
-                            depth = max(depth, here)
+                        if len(stack) + pushed > depth:
+                            depth = len(stack) + pushed
                         it = ()
+                if it is None:
+                    it = _fresh_trios(unc, rest & unc[p])
             for q, r, s in it:
                 if floor is not None and (p, q, r, s) < floor:
                     continue

@@ -122,7 +122,10 @@ class NodeMeter:
         """Raise BudgetExhausted if ``nodes`` passes the cap or the deadline
         has passed, else return the count at which to check next: cap + 1,
         or the next multiple of CLOCK_POLL_NODES unless only a cap is set.
-        The node check runs first, so node-limit runs are reproducible."""
+        The returned count is always above ``nodes``, and callers call again
+        once their count reaches it (``nodes >= stop``), so a count that
+        steps past it still stops the search. The node check runs first, so
+        node-limit runs are reproducible."""
         cap = self.cap
         if cap is not None and nodes > cap:
             raise BudgetExhausted
@@ -320,7 +323,7 @@ class _Engine:
                 while c < limit:
                     c += 1
                     nodes += 1
-                    if nodes == stop:
+                    if nodes >= stop:
                         stop = meter.check(nodes)
                     # Edge d closed a path in colour c on a subset of the
                     # class: the node its verdict names is still live.

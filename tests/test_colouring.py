@@ -454,6 +454,17 @@ def test_certificate_parse_errors_carry_line_numbers():
             read_certificate(bad)
         assert err.value.line == 2
 
+    # one case per remaining error branch: (file, line, message); the K10
+    # certificate has 45 edge lines
+    for bad, line, message in (
+            (b"\xff" + data, 0, "not ASCII"),
+            (f"{lines[0]}\n{lines[1]}\n".encode(), 2, "truncated certificate"),
+            ("\n".join([*lines[:2], "claim=other", *lines[3:]]).encode(), 3, "expected 'claim="),
+            (data + b"note\n", 4 + 45, "trailing lines must start with '#'")):
+        with pytest.raises(CertificateError, match=message) as err:
+            read_certificate(bad)
+        assert err.value.line == line, message
+
 
 def reference_edge_colours(lines, n, r):
     """The edge lines parsed token by token, as read_certificate did before

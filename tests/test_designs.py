@@ -317,6 +317,21 @@ def test_design_parse_errors():
     with pytest.raises(DesignParseError):
         read_design("\n".join(bad).encode())
 
+    # one case per remaining error branch: (file, line, message)
+    cases = [("DESIGN v1\n", 2, "truncated design file"),
+             ("DESIGN v1\nv=8 k=4\n", 2, "expected 'v=<v> k=4"),
+             ("DESIGN v1\nv=8 k=3 mode=covering\n", 2, "only k=4"),
+             ("DESIGN v1\nv=8 k=4 mode=leave\n", 2, "mode must be one of"),
+             ("DESIGN v1\nv=8 k=4 mode=covering\n", 2, "no block sections")]
+    for edits, line, message in (({5: "Q 2"}, 6, "expected a 'P <c>' section"),
+                                 ({3: lines[4], 4: lines[3]}, 5, "must be ascending within"),
+                                 ({4: "4 5 6 8"}, 5, "point out of range")):
+        cases.append(("\n".join(edits.get(k, x) for k, x in enumerate(lines)), line, message))
+    for text, line, message in cases:
+        with pytest.raises(DesignParseError, match=message) as err:
+            read_design(text.encode())
+        assert err.value.line == line, text
+
     # v and k are plain decimals, as block points are, and v = 0 (mod 4)
     for head in ("v=1_6 k=4", "v=+8 k=4", "v=016 k=4", "v=8 k=04", "v=10 k=4"):
         bad = lines[:]
@@ -404,6 +419,22 @@ def test_search_tree_pinned():
                     result.rejected_classes) == counts, (v, mode, classes, cap)
 
 
+@pytest.mark.parametrize("levels", [1, 2, 16])
+def test_memo_cap_never_changes_a_tree(monkeypatch, levels):
+    """A class's memo of level effects is exact, so emptying it at any size
+    changes no count: the capped runs at 20,000 nodes and a found packing
+    run keep their pins with the memo emptied at 1, 2 and 16 entries."""
+    monkeypatch.setattr(ramsey_p5.designs, "SEARCH_MEMO_LEVELS", levels)
+    for (v, mode, classes), by_cap in CAPPED_PINS.items():
+        result = search_design(v, mode, classes, SearchBudget(nodes=20000))
+        assert (result.nodes, result.depth, result.pruned_waste,
+                result.rejected_classes) == by_cap[20000], (v, mode, classes)
+    result = search_design(20, "packing", 5)
+    digest = hashlib.sha256(write_design(result.design, "packing")).hexdigest()
+    assert (result.nodes, digest) == FOUND_PINS[20, "packing", 5]
+    assert (result.depth, result.pruned_waste, result.rejected_classes) == (25, 0, 0)
+
+
 # (v, mode, classes) -> caps. Each consecutive run spans a level of 8 free
 # points whose classes all fail a coverage deficit, from the block before it
 # to the one after it, so the stops fall on every node inside it; the v=12
@@ -476,62 +507,63 @@ def test_search_stops_and_counters_at_every_cap_of_a_found_run():
     assert sweep_digest(COMPLETION_SWEEPS) == COMPLETION_SWEEP_DIGEST
 
 
-def test_split_prunes_count_what_the_walk_cuts():
-    """For random masks on random 8-point sets, the counted prunes agree
-    with the waste tests run split by split."""
-    rng = random.Random(5)
-    for _ in range(100):
-        v = rng.choice((8, 12, 20, 24))
-        density = rng.choice((0.2, 0.5, 0.8))
+def random_levels(seed, count, vs, densities):
+    """Random uncovered-partner masks on v points and a random 8-point level
+    in them: (unc, its points, their mask, the covered pairs of each of its
+    35 splits' first block and of the four points it leaves)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        v = rng.choice(vs)
+        density = rng.choice(densities)
         unc = [0] * v
         for a, b in combinations(range(v), 2):
             if rng.random() < density:
                 unc[a] |= 1 << b
                 unc[b] |= 1 << a
         pts = sorted(rng.sample(range(v), 8))
-        rem = sum(1 << x for x in pts)
-        # the covered pairs of each split's block and of the four points left
-        repeats = []
-        for trio in combinations(pts[1:], 3):
-            left = [x for x in pts[1:] if x not in trio]
-            repeats.append([sum(not unc[a] >> b & 1 for a, b in combinations(blk, 2))
-                            for blk in ((pts[0], *trio), left)])
+        repeats = [[sum(not unc[a] >> b & 1 for a, b in combinations(blk, 2))
+                    for blk in ((pts[0], *trio), [x for x in pts[1:] if x not in trio])]
+                   for trio in combinations(pts[1:], 3)]
+        yield unc, pts, sum(1 << x for x in pts), repeats
+
+
+def test_level_counters_match_the_splits_tried_one_by_one():
+    """Each counter's effect, (nodes, pruned_waste, rejected_classes, most
+    blocks pushed at once), agrees with the level's 35 splits tried one by
+    one. In a doomed covering level a split whose first block repeats more
+    than the slack is one node cut by waste; else two nodes, the second cut
+    when both blocks repeat more than the slack, else a rejected class. A
+    Steiner or packing level is walked (a falsy effect) when some split has
+    two fresh blocks; else each fresh first block is one node."""
+    seen = set()
+    for unc, pts, rem, repeats in (*random_levels(5, 100, (8, 12, 20, 24), (0.2, 0.5, 0.8)),
+                                   *random_levels(7, 400, (8, 12, 20, 28),
+                                                  (0.5, 0.7, 0.85, 0.95))):
         for slack in range(20):
-            cut = forced_cut = 0
-            for w, wf in repeats:
+            nodes = cut = rejected = pushed = 0
+            for w, w_left in repeats:
+                nodes += 1
                 if w > slack:
                     cut += 1
-                elif w + wf > slack:
-                    forced_cut += 1
-            got = ramsey_p5.designs._split_prunes(unc, rem, pts, slack)
-            assert got == (cut, forced_cut), (pts, slack)
-
-
-def test_fresh_blocks_count_what_the_walk_counts():
-    """For random masks on random 8-point sets, the count of a Steiner or
-    packing level agrees with its 35 splits tried one by one: -1 when one
-    of them has two fresh blocks, else the splits with a fresh first
-    block, each of which is one node of the walk."""
-    rng = random.Random(7)
-    seen = set()
-    for _ in range(400):
-        v = rng.choice((8, 12, 20, 28))
-        density = rng.choice((0.5, 0.7, 0.85, 0.95))
-        unc = [0] * v
-        for a, b in combinations(range(v), 2):
-            if rng.random() < density:
-                unc[a] |= 1 << b
-                unc[b] |= 1 << a
-        pts = sorted(rng.sample(range(v), 8))
-        fresh = [all(unc[a] >> b & 1 for a, b in combinations(blk, 2))
-                 for trio in combinations(pts[1:], 3)
-                 for blk in ((pts[0], *trio), [x for x in pts[1:] if x not in trio])]
-        blocks, lefts = fresh[::2], fresh[1::2]
-        want = -1 if any(map(all, zip(blocks, lefts))) else sum(blocks)
-        got = ramsey_p5.designs._fresh_blocks(unc, sum(1 << x for x in pts))
-        assert got == want, (unc, pts)
-        seen.add(min(want, 1))
-    assert seen == {-1, 0, 1}
+                    continue
+                nodes += 1
+                if w + w_left > slack:
+                    cut += 1
+                    pushed = max(pushed, 1)
+                else:
+                    rejected += 1
+                    pushed = 2
+            want = (nodes, cut, rejected, pushed)
+            # the loop's memo keys a slack past 12 as 12
+            for got in (ramsey_p5.designs._split_prunes(unc, rem, pts, slack),
+                        ramsey_p5.designs._split_prunes(unc, rem, pts, min(slack, 12))):
+                assert got == want, (pts, slack)
+        fresh = sum(w == 0 for w, _ in repeats)
+        walk = any(w == w_left == 0 for w, w_left in repeats)
+        want = () if walk else (fresh, 0, 0, min(fresh, 1))
+        assert ramsey_p5.designs._fresh_blocks(unc, rem) == want, (unc, pts)
+        seen.add("walk" if walk else min(fresh, 1))
+    assert seen == {"walk", 0, 1}
 
 
 def test_search_exhausts_a_covering_that_cannot_exist():
