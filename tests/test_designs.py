@@ -527,18 +527,20 @@ def random_levels(seed, count, vs, densities):
         yield unc, pts, sum(1 << x for x in pts), repeats
 
 
-def test_level_counters_match_the_splits_tried_one_by_one():
-    """Each counter's effect, (nodes, pruned_waste, rejected_classes, most
-    blocks pushed at once), agrees with the level's 35 splits tried one by
-    one. In a doomed covering level a split whose first block repeats more
-    than the slack is one node cut by waste; else two nodes, the second cut
-    when both blocks repeat more than the slack, else a rejected class. A
-    Steiner or packing level is walked (a falsy effect) when some split has
-    two fresh blocks; else each fresh first block is one node."""
-    seen = set()
-    for unc, pts, rem, repeats in (*random_levels(5, 100, (8, 12, 20, 24), (0.2, 0.5, 0.8)),
-                                   *random_levels(7, 400, (8, 12, 20, 28),
-                                                  (0.5, 0.7, 0.85, 0.95))):
+def counter_levels():
+    """The levels both counter tests try: a sparse-to-dense set from seed 5
+    and a dense set from seed 7, in which fresh blocks are rare."""
+    yield from random_levels(5, 100, (8, 12, 20, 24), (0.2, 0.5, 0.8))
+    yield from random_levels(7, 400, (8, 12, 20, 28), (0.5, 0.7, 0.85, 0.95))
+
+
+def test_split_prunes_count_what_the_walk_cuts():
+    """The effect of a doomed covering level, (nodes, pruned_waste,
+    rejected_classes, most blocks pushed at once), agrees with its 35 splits
+    tried one by one: a split whose first block repeats more than the slack
+    is one node cut by waste; else two nodes, the second cut when both
+    blocks repeat more than the slack, else a rejected class."""
+    for unc, pts, rem, repeats in counter_levels():
         for slack in range(20):
             nodes = cut = rejected = pushed = 0
             for w, w_left in repeats:
@@ -558,6 +560,14 @@ def test_level_counters_match_the_splits_tried_one_by_one():
             for got in (ramsey_p5.designs._split_prunes(unc, rem, pts, slack),
                         ramsey_p5.designs._split_prunes(unc, rem, pts, min(slack, 12))):
                 assert got == want, (pts, slack)
+
+
+def test_fresh_blocks_count_what_the_walk_counts():
+    """The effect of a Steiner or packing level agrees with its 35 splits
+    tried one by one: the level is walked (a falsy effect) when some split
+    has two fresh blocks; else each fresh first block is one node."""
+    seen = set()
+    for unc, pts, rem, repeats in counter_levels():
         fresh = sum(w == 0 for w, _ in repeats)
         walk = any(w == w_left == 0 for w, w_left in repeats)
         want = () if walk else (fresh, 0, 0, min(fresh, 1))
