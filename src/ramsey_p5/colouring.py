@@ -62,26 +62,30 @@ class EdgeColouring:
         if len(cols) != pair_count(self.n):
             raise ValueError(
                 f"expected {pair_count(self.n)} colour entries, got {len(cols)}")
-        for c in cols:
-            if not 1 <= c <= self.r:
-                raise ValueError(f"colour {c} outside 1..{self.r}")
+        used = set(cols)
+        if used and not (1 <= min(used) and max(used) <= self.r):
+            for c in cols:  # name the first colour out of range
+                if not 1 <= c <= self.r:
+                    raise ValueError(f"colour {c} outside 1..{self.r}")
         object.__setattr__(self, "colours", cols)
 
     def colour_classes(self) -> Iterator[tuple[int, Graph]]:
         """Each colour that occurs, ascending, with its class. One pass over
-        the colour table sets both adjacency bits of each pair in its
-        colour's rows, so the cost follows the edges and not the colour
-        count."""
+        the colour table finds each pair's colour rows with one dict probe
+        and sets both adjacency bits from a table of vertex bits, so the
+        cost follows the edges and not the colour count. The rows are keyed
+        by colour, not indexed by it, since r may be far above C(n, 2)."""
         n = self.n
         rows: dict[int, list[int]] = {}
+        bits = [1 << v for v in range(n)]
         cols = iter(self.colours)
         for i in range(n):
-            bit_i = 1 << i
+            bit_i = bits[i]
             for j, col in zip(range(i + 1, n), cols):
                 adj = rows.get(col)
                 if adj is None:
                     adj = rows[col] = [0] * n
-                adj[i] |= 1 << j
+                adj[i] |= bits[j]
                 adj[j] |= bit_i
         for col in sorted(rows):
             yield col, _from_rows(rows[col])
@@ -313,6 +317,32 @@ def _edge_line(parts: list[str], lineno: int, i: int, j: int, r: int) -> int:
     return c
 
 
+def _edge_section(lines: list[str], n: int, names: list[str],
+                  colour_of: dict[str, int]) -> tuple[int, ...] | None:
+    """The colours of a well-formed, non-empty edge section, or None.
+
+    The section is joined with " \\n" between lines and split at spaces, so
+    token 3k + 1 opens edge line k with a newline and only those tokens hold
+    one: each line is then exactly three tokens. Each row's first names are
+    counted and its second names compared as whole slices, and the colour
+    tokens are looked up in one ``map``. No per-line Python step runs."""
+    edges = n * (n - 1) // 2
+    words = (" \n" + " \n".join(lines[3:3 + edges])).split(" ")
+    if len(words) != 1 + 3 * edges:
+        return None
+    a = 1
+    for i in range(n - 1):
+        b = a + 3 * (n - 1 - i)
+        if (words[a:b:3].count("\n" + names[i]) != n - 1 - i
+                or words[a + 1:b:3] != names[i + 1:]):
+            return None
+        a = b
+    try:
+        return tuple(map(colour_of.__getitem__, words[3::3]))
+    except KeyError:
+        return None
+
+
 def read_certificate(data: bytes) -> Certificate:
     lines = _file_lines(data, CERT_HEADER, CertificateError)
     if len(lines) < 3:
@@ -326,28 +356,31 @@ def read_certificate(data: bytes) -> Certificate:
         raise CertificateError(2, "need at least one colour")
     if lines[2] != f"claim={CLAIM_MONO_P5_FREE}":
         raise CertificateError(3, f"expected 'claim={CLAIM_MONO_P5_FREE}'")
-    # Count the lines before building the pair list, which grows as n^2.
+    # Count the lines before any per-pair work, which grows as n^2.
     expected = n * (n - 1) // 2
     if len(lines) < 3 + expected:
         raise CertificateError(len(lines), f"expected {expected} edge lines")
-    # A well-formed line is the decimal names of its pair and of a colour,
-    # so comparing strings decides it. Any other line takes _edge_line, which
-    # raises, or accepts a colour too large for the table.
     names = [str(v) for v in range(n)]
     colour_of = {str(c): c for c in range(1, min(r, expected) + 1)}
-    cols = []
-    row = 3
-    for i in range(n):
-        name = names[i]
-        for j in range(i + 1, n):
-            parts = lines[row].split(" ")
-            row += 1
-            if len(parts) == 3 and parts[0] == name and parts[1] == names[j]:
-                c = colour_of.get(parts[2])
-                if c is not None:
-                    cols.append(c)
-                    continue
-            cols.append(_edge_line(parts, row, i, j, r))
+    cols = _edge_section(lines, n, names, colour_of)
+    if cols is None:
+        # Line by line: a well-formed line is the decimal names of its pair
+        # and of a colour, so comparing strings decides it. Any other line
+        # takes _edge_line, which raises, or accepts a colour too large for
+        # the table.
+        cols = []
+        row = 3
+        for i in range(n):
+            name = names[i]
+            for j in range(i + 1, n):
+                parts = lines[row].split(" ")
+                row += 1
+                if len(parts) == 3 and parts[0] == name and parts[1] == names[j]:
+                    c = colour_of.get(parts[2])
+                    if c is not None:
+                        cols.append(c)
+                        continue
+                cols.append(_edge_line(parts, row, i, j, r))
     notes = []
     for k, raw in enumerate(lines[3 + expected:]):
         lineno = 4 + expected + k

@@ -155,9 +155,10 @@ class Design:
         for blk in self.blocks:
             if len(blk) != BLOCK_SIZE or len(set(blk)) != BLOCK_SIZE:
                 raise ValueError(f"block {blk} must have {BLOCK_SIZE} distinct points")
-            if any(not 0 <= p < self.v for p in blk):
+            ordered = tuple(sorted(blk))  # its ends are the least and largest points
+            if ordered[0] < 0 or ordered[-1] >= self.v:
                 raise ValueError(f"block {blk} out of range for v={self.v}")
-            if tuple(sorted(blk)) != blk:
+            if ordered != blk:
                 raise ValueError(f"block {blk} must be sorted ascending")
 
     @property

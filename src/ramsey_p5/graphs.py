@@ -101,21 +101,26 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 
 
 def connected_components(g: Graph) -> list[int]:
-    """Vertex bitmasks of the components, ordered by smallest member."""
+    """Vertex bitmasks of the components, ordered by smallest member. An
+    isolated vertex is its own component at once; only a vertex with a
+    neighbour starts a frontier sweep."""
     comps = []
     rem = (1 << g.n) - 1
     adj = g.adj
     while rem:
         comp = rem & -rem
-        frontier = comp
-        while frontier:
-            grow = 0
-            for v in _bits(frontier):
-                grow |= adj[v]
-            frontier = grow & ~comp
-            comp |= frontier
+        if adj[comp.bit_length() - 1]:
+            frontier = comp
+            while frontier:
+                grow = 0
+                while frontier:  # each frontier row, taken lowest bit first
+                    b = frontier & -frontier
+                    grow |= adj[b.bit_length() - 1]
+                    frontier ^= b
+                frontier = grow & ~comp
+                comp |= frontier
         comps.append(comp)
-        rem &= ~comp
+        rem ^= comp
     return comps
 
 

@@ -371,3 +371,68 @@ def unlabelled_trees(max_n: int):
                 seen.setdefault(canonical_key(g), g)
         levels.append(list(seen.values()))
     return levels
+
+
+class _Rejected(Exception):
+    pass
+
+
+def line_parse_certificate(data: bytes):
+    """A certificate read one line at a time, every edge line split and its
+    tokens checked on their own, with the package's line numbers and
+    messages: ``(n, r, colours, notes)`` for a file the format accepts, or
+    the ``(line, message)`` of the first error."""
+
+    def reject(line: int, message: str):
+        raise _Rejected(line, message)
+
+    def number(token: str, line: int, what: str) -> int:
+        if not token.isdigit() or (token != "0" and token[0] == "0"):
+            reject(line, f"malformed {what}: {token!r}")
+        return int(token)
+
+    try:
+        try:
+            text = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            reject(0, f"not ASCII: {exc}")
+        if not text.endswith("\n"):
+            reject(0, "missing trailing newline")
+        lines = text[:-1].split("\n")
+        if lines[0] != "RAMSEY-P5 v1":
+            reject(1, "expected header 'RAMSEY-P5 v1'")
+        if len(lines) < 3:
+            reject(len(lines), "truncated certificate")
+        head = lines[1].split(" ")
+        if len(head) != 2 or not head[0].startswith("n=") or not head[1].startswith("r="):
+            reject(2, "expected 'n=<n> r=<r>'")
+        n = number(head[0][2:], 2, "order")
+        r = number(head[1][2:], 2, "colour count")
+        if r < 1:
+            reject(2, "need at least one colour")
+        if lines[2] != "claim=mono-p5-free":
+            reject(3, "expected 'claim=mono-p5-free'")
+        expected = n * (n - 1) // 2
+        if len(lines) < 3 + expected:
+            reject(len(lines), f"expected {expected} edge lines")
+        cols = []
+        for k, (i, j) in enumerate(all_pairs(n)):
+            line = 4 + k
+            parts = lines[3 + k].split(" ")
+            if len(parts) != 3:
+                reject(line, "expected '<i> <j> <c>'")
+            ii = number(parts[0], line, "vertex")
+            jj = number(parts[1], line, "vertex")
+            c = number(parts[2], line, "colour")
+            if (ii, jj) != (i, j):
+                reject(line, f"expected pair {i} {j}, got {ii} {jj}")
+            if not 1 <= c <= r:
+                reject(line, f"colour {c} outside 1..{r}")
+            cols.append(c)
+        notes = lines[3 + expected:]
+        for k, raw in enumerate(notes):
+            if not raw.startswith("#"):
+                reject(4 + expected + k, "trailing lines must start with '#'")
+        return n, r, tuple(cols), tuple(notes)
+    except _Rejected as exc:
+        return exc.args

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import ramsey_p5
-from oracles import component_sizes, naive_has_mono_p5, random_mono_free_colouring
+from oracles import (component_sizes, line_parse_certificate, naive_has_mono_p5,
+                     random_mono_free_colouring)
 from ramsey_p5 import designs
 from ramsey_p5.colouring import (Certificate, CertificateError, EdgeColouring,
                                  UnsupportedWitness, WitnessBudgetExhausted,
@@ -466,36 +467,21 @@ def test_certificate_parse_errors_carry_line_numbers():
         assert err.value.line == line, message
 
 
-def reference_edge_colours(lines, n, r):
-    """The edge lines parsed token by token, as read_certificate did before
-    it compared strings: the colours, or the (line, message) of the first
-    error."""
-    def strict(token):
-        return token.isdigit() and (token == "0" or token[0] != "0")
-
-    cols = []
-    for k, (i, j) in enumerate(pair_list(n)):
-        lineno = 4 + k
-        parts = lines[3 + k].split(" ")
-        if len(parts) != 3:
-            return lineno, "expected '<i> <j> <c>'"
-        for token, what in zip(parts, ("vertex", "vertex", "colour")):
-            if not strict(token):
-                return lineno, f"malformed {what}: {token!r}"
-        ii, jj, c = map(int, parts)
-        if (ii, jj) != (i, j):
-            return lineno, f"expected pair {i} {j}, got {ii} {jj}"
-        if not 1 <= c <= r:
-            return lineno, f"colour {c} outside 1..{r}"
-        cols.append(c)
-    return tuple(cols)
+def parse_outcome(data: bytes):
+    """What read_certificate makes of a file, in the terms of the
+    line-by-line oracle: the parsed fields, or the line and message."""
+    try:
+        cert = read_certificate(data)
+    except CertificateError as exc:
+        return exc.line, str(exc).partition(": ")[2]
+    return cert.n, cert.r, cert.colours, cert.notes
 
 
 def test_edge_line_parse_matches_token_reference():
     """Certificates with one edge line mangled at random: read_certificate
-    accepts the same colours or raises at the same line with the same
-    message as the token-by-token reference, with r below and above the
-    edge count."""
+    accepts the same fields or raises at the same line with the same
+    message as the line-by-line oracle, with r below and above the edge
+    count."""
     rng = random.Random(1729)
     tokens = ("", "0", "00", "01", "+1", "-1", "1_0", "x", "1.0", "7", "12",
               "99999")
@@ -517,12 +503,92 @@ def test_edge_line_parse_matches_token_reference():
         else:
             parts[0], parts[1] = parts[1], parts[0]
         lines[row] = " ".join(parts)
-        want = reference_edge_colours(lines, n, r)
-        try:
-            got = read_certificate("\n".join(lines).encode("ascii")).colours
-        except CertificateError as exc:
-            got = exc.line, str(exc).partition(": ")[2]
-        assert got == want, (n, r, lines[row])
+        data = "\n".join(lines).encode("ascii")
+        assert parse_outcome(data) == line_parse_certificate(data), (n, r, lines[row])
+
+
+CERT_DEFECTS = ("header", "newline", "colour", "order", "zero", "truncate",
+                "trailer", "ascii", "double-space", "trailing-space", "cr",
+                "leading-zero", "moved-token")
+
+
+def mangle_certificate(rng, data: bytes, defect: str) -> bytes:
+    """A copy of a certificate with at least two edge lines, with one edge
+    line, or the file, broken."""
+    lines = data.decode("ascii").split("\n")  # ends with "" after the newline
+    n, r = (int(word[2:]) for word in lines[1].split(" "))
+    k = rng.randrange(3, 2 + pair_count(n))  # an edge line with one after it
+    i, j, c = lines[k].split(" ")
+    if defect == "header":
+        lines[0] = "RAMSEY-P5 v2"
+    elif defect == "newline":
+        return data[:-1]
+    elif defect == "colour":
+        lines[k] = f"{i} {j} {r + 1}"
+    elif defect == "order":
+        lines[k], lines[k + 1] = lines[k + 1], lines[k]
+    elif defect == "zero":
+        lines[k] = f"{i} {j} 0{c}"
+    elif defect == "truncate":
+        lines = lines[:k] + [""]
+    elif defect == "trailer":
+        lines.insert(len(lines) - 1, "trailing text")
+    elif defect == "ascii":
+        lines[k] += "\u00e9"
+        return "\n".join(lines).encode("latin-1")
+    elif defect == "double-space":
+        lines[k] = rng.choice((f"{i}  {j} {c}", f"{i} {j}  {c}"))
+    elif defect == "trailing-space":
+        lines[k] += " "
+    elif defect == "cr":
+        lines[k] += "\r"
+    elif defect == "leading-zero":
+        lines[k] = rng.choice((f"0{i} {j} {c}", f"{i} 0{j} {c}"))
+    elif defect == "moved-token":
+        # the colour opens the next line: the tokens in file order are the same
+        lines[k], lines[k + 1] = f"{i} {j}", f"{c} {lines[k + 1]}"
+    return "\n".join(lines).encode("ascii")
+
+
+def test_bulk_edge_parse_matches_line_oracle():
+    """For every defect kind, on lift-chain, random and note-carrying
+    certificates, read_certificate accepts the same fields or raises at the
+    same line with the same message as the line-by-line oracle. Colours
+    above C(n, 2) but within r are accepted, and orders 0 and 1 parse."""
+    rng = random.Random(3203)
+    sound = []
+    col = witness(6)
+    while col.n <= 24:
+        sound.append(write_certificate(Certificate.from_colouring(col)))
+        col = lift(col)
+    for n in (3, 5, 12, 16):
+        r = rng.choice((1, 2, 3, 40))
+        notes = rng.choice(((), ("# a note",), ("#", "# two")))
+        sound.append(write_certificate(Certificate.from_colouring(
+            random_colouring(rng, n, r), notes)))
+    for data in sound:
+        want = line_parse_certificate(data)
+        assert len(want) == 4 and parse_outcome(data) == want
+        for defect in CERT_DEFECTS:
+            for _ in range(3):
+                bad = mangle_certificate(rng, data, defect)
+                want = line_parse_certificate(bad)
+                assert len(want) == 2, defect
+                assert parse_outcome(bad) == want, (defect, want)
+    for n in (2, 4, 6):
+        # colours drawn from above the edge count, up to r itself
+        edges = pair_count(n)
+        r = edges + 5
+        colours = [rng.randint(1, r) for _ in range(edges)]
+        colours[rng.randrange(edges)] = rng.randint(edges + 1, r)
+        colours[rng.randrange(edges)] = r
+        data = write_certificate(Certificate(n, r, tuple(colours)))
+        assert parse_outcome(data) == line_parse_certificate(data) == (
+            n, r, tuple(colours), ())
+    for n in (0, 1):
+        for tail in ("", "# note\n", "trailing text\n", "0 1 1\n"):
+            data = f"RAMSEY-P5 v1\nn={n} r=3\nclaim=mono-p5-free\n{tail}".encode()
+            assert parse_outcome(data) == line_parse_certificate(data), (n, tail)
 
 
 def test_header_only_certificate_rejected_in_constant_memory():

@@ -40,14 +40,21 @@ def leave_edges(d):
 
 
 def test_design_validation():
-    with pytest.raises(ValueError):
-        Design(4, (((0, 1, 2, 2),),))
-    with pytest.raises(ValueError):
-        Design(4, (((0, 1, 2, 4),),))
-    with pytest.raises(ValueError):
-        Design(4, (((3, 2, 1, 0),),))
-    with pytest.raises(ValueError):
-        Design(8, (((0, 1, 2, 3),), ((4, 5, 6, 8),)))
+    """Each bad block raises its message; a block with several faults names
+    the first of size and distinctness, range, order."""
+    for v, classes, message in (
+            (4, (((0, 1, 2, 2),),), "block (0, 1, 2, 2) must have 4 distinct points"),
+            (4, (((0, 1, 2),),), "block (0, 1, 2) must have 4 distinct points"),
+            (4, (((0, 1, 2, 4),),), "block (0, 1, 2, 4) out of range for v=4"),
+            (4, (((3, 2, 1, 0),),), "block (3, 2, 1, 0) must be sorted ascending"),
+            (8, (((0, 1, 2, 3),), ((4, 5, 6, 8),)), "block (4, 5, 6, 8) out of range"),
+            (8, (((8, 1, 2, 3),),), "block (8, 1, 2, 3) out of range for v=8"),
+            (8, (((2, 1, 0, -1),),), "block (2, 1, 0, -1) out of range for v=8"),
+            (4, (((9, 9, 1, 0),),), "block (9, 9, 1, 0) must have 4 distinct points"),
+            (-1, (), "point count must be non-negative")):
+        with pytest.raises(ValueError) as err:
+            Design(v, classes)
+        assert str(err.value).startswith(message), (classes, str(err.value))
 
 
 def test_single_block_is_steiner():

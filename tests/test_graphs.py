@@ -6,8 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from oracles import (all_pairs, brute_force_ex_p5, perm_has_path, shape_counts,
-                     unlabelled_trees, unpruned_find_path)
+from oracles import (all_pairs, bfs_components, brute_force_ex_p5, perm_has_path,
+                     shape_counts, unlabelled_trees, unpruned_find_path)
 from ramsey_p5.graphs import (Graph, complete, connected_components, cycle_graph,
                               disjoint_union, ex_p5, extremal_p5, find_path,
                               path_graph, star_graph)
@@ -214,3 +214,26 @@ def test_connectivity_helpers():
     assert [c.bit_count() for c in connected_components(g)] == [3, 2]
     assert len(connected_components(path_graph(5))) == 1
 
+
+def test_components_match_bfs_oracle():
+    """connected_components lists the same vertex sets, ordered by smallest
+    member, as breadth-first search one vertex at a time: on seeded sparse
+    graphs full of isolated vertices, and on every colour class of the lift
+    chain up to K64, where a class leaves most vertices isolated."""
+    from ramsey_p5.colouring import lift, witness
+
+    rng = random.Random(2024)
+    graphs = [Graph(0), Graph(1), Graph(7)]
+    for _ in range(150):
+        n = rng.randint(1, 40)
+        m = rng.randint(0, n)
+        graphs.append(Graph(n, [tuple(rng.sample(range(n), 2))
+                                for _ in range(m)] if n > 1 else []))
+    col = witness(6)
+    while True:
+        graphs.extend(g for _, g in col.colour_classes())
+        if col.n == 64:
+            break
+        col = lift(col)
+    for g in graphs:
+        assert connected_components(g) == bfs_components(list(g.adj), g.n), g
