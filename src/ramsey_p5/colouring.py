@@ -318,29 +318,41 @@ def _edge_line(parts: list[str], lineno: int, i: int, j: int, r: int) -> int:
 
 
 def _edge_section(lines: list[str], n: int, names: list[str],
-                  colour_of: dict[str, int]) -> tuple[int, ...] | None:
-    """The colours of a well-formed, non-empty edge section, or None.
+                  colour_of: dict[str, int]) -> tuple[int, tuple[int, ...]]:
+    """How many leading rows of the edge section are well formed, and their
+    colours; row i holds the lines of the pairs (i, j), j > i.
 
     The section is joined with " \\n" between lines and split at spaces, so
     token 3k + 1 opens edge line k with a newline and only those tokens hold
-    one: each line is then exactly three tokens. Each row's first names are
-    counted and its second names compared as whole slices, and the colour
-    tokens are looked up in one ``map``. No per-line Python step runs."""
+    one. Each row's first names are counted and its second names compared as
+    whole slices, and the colour tokens are looked up in one ``map``. No
+    per-line Python step runs. A row whose names match has three tokens on
+    each line but its last, whose count the next row's names show, or for
+    the last row the section's token count. So the rows before the first
+    refused row, less one, are taken, and a colour outside the table cuts
+    them back to the rows before its own."""
     edges = n * (n - 1) // 2
     words = (" \n" + " \n".join(lines[3:3 + edges])).split(" ")
-    if len(words) != 1 + 3 * edges:
-        return None
     a = 1
     for i in range(n - 1):
         b = a + 3 * (n - 1 - i)
         if (words[a:b:3].count("\n" + names[i]) != n - 1 - i
                 or words[a + 1:b:3] != names[i + 1:]):
-            return None
+            break
         a = b
+    else:
+        i = n if len(words) == 1 + 3 * edges else n - 1
+    rows = max(i - 1, 0)
+    colours = words[3:3 * pair_index(n, rows, rows + 1) + 1:3]
     try:
-        return tuple(map(colour_of.__getitem__, words[3::3]))
+        return rows, tuple(map(colour_of.__getitem__, colours))
     except KeyError:
-        return None
+        cols = list(map(colour_of.get, colours))
+    k = cols.index(None)
+    rows = 0
+    while pair_index(n, rows + 1, rows + 2) <= k:
+        rows += 1
+    return rows, tuple(cols[:pair_index(n, rows, rows + 1)])
 
 
 def read_certificate(data: bytes) -> Certificate:
@@ -362,15 +374,15 @@ def read_certificate(data: bytes) -> Certificate:
         raise CertificateError(len(lines), f"expected {expected} edge lines")
     names = [str(v) for v in range(n)]
     colour_of = {str(c): c for c in range(1, min(r, expected) + 1)}
-    cols = _edge_section(lines, n, names, colour_of)
-    if cols is None:
-        # Line by line: a well-formed line is the decimal names of its pair
-        # and of a colour, so comparing strings decides it. Any other line
-        # takes _edge_line, which raises, or accepts a colour too large for
-        # the table.
-        cols = []
-        row = 3
-        for i in range(n):
+    rows, cols = _edge_section(lines, n, names, colour_of)
+    if len(cols) < expected:
+        # Line by line from the first row not taken: a well-formed line is
+        # the decimal names of its pair and of a colour, so comparing
+        # strings decides it. Any other line takes _edge_line, which
+        # raises, or accepts a colour too large for the table.
+        cols = list(cols)
+        row = 3 + len(cols)
+        for i in range(rows, n):
             name = names[i]
             for j in range(i + 1, n):
                 parts = lines[row].split(" ")

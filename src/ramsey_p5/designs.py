@@ -12,7 +12,7 @@ from itertools import combinations, islice
 
 from .colouring import (EdgeColouring, ParseError, _file_lines,
                         _first_cover_colours, _strict_int, pair_count, pair_list)
-from .engine import BudgetExhausted, NodeMeter, SearchBudget
+from .engine import CLOCK_POLL_NODES, BudgetExhausted, NodeMeter, SearchBudget
 
 BLOCK_SIZE = 4
 
@@ -122,6 +122,55 @@ def _split_prunes(unc: list[int], rem: int, pts: list[int],
     both = (over >> 5 * 35).bit_count()
     first = over.bit_count() - both
     return 70 - first, both, 35 - both, 2 if both < 35 else 1 if first < 35 else 0
+
+
+def _twelve_effect(unc: list[int], rem: int, slack: int, memo: dict,
+                   covering: bool) -> tuple[int, int, int, int] | tuple[()]:
+    """The effect of a level on the 12 points of ``rem`` at waste slack
+    ``slack``, a doomed one in a covering run: one node per candidate
+    block, plus a waste prune when the block repeats more than ``slack``
+    pairs and else the level of 8 points it leaves, one block deeper, from
+    ``memo`` or from _split_prunes or _fresh_blocks. () in a Steiner or
+    packing run when one of those levels must be walked."""
+    low = rem & -rem
+    p = low.bit_length() - 1
+    rest = rem ^ low
+    up = unc[p]
+    if covering:
+        trios = combinations([x for x in range(p + 1, rest.bit_length())
+                              if rest >> x & 1], 3)
+    else:
+        trios = _fresh_trios(unc, rest & up)
+    n = cut = rejected = pushed = w = 0
+    for q, r, s in trios:
+        n += 1
+        bm = low | 1 << q | 1 << r | 1 << s
+        if covering:
+            w = 6 - ((up & bm).bit_count() + (unc[q] & bm).bit_count()
+                     + (unc[r] & bm).bit_count() + (unc[s] & bm).bit_count()) // 2
+            if w > slack:
+                cut += 1
+                continue
+        # the lookup of search_design's loop, for the level the block leaves
+        left = rem ^ bm
+        left_slack = slack - w
+        key = left << 4 | min(left_slack, 12) if left_slack else left
+        effect = memo.get(key)
+        if effect is None:
+            if len(memo) == SEARCH_MEMO_LEVELS:
+                memo.clear()
+            effect = memo[key] = (
+                _split_prunes(unc, left, [x for x in range(left.bit_length())
+                                          if left >> x & 1], left_slack) if covering
+                else _fresh_blocks(unc, left))
+        if not effect:
+            return ()
+        n += effect[0]
+        cut += effect[1]
+        rejected += effect[2]
+        if effect[3] >= pushed:
+            pushed = effect[3] + 1
+    return n, cut, rejected, pushed
 
 
 class InfeasibleParameters(ValueError):
@@ -343,24 +392,31 @@ def search_design(v: int, mode: str, classes: int,
     covering class runs each point's coverage deficit: the four new points
     are counted, and the record under it holds the count of the others.
 
-    A level with 8 free points is counted on entry, not walked, when its
-    end is known: in a covering run when it is doomed, that is when a point
-    its class has placed (the record under the level holds their largest
-    count) keeps more uncovered partners than the classes left can cover,
-    so every class the level completes fails that point's deficit; in a
-    Steiner or packing run when no split of its points has two fresh
-    blocks, so no class completes. _split_prunes or _fresh_blocks then
-    returns the level's effect, the nodes, waste prunes and rejected
-    classes its walk would add and the most blocks it would push at once,
-    and the loop takes back the block under it. The walk stays where it
-    could end or skip early: under a floor, and when the meter's next check
-    falls inside the level. An effect depends only on the pairs among the
-    level's free points, which only the completed classes cover, since the
-    open class's blocks avoid them, and on the waste slack, which matters
-    only below 12 and is 0 in Steiner and packing runs. So each class
-    remembers its levels' effects by their free points and slack, in a
-    memo emptied when the class before it completes and when it reaches
-    SEARCH_MEMO_LEVELS entries, which bounds its memory.
+    A level with 8 or 12 free points is counted on entry, not walked, when
+    its end is known: in a covering run when it is doomed, that is when a
+    point its class has placed (the record under the level holds their
+    largest count) keeps more uncovered partners than the classes left can
+    cover, so every class the level completes fails that point's deficit;
+    in a Steiner or packing run when no split of 8 free points has two
+    fresh blocks, so no class completes. _split_prunes or _fresh_blocks
+    returns the effect of a level of 8 points, the nodes, waste prunes and
+    rejected classes its walk would add and the most blocks it would push
+    at once. A level of 12 points adds one node per candidate block and
+    the effect of the level of 8 points that block leaves, or one waste
+    prune for a block that repeats more pairs than the slack; a doomed
+    level's levels of 8 points are doomed too, and a Steiner or packing
+    level of 12 points is walked when one of its levels of 8 points must
+    be. The loop then takes back the block under the level. The walk stays where it could end or skip early:
+    under a floor, and when the meter's next check falls inside the level;
+    a covering level of 12 points is also walked when that check is a clock
+    poll away or less, since few fit there.
+    An effect depends only on the pairs among the level's free points,
+    which only the completed classes cover, since the open class's blocks
+    avoid them, and on the waste slack, which matters only below 12 for 8
+    points and is 0 in Steiner and packing runs. So each class remembers
+    the effects of its levels of 8 points by their free points and slack,
+    in a memo emptied when the class before it completes and when it
+    reaches SEARCH_MEMO_LEVELS entries, which bounds its memory.
     """
     _check_feasible(v, mode, classes)
     per_class = v // 4
@@ -419,27 +475,36 @@ def search_design(v: int, mode: str, classes: int,
                     it = combinations(free, 3)
                     # doomed: a point its class has placed keeps more
                     # uncovered partners than the classes left can cover
-                    count = len(free) == 7 and stack[-1][9] > 3 * (
+                    count = len(free) in (7, 11) and stack[-1][9] > 3 * (
                         classes - len(stack) // per_class - 1)
                 else:
-                    count = rest.bit_count() == 7
-                if count and floor is None and nodes + 70 < stop:
-                    # Count a level of 8 free points: its at most 70 nodes
-                    # end before the meter's next check, and the loop below
-                    # then takes back the block under it. A Steiner or
-                    # packing slack is 0, so its key is rem, which no
-                    # covering key with slack equals.
+                    count = rest.bit_count() in (7, 11)
+                if count and floor is None:
+                    # Count a level of 8 or 12 free points whose nodes end
+                    # before the meter's next check; the loop below then
+                    # takes back the block under it. A Steiner or packing
+                    # slack is 0, so its key is rem, which no covering key
+                    # with slack equals. A covering level of 12 points is
+                    # tried only when that check is more than a clock poll
+                    # away: it has 165 blocks and most often over a
+                    # thousand nodes, and trying one that does not fit
+                    # costs more than walking it.
                     slack = max_waste - waste
-                    key = rem << 4 | min(slack, 12) if slack else rem
                     memo = memos[len(stack) // per_class]
-                    effect = memo.get(key)
-                    if effect is None:
-                        if len(memo) == SEARCH_MEMO_LEVELS:
-                            memo.clear()
-                        effect = memo[key] = (
-                            _split_prunes(unc, rem, [p, *free], slack) if covering
-                            else _fresh_blocks(unc, rem))
-                    if effect:
+                    if rem.bit_count() == 8:
+                        key = rem << 4 | min(slack, 12) if slack else rem
+                        effect = memo.get(key)
+                        if effect is None:
+                            if len(memo) == SEARCH_MEMO_LEVELS:
+                                memo.clear()
+                            effect = memo[key] = (
+                                _split_prunes(unc, rem, [p, *free], slack) if covering
+                                else _fresh_blocks(unc, rem))
+                    elif not covering or stop - nodes > CLOCK_POLL_NODES:
+                        effect = _twelve_effect(unc, rem, slack, memo, covering)
+                    else:
+                        effect = ()
+                    if effect and nodes + effect[0] < stop:
                         n, cut, rejected, pushed = effect
                         nodes += n
                         pruned_waste += cut

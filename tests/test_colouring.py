@@ -591,6 +591,37 @@ def test_bulk_edge_parse_matches_line_oracle():
             assert parse_outcome(data) == line_parse_certificate(data), (n, tail)
 
 
+def test_edge_section_takes_the_rows_before_a_defect():
+    """A defect on an edge line of row i (the lines of the pairs (i, j))
+    leaves the bulk check rows 0..i-1 when the line names its pair and has
+    three tokens, or names its pair and ends the row, whose token count the
+    next row or the section's token count shows; else rows 0..i-2. So the
+    line loop reads at most two rows, and the outcome is the oracle's."""
+    rng = random.Random(4099)
+    n = 9
+    cert = Certificate(n, 3, tuple(rng.randint(1, 3) for _ in range(pair_count(n))))
+    lines = write_certificate(cert).decode("ascii").split("\n")
+    names = [str(v) for v in range(n)]
+    for k, (i, j) in enumerate(pair_list(n)):
+        c = cert.colours[k]
+        # (the line, whether it names its pair, whether it has three tokens)
+        for bad, named, three in ((f"{i} {j} 4", True, True),
+                                  (f"{i} {j} {c} ", True, False),
+                                  (f"{i} {j}", True, False),
+                                  (f"{i} {j} {c} 1", True, False),
+                                  (f"{i}  {j} {c}", False, False),
+                                  (f"{j} {i} {c}", False, True)):
+            mangled = lines[:3 + k] + [bad] + lines[4 + k:]
+            rows, cols = ramsey_p5.colouring._edge_section(
+                mangled, n, names, {"1": 1, "2": 2, "3": 3})
+            want_rows = i if named and (three or j == n - 1) else max(i - 1, 0)
+            assert rows == want_rows, (k, bad, rows)
+            assert cols == cert.colours[:pair_index(n, rows, rows + 1)], (k, bad)
+            data = "\n".join(mangled).encode("ascii")
+            want = line_parse_certificate(data)
+            assert want[0] == 4 + k and parse_outcome(data) == want, (k, bad)
+
+
 def test_header_only_certificate_rejected_in_constant_memory():
     """A header claiming a large order is rejected from its line count,
     before any per-pair table is built."""

@@ -396,12 +396,16 @@ FOUND_PINS = {
         36447, "f19603e91f083d96ce3933708de9c05e33e85b77028988ddd4119dddcbda0f53"),
 }
 EXHAUSTED_PINS = ((8, "packing", 2), (12, "packing", 3))
-# (v, mode, classes) -> cap -> (nodes, depth, pruned_waste, rejected_classes)
+# (v, mode, classes) -> cap -> (nodes, depth, pruned_waste, rejected_classes).
+# The 5M caps, the default budget of `witness 7` and `witness 8`, were
+# recorded while every level of 12 free points was still walked.
 CAPPED_PINS = {
     (20, "covering", 7): {2000: (2001, 10, 120, 873), 6000: (6001, 10, 182, 2783),
-                          20000: (20001, 10, 235, 9631)},
+                          20000: (20001, 10, 235, 9631),
+                          5000000: (5000001, 10, 681, 2463905)},
     (24, "covering", 8): {2000: (2001, 12, 1418, 272), 6000: (6001, 12, 4037, 920),
-                          20000: (20001, 12, 13162, 3209)},
+                          20000: (20001, 12, 13162, 3209),
+                          5000000: (5000001, 12, 1659209, 1054458)},
     (28, "steiner", 9): {2000: (2001, 13, 0, 0), 6000: (6001, 13, 0, 0),
                          20000: (20001, 13, 0, 0), 200000: (200001, 43, 0, 0)},
 }
@@ -424,6 +428,18 @@ def test_search_tree_pinned():
             assert (result.outcome, result.design) == ("budget", None)
             assert (result.nodes, result.depth, result.pruned_waste,
                     result.rejected_classes) == counts, (v, mode, classes, cap)
+
+
+def test_found_runs_keep_their_pins_under_a_node_cap():
+    """An unbounded run checks its meter every CLOCK_POLL_NODES nodes, so
+    it walks a covering level of 12 points; under a node cap far past the
+    run, the count is tried at every such level the run meets, and each
+    found run keeps its nodes and design."""
+    for (v, mode, classes), (nodes, digest) in FOUND_PINS.items():
+        result = search_design(v, mode, classes, SearchBudget(nodes=10 ** 6))
+        assert (result.outcome, result.nodes) == ("found", nodes), (v, mode, classes)
+        got = hashlib.sha256(write_design(result.design, mode)).hexdigest()
+        assert got == digest, (v, mode, classes)
 
 
 @pytest.mark.parametrize("levels", [1, 2, 16])
@@ -514,10 +530,43 @@ def test_search_stops_and_counters_at_every_cap_of_a_found_run():
     assert sweep_digest(COMPLETION_SWEEPS) == COMPLETION_SWEEP_DIGEST
 
 
-def random_levels(seed, count, vs, densities):
-    """Random uncovered-partner masks on v points and a random 8-point level
-    in them: (unc, its points, their mask, the covered pairs of each of its
-    35 splits' first block and of the four points it leaves)."""
+# (v, mode, classes) -> caps that stop a run at each node of one counted
+# level of 12 free points, from the block before it to the node after it:
+# the (24, covering, 8) level from node 269 has 1,326 nodes, so its last
+# two caps count it; the (28, steiner, 9) level from node 1,684 has 501,
+# and it is counted only from cap 2,707, where the meter's next check is
+# more than a clock poll past its entry.
+TWELVE_SWEEPS = {
+    (24, "covering", 8): tuple(range(267, 1596)),
+    (28, "steiner", 9): (*range(1682, 2187), *range(2704, 2711)),
+}
+# The same digest as CAP_SWEEP_DIGEST, recorded while every level of 12
+# free points was still walked candidate by candidate.
+TWELVE_SWEEP_DIGEST = "1fbda080a3733249537535313a43f3e8df8412034ff379b7cd5500633d7c524e"
+
+
+def test_search_stops_and_counters_at_every_cap_of_a_counted_twelve_level():
+    assert sweep_digest(TWELVE_SWEEPS) == TWELVE_SWEEP_DIGEST
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(os.environ.get("RAMSEY_P5_SLOW") != "1",
+                    reason="seconds of search; set RAMSEY_P5_SLOW=1 to run")
+def test_witness_9_search_pinned_at_its_default_budget():
+    """The (28, steiner, 9) search behind `witness 9`, at its default
+    budget of 5M nodes, recorded while every level of 12 free points was
+    still walked candidate by candidate."""
+    result = search_design(28, "steiner", 9, SearchBudget(nodes=5_000_000))
+    assert (result.outcome, result.design) == ("budget", None)
+    assert (result.nodes, result.depth, result.pruned_waste,
+            result.rejected_classes) == (5000001, 45, 0, 0)
+
+
+def random_levels(seed, count, vs, densities, size=8):
+    """Random uncovered-partner masks on v points and a random level of
+    ``size`` points in them: (unc, its points, their mask, the covered pairs
+    of each candidate's block, the least point and a trio of the others,
+    and of the points it leaves), candidates in trio order."""
     rng = random.Random(seed)
     for _ in range(count):
         v = rng.choice(vs)
@@ -527,7 +576,7 @@ def random_levels(seed, count, vs, densities):
             if rng.random() < density:
                 unc[a] |= 1 << b
                 unc[b] |= 1 << a
-        pts = sorted(rng.sample(range(v), 8))
+        pts = sorted(rng.sample(range(v), size))
         repeats = [[sum(not unc[a] >> b & 1 for a, b in combinations(blk, 2))
                     for blk in ((pts[0], *trio), [x for x in pts[1:] if x not in trio])]
                    for trio in combinations(pts[1:], 3)]
@@ -581,6 +630,55 @@ def test_fresh_blocks_count_what_the_walk_counts():
         assert ramsey_p5.designs._fresh_blocks(unc, rem) == want, (unc, pts)
         seen.add("walk" if walk else min(fresh, 1))
     assert seen == {"walk", 0, 1}
+
+
+def walked_effect(unc, pts, repeats, slack, covering):
+    """The effect of a level of 12 points from its candidate blocks tried
+    one by one: each is a node, cut by waste when it repeats more than the
+    slack, else followed by the level of 8 points it leaves, counted by
+    _split_prunes or _fresh_blocks; () when one of those must be walked."""
+    nodes = cut = rejected = pushed = 0
+    for trio, (w, _) in zip(combinations(pts[1:], 3), repeats):
+        if not covering and w:
+            continue  # a Steiner or packing block repeats no pair
+        nodes += 1
+        if w > slack:
+            cut += 1
+            continue
+        left = [x for x in pts[1:] if x not in trio]
+        rem = sum(1 << x for x in left)
+        below = (ramsey_p5.designs._split_prunes(unc, rem, left, slack - w) if covering
+                 else ramsey_p5.designs._fresh_blocks(unc, rem))
+        if not below:
+            return ()
+        nodes += below[0]
+        cut += below[1]
+        rejected += below[2]
+        pushed = max(pushed, below[3] + 1)
+    return nodes, cut, rejected, pushed
+
+
+def test_twelve_effect_counts_what_the_walk_counts():
+    """_twelve_effect on random levels of 12 points agrees with their
+    candidates tried one by one, at waste slack 0-24 for coverings, where a
+    slack past 18 (6 in the block, 12 below it) counts as 18, and in Steiner
+    and packing runs. One memo per level serves every slack, as a class's
+    memo does."""
+    twelve_effect = ramsey_p5.designs._twelve_effect
+    seen = set()
+    for unc, pts, rem, repeats in random_levels(11, 20, (12, 20, 24, 28),
+                                                (0.3, 0.5, 0.7, 0.85), size=12):
+        memo = {}
+        for slack in range(25):
+            want = walked_effect(unc, pts, repeats, slack, True)
+            assert twelve_effect(unc, rem, slack, memo, True) == want, (pts, slack)
+            assert twelve_effect(unc, rem, min(slack, 18), memo, True) == want
+            seen.add(("covering", want[1] > 0, want[2] > 0))
+        want = walked_effect(unc, pts, repeats, 0, False)
+        assert twelve_effect(unc, rem, 0, {}, False) == want, pts
+        seen.add("walk" if not want else min(want[0], 1))
+    assert seen >= {("covering", True, True), ("covering", False, True),
+                    ("covering", True, False), "walk", 0, 1}
 
 
 def test_search_exhausts_a_covering_that_cannot_exist():
