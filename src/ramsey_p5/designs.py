@@ -6,7 +6,9 @@ instances.
 
 from __future__ import annotations
 
+from binascii import a2b_base64
 from dataclasses import dataclass
+from functools import cache
 from heapq import merge
 from itertools import combinations, islice
 
@@ -26,8 +28,9 @@ SEARCH_MAX_BLOCKS = 400
 
 # search_design remembers, per open class, the effects of its levels of 8
 # free points; a class's memo is emptied when it reaches this many entries,
-# about 1.1 MB in a Steiner or packing run, whose effects are shared, and
-# at most 2.3 MB in a covering run.
+# about 1.1 MB in a Steiner or packing run, whose effects are shared. The
+# memos of a covering run stay far smaller: under 300 entries in 5M nodes
+# of (20, covering, 7) or (24, covering, 8).
 SEARCH_MEMO_LEVELS = 1 << 14
 
 
@@ -124,53 +127,99 @@ def _split_prunes(unc: list[int], rem: int, pts: list[int],
     return 70 - first, both, 35 - both, 2 if both < 35 else 1 if first < 35 else 0
 
 
-def _twelve_effect(unc: list[int], rem: int, slack: int, memo: dict,
-                   covering: bool) -> tuple[int, int, int, int] | tuple[()]:
-    """The effect of a level on the 12 points of ``rem`` at waste slack
-    ``slack``, a doomed one in a covering run: one node per candidate
-    block, plus a waste prune when the block repeats more than ``slack``
-    pairs and else the level of 8 points it leaves, one block deeper, from
-    ``memo`` or from _split_prunes or _fresh_blocks. () in a Steiner or
-    packing run when one of those levels must be walked."""
+@cache
+def _twelve_fields() -> tuple[tuple[tuple[int, int, int], ...], int, int]:
+    """The table _twelve_prunes sums, built on first use: for each pair
+    i < j of 12 points, (fields, i, j); the integer with 1 in every field;
+    and the one with each field's top bit set. Each of the 165 blocks B
+    through point 0 has a six-bit field, 1 when B holds the pair; then each
+    split of the 12 points into B, C and D, C holding the least point B
+    leaves, has one among the next 5,775, 1 when B or C holds it, and one
+    among the last 5,775, 1 when any of the three does. Summed over the
+    covered pairs, a field counts at most the 18 pairs of its blocks, so
+    it never carries into the next."""
+    # The fields are written as base64 digits, six bits each: A for 0 and
+    # B for 1. By the places a < c of a pair among the 8 points B leaves:
+    # the digits of its 35 splits (C, D) in which C holds the pair, and in
+    # which C or D does.
+    in_c = {(a, c): b"".join(b"B" if a in blk and c in blk else b"A" for blk, _ in _SPLITS)
+            for a, c in combinations(range(8), 2)}
+    in_cd = {(a, c): b"".join(b"B" if (a in blk) == (c in blk) else b"A"
+                              for blk, _ in _SPLITS)
+             for a, c in combinations(range(8), 2)}
+    places = [{x: k for k, x in enumerate(x for x in range(1, 12) if x not in trio)}
+              for trio in combinations(range(1, 12), 3)]
+    count = 165 + 2 * 5775
+    table = []
+    for i, j in combinations(range(12), 2):
+        # from field 0 up, and one more digit so that they come in fours
+        row = bytearray(b"A" * (count + 1))
+        for b, place in enumerate(places):
+            bc = 165 + 35 * b
+            bcd = bc + 5775
+            if i not in place and j not in place:
+                row[b] = ord("B")
+                row[bc:bc + 35] = row[bcd:bcd + 35] = b"B" * 35
+            elif i in place and j in place:
+                row[bc:bc + 35] = in_c[place[i], place[j]]
+                row[bcd:bcd + 35] = in_cd[place[i], place[j]]
+        table.append((int.from_bytes(a2b_base64(row[::-1]), "big"), i, j))
+    ones = int.from_bytes(a2b_base64(b"A" + b"B" * count), "big")
+    return tuple(table), ones, ones << 5
+
+
+def _twelve_prunes(unc: list[int], pts: list[int],
+                   slack: int) -> tuple[int, int, int, int]:
+    """The effect of a covering level on the 12 points ``pts`` (sorted)
+    whose every completed class fails a coverage deficit, from its
+    5,775 splits into three blocks B, C, D, B holding pts[0] and C the
+    least point B leaves. Each of the 165 blocks B is a node, cut by waste
+    when it repeats more than ``slack`` pairs; else the 35 splits of the 8
+    points it leaves follow, counted as _split_prunes counts them at the
+    slack B leaves."""
+    if slack >= 18:
+        return 11715, 0, 5775, 3
+    table, ones, tops = _twelve_fields()
+    # adding 31 - slack sets bit 5 of exactly the fields above slack
+    acc = (31 - slack) * ones
+    for fields, i, j in table:
+        if not unc[pts[i]] >> pts[j] & 1:
+            acc += fields
+    over = acc & tops
+    # the fields above the slack among the first 165 and the last 5,775
+    over_b = (over & (1 << 6 * 165) - 1).bit_count()
+    over_bcd = (over >> 6 * 5940).bit_count()
+    ok_b = 165 - over_b
+    ok_bc = 5775 - over.bit_count() + over_b + over_bcd
+    ok_bcd = 5775 - over_bcd
+    return (165 + 35 * ok_b + ok_bc, 165 + 34 * ok_b - ok_bcd, ok_bcd,
+            3 if ok_bcd else 2 if ok_bc else 1 if ok_b else 0)
+
+
+def _twelve_effect(unc: list[int], rem: int,
+                   memo: dict) -> tuple[int, int, int, int] | tuple[()]:
+    """The effect of a Steiner or packing level on the 12 points of
+    ``rem``: one node per fresh block through the least point, plus the
+    effect of the level of 8 points it leaves, one block deeper, from
+    ``memo`` or from _fresh_blocks; () when one of those levels must be
+    walked."""
     low = rem & -rem
-    p = low.bit_length() - 1
     rest = rem ^ low
-    up = unc[p]
-    if covering:
-        trios = combinations([x for x in range(p + 1, rest.bit_length())
-                              if rest >> x & 1], 3)
-    else:
-        trios = _fresh_trios(unc, rest & up)
-    n = cut = rejected = pushed = w = 0
-    for q, r, s in trios:
-        n += 1
-        bm = low | 1 << q | 1 << r | 1 << s
-        if covering:
-            w = 6 - ((up & bm).bit_count() + (unc[q] & bm).bit_count()
-                     + (unc[r] & bm).bit_count() + (unc[s] & bm).bit_count()) // 2
-            if w > slack:
-                cut += 1
-                continue
+    n = pushed = 0
+    for q, r, s in _fresh_trios(unc, rest & unc[low.bit_length() - 1]):
         # the lookup of search_design's loop, for the level the block leaves
-        left = rem ^ bm
-        left_slack = slack - w
-        key = left << 4 | min(left_slack, 12) if left_slack else left
-        effect = memo.get(key)
+        left = rest ^ (1 << q | 1 << r | 1 << s)
+        effect = memo.get(left)
         if effect is None:
             if len(memo) == SEARCH_MEMO_LEVELS:
                 memo.clear()
-            effect = memo[key] = (
-                _split_prunes(unc, left, [x for x in range(left.bit_length())
-                                          if left >> x & 1], left_slack) if covering
-                else _fresh_blocks(unc, left))
+            effect = memo[left] = _fresh_blocks(unc, left)
         if not effect:
             return ()
-        n += effect[0]
-        cut += effect[1]
-        rejected += effect[2]
+        n += 1 + effect[0]
         if effect[3] >= pushed:
             pushed = effect[3] + 1
-    return n, cut, rejected, pushed
+    return n, 0, 0, pushed
 
 
 class InfeasibleParameters(ValueError):
@@ -401,12 +450,13 @@ def search_design(v: int, mode: str, classes: int,
     fresh blocks, so no class completes. _split_prunes or _fresh_blocks
     returns the effect of a level of 8 points, the nodes, waste prunes and
     rejected classes its walk would add and the most blocks it would push
-    at once. A level of 12 points adds one node per candidate block and
-    the effect of the level of 8 points that block leaves, or one waste
-    prune for a block that repeats more pairs than the slack; a doomed
-    level's levels of 8 points are doomed too, and a Steiner or packing
-    level of 12 points is walked when one of its levels of 8 points must
-    be. The loop then takes back the block under the level. The walk stays where it could end or skip early:
+    at once. _twelve_prunes counts a doomed covering level of 12 points the
+    same way, from the repeated pairs of its 5,775 splits into three
+    blocks, since its levels of 8 points are doomed too. _twelve_effect
+    counts a Steiner or packing level of 12 points as one node per fresh
+    block plus the effect of the level of 8 points that block leaves, and
+    has it walked when one of those must be. The loop then takes back the
+    block under the level. The walk stays where it could end or skip early:
     under a floor, and when the meter's next check falls inside the level;
     a covering level of 12 points is also walked when that check is a clock
     poll away or less, since few fit there.
@@ -487,8 +537,8 @@ def search_design(v: int, mode: str, classes: int,
                     # with slack equals. A covering level of 12 points is
                     # tried only when that check is more than a clock poll
                     # away: it has 165 blocks and most often over a
-                    # thousand nodes, and trying one that does not fit
-                    # costs more than walking it.
+                    # thousand nodes, so few fit in a poll, and trying each
+                    # one made clock-polled runs slower.
                     slack = max_waste - waste
                     memo = memos[len(stack) // per_class]
                     if rem.bit_count() == 8:
@@ -500,8 +550,10 @@ def search_design(v: int, mode: str, classes: int,
                             effect = memo[key] = (
                                 _split_prunes(unc, rem, [p, *free], slack) if covering
                                 else _fresh_blocks(unc, rem))
-                    elif not covering or stop - nodes > CLOCK_POLL_NODES:
-                        effect = _twelve_effect(unc, rem, slack, memo, covering)
+                    elif not covering:
+                        effect = _twelve_effect(unc, rem, memo)
+                    elif stop - nodes > CLOCK_POLL_NODES:
+                        effect = _twelve_prunes(unc, [p, *free], slack)
                     else:
                         effect = ()
                     if effect and nodes + effect[0] < stop:

@@ -54,6 +54,7 @@ budget only at the node counts the meter names.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -121,7 +122,8 @@ class NodeMeter:
     def check(self, nodes: int) -> int:
         """Raise BudgetExhausted if ``nodes`` passes the cap or the deadline
         has passed, else return the count at which to check next: cap + 1,
-        or the next multiple of CLOCK_POLL_NODES unless only a cap is set.
+        or the next multiple of CLOCK_POLL_NODES when a deadline is set,
+        whichever comes first, and with neither a count no search reaches.
         The returned count is always above ``nodes``, and callers call again
         once their count reaches it (``nodes >= stop``), so a count that
         steps past it still stops the search. The node check runs first, so
@@ -129,12 +131,12 @@ class NodeMeter:
         cap = self.cap
         if cap is not None and nodes > cap:
             raise BudgetExhausted
-        if self.deadline is not None and time.perf_counter() > self.deadline:
+        stop = sys.maxsize if cap is None else cap + 1
+        if self.deadline is None:
+            return stop
+        if time.perf_counter() > self.deadline:
             raise BudgetExhausted
-        poll = nodes - nodes % CLOCK_POLL_NODES + CLOCK_POLL_NODES
-        if cap is None:
-            return poll
-        return cap + 1 if self.deadline is None else min(cap + 1, poll)
+        return min(stop, nodes - nodes % CLOCK_POLL_NODES + CLOCK_POLL_NODES)
 
     def seconds(self) -> float:
         return time.perf_counter() - self.start

@@ -431,10 +431,10 @@ def test_search_tree_pinned():
 
 
 def test_found_runs_keep_their_pins_under_a_node_cap():
-    """An unbounded run checks its meter every CLOCK_POLL_NODES nodes, so
-    it walks a covering level of 12 points; under a node cap far past the
-    run, the count is tried at every such level the run meets, and each
-    found run keeps its nodes and design."""
+    """An unbounded run never checks its meter again, and neither does a
+    run under a node cap far past it, so the count is tried at every
+    doomed covering level of 12 points either run meets; under the cap,
+    as unbounded, each found run keeps its nodes and design."""
     for (v, mode, classes), (nodes, digest) in FOUND_PINS.items():
         result = search_design(v, mode, classes, SearchBudget(nodes=10 ** 6))
         assert (result.outcome, result.nodes) == ("found", nodes), (v, mode, classes)
@@ -562,11 +562,20 @@ def test_witness_9_search_pinned_at_its_default_budget():
             result.rejected_classes) == (5000001, 45, 0, 0)
 
 
+def level(unc, pts):
+    """A level of the points ``pts`` under the uncovered-partner masks
+    ``unc``: (unc, its points, their mask, the covered pairs of each
+    candidate's block, the least point and a trio of the others, and of
+    the points it leaves), candidates in trio order."""
+    repeats = [[sum(not unc[a] >> b & 1 for a, b in combinations(blk, 2))
+                for blk in ((pts[0], *trio), [x for x in pts[1:] if x not in trio])]
+               for trio in combinations(pts[1:], 3)]
+    return unc, pts, sum(1 << x for x in pts), repeats
+
+
 def random_levels(seed, count, vs, densities, size=8):
     """Random uncovered-partner masks on v points and a random level of
-    ``size`` points in them: (unc, its points, their mask, the covered pairs
-    of each candidate's block, the least point and a trio of the others,
-    and of the points it leaves), candidates in trio order."""
+    ``size`` points in them."""
     rng = random.Random(seed)
     for _ in range(count):
         v = rng.choice(vs)
@@ -576,11 +585,7 @@ def random_levels(seed, count, vs, densities, size=8):
             if rng.random() < density:
                 unc[a] |= 1 << b
                 unc[b] |= 1 << a
-        pts = sorted(rng.sample(range(v), size))
-        repeats = [[sum(not unc[a] >> b & 1 for a, b in combinations(blk, 2))
-                    for blk in ((pts[0], *trio), [x for x in pts[1:] if x not in trio])]
-                   for trio in combinations(pts[1:], 3)]
-        yield unc, pts, sum(1 << x for x in pts), repeats
+        yield level(unc, sorted(rng.sample(range(v), size)))
 
 
 def counter_levels():
@@ -659,23 +664,23 @@ def walked_effect(unc, pts, repeats, slack, covering):
 
 
 def test_twelve_effect_counts_what_the_walk_counts():
-    """_twelve_effect on random levels of 12 points agrees with their
-    candidates tried one by one, at waste slack 0-24 for coverings, where a
-    slack past 18 (6 in the block, 12 below it) counts as 18, and in Steiner
-    and packing runs. One memo per level serves every slack, as a class's
-    memo does."""
-    twelve_effect = ramsey_p5.designs._twelve_effect
+    """_twelve_prunes and _twelve_effect on levels of 12 points agree with
+    their candidates tried one by one, at waste slack 0-24 for coverings
+    and in Steiner and packing runs: on random levels, and on a level with
+    every pair covered, where each split repeats 18 pairs, the most a
+    field of _twelve_prunes sums, and one with none covered."""
+    twelve = list(range(12))
+    uncovered = [(1 << 12) - 1 ^ 1 << a for a in twelve]
     seen = set()
-    for unc, pts, rem, repeats in random_levels(11, 20, (12, 20, 24, 28),
-                                                (0.3, 0.5, 0.7, 0.85), size=12):
-        memo = {}
+    for unc, pts, rem, repeats in (
+            *random_levels(11, 20, (12, 20, 24, 28), (0.3, 0.5, 0.7, 0.85), size=12),
+            level([0] * 12, twelve), level(uncovered, twelve)):
         for slack in range(25):
             want = walked_effect(unc, pts, repeats, slack, True)
-            assert twelve_effect(unc, rem, slack, memo, True) == want, (pts, slack)
-            assert twelve_effect(unc, rem, min(slack, 18), memo, True) == want
+            assert ramsey_p5.designs._twelve_prunes(unc, pts, slack) == want, (pts, slack)
             seen.add(("covering", want[1] > 0, want[2] > 0))
         want = walked_effect(unc, pts, repeats, 0, False)
-        assert twelve_effect(unc, rem, 0, {}, False) == want, pts
+        assert ramsey_p5.designs._twelve_effect(unc, rem, {}) == want, pts
         seen.add("walk" if not want else min(want[0], 1))
     assert seen >= {("covering", True, True), ("covering", False, True),
                     ("covering", True, False), "walk", 0, 1}

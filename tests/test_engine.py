@@ -225,6 +225,16 @@ def test_node_limit_stops_right_past_the_cap(budget, nodes):
         OUTCOME_BUDGET, nodes, "node-limit")
 
 
+def test_unbounded_meter_names_a_stop_no_search_reaches(monkeypatch):
+    """With neither a cap nor a deadline the meter never stops a search:
+    each check names a count past any a search reaches (over 30 years at
+    10^9 nodes a second), and it does not read the clock."""
+    meter = NodeMeter(None)
+    monkeypatch.setattr(ramsey_p5.engine.time, "perf_counter", None)
+    for nodes in (0, 1, CLOCK_POLL_NODES - 1, CLOCK_POLL_NODES, 10 ** 12):
+        assert meter.check(nodes) > 10 ** 18, nodes
+
+
 def test_time_limit_stops_on_a_clock_poll():
     verdict = ramsey_verify(11, 4, budget=SearchBudget(seconds=0.05))
     assert (verdict.outcome, verdict.stats.mode) == (OUTCOME_BUDGET, "time-limit")
