@@ -1,5 +1,6 @@
 """Block designs: verification, leaves, colourings, search, file format."""
 
+import binascii
 import hashlib
 import os
 import random
@@ -13,11 +14,11 @@ import pytest
 import ramsey_p5
 from oracles import component_sizes
 from ramsey_p5.colouring import find_mono_p5, ramsey_value
-from ramsey_p5.designs import (SEARCH_MAX_BLOCKS, Design, DesignParseError,
-                               InfeasibleParameters, SearchBudget, UncolouredPair,
-                               design_to_colouring, pair_coverage, read_design,
-                               search_design, verify_design, verify_resolution,
-                               write_design)
+from ramsey_p5.designs import (SEARCH_MAX_BLOCKS, TWELVE_LOOP_BLOCKS, Design,
+                               DesignParseError, InfeasibleParameters, SearchBudget,
+                               UncolouredPair, _twelve_fresh, design_to_colouring,
+                               pair_coverage, read_design, search_design,
+                               verify_design, verify_resolution, write_design)
 from ramsey_p5.engine import CLOCK_POLL_NODES
 from ramsey_p5.graphs import connected_components
 
@@ -398,7 +399,9 @@ FOUND_PINS = {
 EXHAUSTED_PINS = ((8, "packing", 2), (12, "packing", 3))
 # (v, mode, classes) -> cap -> (nodes, depth, pruned_waste, rejected_classes).
 # The 5M caps, the default budget of `witness 7` and `witness 8`, were
-# recorded while every level of 12 free points was still walked.
+# recorded while every level of 12 free points was still walked; the
+# (28, steiner, 9) cap of 600,000, whose deep levels of 12 free points have
+# from none to 90 fresh blocks, while each was counted block by block.
 CAPPED_PINS = {
     (20, "covering", 7): {2000: (2001, 10, 120, 873), 6000: (6001, 10, 182, 2783),
                           20000: (20001, 10, 235, 9631),
@@ -407,7 +410,8 @@ CAPPED_PINS = {
                           20000: (20001, 12, 13162, 3209),
                           5000000: (5000001, 12, 1659209, 1054458)},
     (28, "steiner", 9): {2000: (2001, 13, 0, 0), 6000: (6001, 13, 0, 0),
-                         20000: (20001, 13, 0, 0), 200000: (200001, 43, 0, 0)},
+                         20000: (20001, 13, 0, 0), 200000: (200001, 43, 0, 0),
+                         600000: (600001, 45, 0, 0)},
 }
 
 
@@ -663,27 +667,102 @@ def walked_effect(unc, pts, repeats, slack, covering):
     return nodes, cut, rejected, pushed
 
 
-def test_twelve_effect_counts_what_the_walk_counts():
+def steiner_twelve_levels():
+    """The first Steiner level of 12 free points of each effect that
+    (28, steiner, 9) meets in the benchmark's 40,800 nodes: one of 0
+    nodes, one of 48 fresh blocks with no fresh second block and one of
+    501 nodes. The last two have more fresh blocks than
+    TWELVE_LOOP_BLOCKS."""
+    designs = ramsey_p5.designs
+    effect = designs._twelve_effect
+    first = {}
+
+    def recorded(unc, rem, memo):
+        first.setdefault(effect(unc, rem, {}), (list(unc), rem))
+        return effect(unc, rem, memo)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(designs, "_twelve_effect", recorded)
+        search_design(28, "steiner", 9, SearchBudget(nodes=40800))
+    assert sorted(first) == [(0, 0, 0, 0), (48, 0, 0, 1), (501, 0, 0, 2)]
+    for unc, rem in first.values():
+        yield level(unc, [x for x in range(len(unc)) if rem >> x & 1])
+
+
+def test_twelve_effect_counts_what_the_walk_counts(monkeypatch):
     """_twelve_prunes and _twelve_effect on levels of 12 points agree with
     their candidates tried one by one, at waste slack 0-24 for coverings
     and in Steiner and packing runs: on random levels, and on a level with
     every pair covered, where each split repeats 18 pairs, the most a
-    field of _twelve_prunes sums, and one with none covered."""
+    field of _twelve_prunes sums, and one with none covered. _twelve_fresh
+    agrees with the walk on those and on the levels (28, steiner, 9) meets
+    and random sparse ones, and so does _twelve_effect whether it reaches
+    _twelve_fresh after TWELVE_LOOP_BLOCKS fresh blocks or at once, with
+    an empty memo and with the one its first call filled."""
+    designs = ramsey_p5.designs
     twelve = list(range(12))
     uncovered = [(1 << 12) - 1 ^ 1 << a for a in twelve]
+    dense = [*random_levels(11, 20, (12, 20, 24, 28), (0.3, 0.5, 0.7, 0.85), size=12),
+             level([0] * 12, twelve), level(uncovered, twelve)]
+    sparse = [*steiner_twelve_levels(),
+              *random_levels(13, 20, (12, 20, 28), (0.9, 0.93, 0.97), size=12)]
+    counted = []
+    monkeypatch.setattr(designs, "_twelve_fresh",
+                        lambda unc, pts: counted.append(pts) or _twelve_fresh(unc, pts))
     seen = set()
-    for unc, pts, rem, repeats in (
-            *random_levels(11, 20, (12, 20, 24, 28), (0.3, 0.5, 0.7, 0.85), size=12),
-            level([0] * 12, twelve), level(uncovered, twelve)):
+    for unc, pts, rem, repeats in dense:
         for slack in range(25):
             want = walked_effect(unc, pts, repeats, slack, True)
-            assert ramsey_p5.designs._twelve_prunes(unc, pts, slack) == want, (pts, slack)
+            assert designs._twelve_prunes(unc, pts, slack) == want, (pts, slack)
             seen.add(("covering", want[1] > 0, want[2] > 0))
+    for unc, pts, rem, repeats in dense + sparse:
         want = walked_effect(unc, pts, repeats, 0, False)
-        assert ramsey_p5.designs._twelve_effect(unc, rem, {}) == want, pts
-        seen.add("walk" if not want else min(want[0], 1))
+        assert _twelve_fresh(unc, pts) == want, pts
+        for blocks in (TWELVE_LOOP_BLOCKS, 0):
+            monkeypatch.setattr(designs, "TWELVE_LOOP_BLOCKS", blocks)
+            memo = {}
+            for _ in range(2):
+                counted.clear()
+                assert designs._twelve_effect(unc, rem, memo) == want, (pts, blocks)
+                assert counted in ([], [pts]), pts
+                seen.add(("table" if counted else "loop", want[3] if want else "walk"))
+            assert all(memo[left] == designs._fresh_blocks(unc, left) for left in memo)
     assert seen >= {("covering", True, True), ("covering", False, True),
-                    ("covering", True, False), "walk", 0, 1}
+                    ("covering", True, False), ("loop", "walk"), ("loop", 0),
+                    ("loop", 1), ("loop", 2), ("table", "walk"), ("table", 1),
+                    ("table", 2)}
+
+
+def test_twelve_tables_share_one_layout():
+    """Bit f of a pair's presence row is set exactly where field f of its
+    six-bit row is not 0, for all 66 pairs of 12 points."""
+    designs = ramsey_p5.designs
+    rows, _, _ = designs._twelve_fields()
+    presence = designs._twelve_presence()
+    count = 165 + 2 * 5775
+    assert [(i, j) for _, i, j in rows] == [(i, j) for _, i, j in presence] == list(
+        combinations(range(12), 2))
+    for (fields, _, _), (bits, _, _) in zip(rows, presence):
+        # one base64 digit per six-bit field, the first digit a spare one
+        digits = binascii.b2a_base64(fields.to_bytes(3 * (count + 1) // 4, "big"),
+                                     newline=False)
+        assert len(digits) == count + 1 and digits[0] == ord("A")
+        held = [d != ord("A") for d in reversed(digits[1:])]
+        assert bits >> count == 0
+        assert held == [b == "1" for b in reversed(f"{bits:0{count}b}")]
+
+
+def test_twelve_tables_are_not_built_by_set_up_searches():
+    """The searches the benchmark runs while it sets up, the `design`
+    warm-up (16, steiner, 5) and the `verify` designs (16, packing, 4) and
+    (8, covering, 3), build neither table of the 12-point counters."""
+    designs = ramsey_p5.designs
+    designs._twelve_fields.cache_clear()
+    designs._twelve_presence.cache_clear()
+    for v, mode, classes in ((16, "steiner", 5), (16, "packing", 4), (8, "covering", 3)):
+        assert search_design(v, mode, classes).outcome == "found"
+    assert designs._twelve_fields.cache_info().currsize == 0
+    assert designs._twelve_presence.cache_info().currsize == 0
 
 
 def test_search_exhausts_a_covering_that_cannot_exist():
