@@ -131,35 +131,38 @@ def _split_prunes(unc: list[int], rem: int, pts: list[int],
 # splits (B, C), C holding the least point B leaves, and 5,775 splits
 # (B, C, D): the fields of the tables that count such a level, in that order.
 _TWELVE_FIELDS = 165 + 2 * 5775
-# The (B, C, D) fields of a presence row, all set.
+# The B fields of a presence row and its (B, C, D) fields, all set; and
+# the B fields of a six-bit row.
+_TWELVE_B = (1 << 165) - 1
 _TWELVE_SPLITS_SET = (1 << 5775) - 1
+_TWELVE_B_FIELDS = (1 << 6 * 165) - 1
 
 
 def _twelve_layout():
     """The field layout of the tables that count a level of 12 points: for
     each pair i < j of the 12, (row, i, j), row holding one byte per field,
-    from field 0 up, B when the field holds the pair and A when not. Field
+    from field 0 up, 1 when the field holds the pair and 0 when not. Field
     B holds it when B does, field (B, C) when B or C does, and field
-    (B, C, D) when any of the three does. The bytes are base64 digits, so
-    _twelve_fields decodes a row into six-bit fields."""
+    (B, C, D) when any of the three does. _twelve_presence reads each row,
+    reversed, as a binary number; the rows are not kept."""
     # By the places a < c of a pair among the 8 points B leaves: the digits
     # of its 35 splits (C, D) in which C holds the pair, and in which C or
     # D does.
-    in_c = {(a, c): b"".join(b"B" if a in blk and c in blk else b"A" for blk, _ in _SPLITS)
+    in_c = {(a, c): b"".join(b"1" if a in blk and c in blk else b"0" for blk, _ in _SPLITS)
             for a, c in combinations(range(8), 2)}
-    in_cd = {(a, c): b"".join(b"B" if (a in blk) == (c in blk) else b"A"
+    in_cd = {(a, c): b"".join(b"1" if (a in blk) == (c in blk) else b"0"
                               for blk, _ in _SPLITS)
              for a, c in combinations(range(8), 2)}
     places = [{x: k for k, x in enumerate(x for x in range(1, 12) if x not in trio)}
               for trio in combinations(range(1, 12), 3)]
     for i, j in combinations(range(12), 2):
-        row = bytearray(b"A" * _TWELVE_FIELDS)
+        row = bytearray(b"0" * _TWELVE_FIELDS)
         for b, place in enumerate(places):
             bc = 165 + 35 * b
             bcd = bc + 5775
             if i not in place and j not in place:
-                row[b] = ord("B")
-                row[bc:bc + 35] = row[bcd:bcd + 35] = b"B" * 35
+                row[b] = ord("1")
+                row[bc:bc + 35] = row[bcd:bcd + 35] = b"1" * 35
             elif i in place and j in place:
                 row[bc:bc + 35] = in_c[place[i], place[j]]
                 row[bcd:bcd + 35] = in_cd[place[i], place[j]]
@@ -167,28 +170,42 @@ def _twelve_layout():
 
 
 @cache
+def _twelve_presence() -> tuple[tuple[int, int, int], ...]:
+    """The table _twelve_covered ORs, built on first use: for each pair
+    i < j of 12 points, (bits, i, j), bit f set where field f of
+    _twelve_layout holds the pair."""
+    return tuple((int(row[::-1], 2), i, j) for row, i, j in _twelve_layout())
+
+
+@cache
 def _twelve_fields() -> tuple[tuple[tuple[int, int, int], ...], int, int]:
-    """The table _twelve_prunes sums, built on first use: for each pair
-    i < j of 12 points, (fields, i, j), each field of _twelve_layout six
-    bits wide and 1 where the layout holds the pair; the integer with 1 in
-    every field; and the one with each field's top bit set. Summed over
-    the covered pairs, a field counts at most the 18 pairs of its blocks,
-    so it never carries into the next."""
-    # one more digit in front, so that the digits come in fours
-    table = tuple((int.from_bytes(a2b_base64(b"A" + row[::-1]), "big"), i, j)
-                  for row, i, j in _twelve_layout())
+    """The table _twelve_prunes sums above slack 0, built on first use from
+    _twelve_presence: for each pair i < j of 12 points, (fields, i, j),
+    each field six bits wide and 1 where the presence row has its bit set;
+    the integer with 1 in every field; and the one with each field's top
+    bit set. Summed over the covered pairs, a field counts at most the 18
+    pairs of its blocks, so it never carries into the next."""
+    # A presence row's binary digits, most significant first, become base64
+    # digits A and B, one six-bit field each, with one more A in front so
+    # that the digits come in fours.
+    digits = bytes.maketrans(b"01", b"AB")
+    table = tuple(
+        (int.from_bytes(a2b_base64(b"A" + format(bits, f"0{_TWELVE_FIELDS}b").encode()
+                                   .translate(digits)), "big"), i, j)
+        for bits, i, j in _twelve_presence())
     ones = int.from_bytes(a2b_base64(b"A" + b"B" * _TWELVE_FIELDS), "big")
     return table, ones, ones << 5
 
 
-@cache
-def _twelve_presence() -> tuple[tuple[int, int, int], ...]:
-    """The table _twelve_fresh ORs, built on first use: for each pair
-    i < j of 12 points, (bits, i, j), bit f set where field f of
-    _twelve_layout holds the pair."""
-    binary = bytes.maketrans(b"AB", b"01")
-    return tuple((int(row[::-1].translate(binary), 2), i, j)
-                 for row, i, j in _twelve_layout())
+def _twelve_covered(unc: list[int], pts: list[int]) -> int:
+    """The OR of the _twelve_presence rows of the pairs of ``pts`` (12
+    points, sorted) that a placed block covers: bit f is set exactly when
+    a block of field f repeats a pair."""
+    acc = 0
+    for bits, i, j in _twelve_presence():
+        if not unc[pts[i]] >> pts[j] & 1:
+            acc |= bits
+    return acc
 
 
 def _twelve_prunes(unc: list[int], pts: list[int],
@@ -199,19 +216,26 @@ def _twelve_prunes(unc: list[int], pts: list[int],
     least point B leaves. Each of the 165 blocks B is a node, cut by waste
     when it repeats more than ``slack`` pairs; else the 35 splits of the 8
     points it leaves follow, counted as _split_prunes counts them at the
-    slack B leaves."""
+    slack B leaves. A field is over the slack at slack 0 exactly when one
+    of its pairs is covered, so there _twelve_covered decides the level;
+    above it the six-bit rows of _twelve_fields are summed."""
     if slack >= 18:
         return 11715, 0, 5775, 3
-    table, ones, tops = _twelve_fields()
-    # adding 31 - slack sets bit 5 of exactly the fields above slack
-    acc = (31 - slack) * ones
-    for fields, i, j in table:
-        if not unc[pts[i]] >> pts[j] & 1:
-            acc += fields
-    over = acc & tops
-    # the fields above the slack among the first 165 and the last 5,775
-    over_b = (over & (1 << 6 * 165) - 1).bit_count()
-    over_bcd = (over >> 6 * 5940).bit_count()
+    if slack:
+        table, ones, tops = _twelve_fields()
+        # adding 31 - slack sets bit 5 of exactly the fields above slack
+        acc = (31 - slack) * ones
+        for fields, i, j in table:
+            if not unc[pts[i]] >> pts[j] & 1:
+                acc += fields
+        over = acc & tops
+        over_b = (over & _TWELVE_B_FIELDS).bit_count()
+        over_bcd = (over >> 6 * 5940).bit_count()
+    else:
+        over = _twelve_covered(unc, pts)
+        over_b = (over & _TWELVE_B).bit_count()
+        over_bcd = (over >> 5940).bit_count()
+    # one bit of over per field above the slack
     ok_b = 165 - over_b
     ok_bc = 5775 - over.bit_count() + over_b + over_bcd
     ok_bcd = 5775 - over_bcd
@@ -221,17 +245,14 @@ def _twelve_prunes(unc: list[int], pts: list[int],
 
 def _twelve_fresh(unc: list[int], pts: list[int]) -> tuple[int, int, int, int] | tuple[()]:
     """The effect of a Steiner or packing level on the 12 points ``pts``
-    (sorted), from the fields of _twelve_presence that the covered pairs
-    set: () when a split (B, C, D) repeats no pair, since its 8-point level
-    below B is walked; else one node per fresh block B and per split
-    (B, C) with both blocks fresh, as _twelve_effect counts them."""
-    acc = 0
-    for bits, i, j in _twelve_presence():
-        if not unc[pts[i]] >> pts[j] & 1:
-            acc |= bits
+    (sorted), from the fields _twelve_covered sets: () when a split
+    (B, C, D) repeats no pair, since its 8-point level below B is walked;
+    else one node per fresh block B and per split (B, C) with both blocks
+    fresh, as _twelve_effect counts them."""
+    acc = _twelve_covered(unc, pts)
     if acc >> 5940 != _TWELVE_SPLITS_SET:
         return ()
-    ok_b = 165 - (acc & (1 << 165) - 1).bit_count()
+    ok_b = 165 - (acc & _TWELVE_B).bit_count()
     # every (B, C, D) field is set, so the clear ones are the fresh B and (B, C)
     ok_bc = _TWELVE_FIELDS - acc.bit_count() - ok_b
     return ok_b + ok_bc, 0, 0, 2 if ok_bc else 1 if ok_b else 0
@@ -240,16 +261,18 @@ def _twelve_fresh(unc: list[int], pts: list[int]) -> tuple[int, int, int, int] |
 # _twelve_effect counts a Steiner or packing level of 12 points block by
 # block until it has seen this many fresh blocks, then the whole level by
 # _twelve_fresh. A block costs about 0.8 us when the memo holds the level
-# it leaves and 4.3 us when not, _twelve_fresh 15-20 us, more with more
-# covered pairs (CPython 3.11.7, shared 2-core machine). On
-# (28, steiner, 9) at 40,800 nodes, whose levels of 12 points have 48 and
-# 501 nodes, the run takes 3.2 ms against 9.4 ms block by block (2.8 ms at
-# 8, 3.5 ms at 16). At 5M nodes most levels have no fresh block; 18,593
-# of 1.53M levels reach _twelve_fresh (45,126 at 8), and interleaved runs
-# are equal to block by block within noise, where at 8 they were 10-13 %
-# slower. Counting from the first block instead would build the table in
-# the (16, steiner, 5) search, whose first 8-point level below a 27-block
-# level completes a class.
+# it leaves and 4.3 us when not, _twelve_fresh about 6 us plus 0.35 us per
+# covered pair, 15-19 us on most levels (CPython 3.11.7, shared 2-core
+# machine). On (28, steiner, 9) at 40,800 nodes, whose levels of 12
+# points have 48 and 501 nodes, the run takes 3.2 ms against 9.4 ms block
+# by block (2.8 ms at 8, 3.5 ms at 16). At 5M nodes most levels have no
+# fresh block; 18,593 of 1.53M levels reach _twelve_fresh (45,126 at 8),
+# and the time inside _twelve_effect, as a share of the run's other work,
+# is 0.914-0.920 at 12, 0.923-0.956 at 8 and 0.957-0.966 at 4 (three
+# interleaved rounds in one process): the run is about 0.7 % slower at 8
+# and 2 % at 4. Counting from the first block instead would build the
+# table in the (16, steiner, 5) search, whose first 8-point level below a
+# 27-block level completes a class.
 TWELVE_LOOP_BLOCKS = 12
 
 
@@ -515,16 +538,17 @@ def search_design(v: int, mode: str, classes: int,
     rejected classes its walk would add and the most blocks it would push
     at once. _twelve_prunes counts a doomed covering level of 12 points the
     same way, from the repeated pairs of its 5,775 splits into three
-    blocks, since its levels of 8 points are doomed too. _twelve_effect
-    counts a Steiner or packing level of 12 points as one node per fresh
-    block plus the effect of the level of 8 points that block leaves, and
-    has it walked when one of those must be; past TWELVE_LOOP_BLOCKS fresh
-    blocks, _twelve_fresh counts the whole level at once, from per-pair
-    presence bits of the fields _twelve_prunes sums. The loop then takes back the
-    block under the level. The walk stays where it could end or skip early:
-    under a floor, and when the meter's next check falls inside the level;
-    a covering level of 12 points is also walked when that check is a clock
-    poll away or less, since few fit there.
+    blocks, since its levels of 8 points are doomed too: at waste slack 0
+    from _twelve_covered, the OR of the covered pairs' presence bits, and
+    above it from six-bit sums. _twelve_effect counts a Steiner or packing
+    level of 12 points as one node per fresh block plus the effect of the
+    level of 8 points that block leaves, and has it walked when one of
+    those must be; past TWELVE_LOOP_BLOCKS fresh blocks, _twelve_fresh
+    counts the whole level at once from the same OR. The loop then takes
+    back the block under the level. The walk stays where it could end or
+    skip early: under a floor, and when the meter's next check falls
+    inside the level; a covering level of 12 points is also walked when
+    that check is a clock poll away or less, since few fit there.
     An effect depends only on the pairs among the level's free points,
     which only the completed classes cover, since the open class's blocks
     avoid them, and on the waste slack, which matters only below 12 for 8

@@ -733,23 +733,121 @@ def test_twelve_effect_counts_what_the_walk_counts(monkeypatch):
                     ("table", 2)}
 
 
+def twelve_field_blocks():
+    """The blocks of each field of the tables that count a level of the 12
+    points 0-11, in field order: each block B through point 0, each split
+    (B, C), C holding the least point B leaves, and each split (B, C, D)."""
+    splits = []
+    for trio in combinations(range(1, 12), 3):
+        left = [x for x in range(1, 12) if x not in trio]
+        for others in combinations(left[1:], 3):
+            c = (left[0], *others)
+            splits.append(((0, *trio), c, tuple(x for x in left if x not in c)))
+    return [(b,) for b, _, _ in splits[::35]] + [(b, c) for b, c, _ in splits] + splits
+
+
 def test_twelve_tables_share_one_layout():
-    """Bit f of a pair's presence row is set exactly where field f of its
-    six-bit row is not 0, for all 66 pairs of 12 points."""
+    """Bit f of a pair's presence row is set exactly where a block of field
+    f holds the pair, and field f of its six-bit row is 1 there and 0
+    elsewhere, for all 66 pairs of 12 points."""
     designs = ramsey_p5.designs
     rows, _, _ = designs._twelve_fields()
     presence = designs._twelve_presence()
-    count = 165 + 2 * 5775
-    assert [(i, j) for _, i, j in rows] == [(i, j) for _, i, j in presence] == list(
-        combinations(range(12), 2))
-    for (fields, _, _), (bits, _, _) in zip(rows, presence):
+    blocks_of = twelve_field_blocks()
+    count = len(blocks_of)
+    assert count == 165 + 2 * 5775
+    held = {pair: bytearray(b"0" * count) for pair in combinations(range(12), 2)}
+    for f, blocks in enumerate(blocks_of):
+        for blk in blocks:
+            for pair in combinations(blk, 2):
+                held[pair][f] = ord("1")
+    assert [(i, j) for _, i, j in rows] == [(i, j) for _, i, j in presence] == list(held)
+    for (fields, _, _), (bits, i, j) in zip(rows, presence):
+        assert bits == int(held[i, j][::-1], 2), (i, j)
         # one base64 digit per six-bit field, the first digit a spare one
         digits = binascii.b2a_base64(fields.to_bytes(3 * (count + 1) // 4, "big"),
                                      newline=False)
-        assert len(digits) == count + 1 and digits[0] == ord("A")
-        held = [d != ord("A") for d in reversed(digits[1:])]
-        assert bits >> count == 0
-        assert held == [b == "1" for b in reversed(f"{bits:0{count}b}")]
+        assert digits == b"A" + held[i, j][::-1].translate(bytes.maketrans(b"01", b"AB"))
+
+
+def six_bit_over(unc, pts):
+    """The fields of _twelve_fields that a level's covered pairs sum above
+    0, one bit per field: the reference for _twelve_covered."""
+    table, ones, tops = ramsey_p5.designs._twelve_fields()
+    acc = 31 * ones
+    for fields, i, j in table:
+        if not unc[pts[i]] >> pts[j] & 1:
+            acc += fields
+    count = 165 + 2 * 5775
+    digits = binascii.b2a_base64((acc & tops).to_bytes(3 * (count + 1) // 4, "big"),
+                                 newline=False)
+    # digit g is a field's top bit alone, A a field under it
+    return int(digits[1:].translate(bytes.maketrans(b"Ag", b"01")), 2)
+
+
+def test_covering_twelve_levels_at_slack_0_are_decided_by_presence_bits():
+    """At slack 0 a field is over exactly when one of its pairs is covered,
+    so the OR of the covered pairs' presence rows is the set of fields the
+    six-bit rows sum above 0, and _twelve_prunes counts the level from it
+    as its candidates tried one by one count it: on random levels of every
+    density, on the level with every pair covered and the one with none,
+    and on the first levels of 12 free points that (24, covering, 8) counts
+    at slack 0."""
+    designs = ramsey_p5.designs
+    twelve = list(range(12))
+    uncovered = [(1 << 12) - 1 ^ 1 << a for a in twelve]
+    recorded = []
+    prunes = designs._twelve_prunes
+
+    def record(unc, pts, slack):
+        if not slack and len(recorded) < 4:
+            recorded.append(level(list(unc), list(pts)))
+        return prunes(unc, pts, slack)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(designs, "_twelve_prunes", record)
+        search_design(24, "covering", 8, SearchBudget(nodes=20000))
+    assert len(recorded) == 4
+    levels = [*random_levels(17, 30, (12, 20, 24, 28), (0.2, 0.5, 0.7, 0.85, 0.95), size=12),
+              level([0] * 12, twelve), level(uncovered, twelve), *recorded]
+    effects = set()
+    for unc, pts, rem, repeats in levels:
+        assert designs._twelve_covered(unc, pts) == six_bit_over(unc, pts), pts
+        want = walked_effect(unc, pts, repeats, 0, True)
+        assert designs._twelve_prunes(unc, pts, 0) == want, pts
+        effects.add(want[3])
+    # the levels push from no block to three at once
+    assert effects == {0, 1, 2, 3}
+
+
+def test_twelve_tables_are_built_by_the_counters_that_read_them():
+    """Each table is built on first use, by the counts that read it: the
+    presence rows by a covering count at slack 0 and by _twelve_fresh, the
+    six-bit rows, decoded from the presence rows, by a covering count above
+    slack 0, and neither at slack 18 or more, where every split fits. So
+    (24, covering, 8) at 20,000 nodes, whose counted 12-point levels are
+    all at slack 0, and (28, steiner, 9) at the benchmark's 40,800 build
+    the presence rows alone, and (24, covering, 8) at 153,000 and
+    (20, covering, 7) at 153,000, which meet slack 2 and 11, build both."""
+    designs = ramsey_p5.designs
+    unc, pts, _, _ = level([0] * 12, list(range(12)))
+
+    def built(count, *args):
+        designs._twelve_fields.cache_clear()
+        designs._twelve_presence.cache_clear()
+        count(*args)
+        return (designs._twelve_presence.cache_info().currsize,
+                designs._twelve_fields.cache_info().currsize)
+
+    assert built(designs._twelve_prunes, unc, pts, 18) == (0, 0)
+    assert built(designs._twelve_prunes, unc, pts, 0) == (1, 0)
+    assert built(designs._twelve_prunes, unc, pts, 1) == (1, 1)
+    assert built(designs._twelve_fresh, unc, pts) == (1, 0)
+    for run, cap, want in (((24, "covering", 8), 20000, (1, 0)),
+                           ((28, "steiner", 9), 40800, (1, 0)),
+                           ((24, "covering", 8), 153000, (1, 1)),
+                           ((20, "covering", 7), 153000, (1, 1))):
+        assert built(search_design, *run, SearchBudget(nodes=cap)) == want, (run, cap)
 
 
 def test_twelve_tables_are_not_built_by_set_up_searches():
